@@ -51,7 +51,10 @@ def mean_sinr_db(sinr_values_db: list[float]) -> float:
     """Average per-block SINRs in the linear domain, back to dB."""
     if not sinr_values_db:
         raise ValueError("no SINR samples")
-    mean_linear = sum(dbm_to_mw(v) for v in sinr_values_db) / len(sinr_values_db)
+    # blocks often share a value: convert each distinct one once, but
+    # still sum every block in order
+    linear = {v: dbm_to_mw(v) for v in set(sinr_values_db)}
+    mean_linear = sum([linear[v] for v in sinr_values_db]) / len(sinr_values_db)
     return mw_to_dbm(mean_linear)
 
 
@@ -125,11 +128,15 @@ def decode(mean_db: float, cqi: int, table: CqiTable) -> bool:
 
 
 class ChannelModel:
-    """Stateless-per-query channel bound to a binder's geometry and ledger.
+    """Channel bound to a binder's geometry and ledger.
 
-    Shadowing draws are keyed by (seed, tx, rx, tti) so any query for
-    the same link and TTI sees the same value, with no cache to keep
-    coherent.
+    Shadowing draws are keyed by (seed, tx, rx, tti), so any query for
+    the same link and TTI sees the same value.  Link losses are
+    memoised per (tx, rx, tti) for the newest TTI queried and the one
+    before it, the only two the engine asks about: a probe measures
+    now, a reception is evaluated one TTI after its transmission.  An
+    older query is computed afresh.  Nodes do not move, so the
+    distance-dependent part is memoised per (tx, rx) for the whole run.
     """
 
     def __init__(self, binder: Binder, params: ChannelParams,
@@ -138,6 +145,9 @@ class ChannelModel:
         self.params = params
         self.table = table
         self.seed = seed
+        self._path_loss: dict[tuple[int, int], float] = {}
+        self._loss: dict[int, dict[tuple[int, int], float]] = {}
+        self._newest_tti = -math.inf
 
     def shadowing_db(self, tx_id: int, rx_id: int, tti: int) -> float:
         sigma = self.params.shadowing_std_dev_db
@@ -146,11 +156,28 @@ class ChannelModel:
         rng = random.Random(f"{self.seed}:shadowing:{tx_id}:{rx_id}:{tti}")
         return rng.gauss(0.0, sigma)
 
+    def _losses_at(self, tti: int) -> dict[tuple[int, int], float]:
+        """Loss memo of one TTI; pruned to two TTIs whenever time advances."""
+        if tti > self._newest_tti:
+            self._newest_tti = tti
+            self._loss = {t: losses for t, losses in self._loss.items()
+                          if t >= tti - 1}
+        if tti < self._newest_tti - 1:
+            return {}  # too old to keep
+        return self._loss.setdefault(tti, {})
+
     def link_loss_db(self, tx_id: int, rx_id: int, tti: int) -> float:
-        tx = self.binder.record(tx_id)
-        rx = self.binder.record(rx_id)
-        distance = math.dist(tx.position, rx.position)
-        return path_loss_db(distance, self.params) + self.shadowing_db(tx_id, rx_id, tti)
+        losses = self._losses_at(tti)
+        key = (tx_id, rx_id)
+        loss = losses.get(key)
+        if loss is None:
+            base = self._path_loss.get(key)
+            if base is None:
+                distance = math.dist(self.binder.record(tx_id).position,
+                                     self.binder.record(rx_id).position)
+                base = self._path_loss[key] = path_loss_db(distance, self.params)
+            loss = losses[key] = base + self.shadowing_db(tx_id, rx_id, tti)
+        return loss
 
     def received_power_dbm(self, tx_id: int, rx_id: int, tti: int,
                            tx_power_dbm: float) -> float:
@@ -167,18 +194,41 @@ class ChannelModel:
         ``tti`` keys the shadowing draw (the transmission instant);
         ``ledger_tti`` selects which TTI's allocations interfere, which
         differs from ``tti`` only for channel-quality probes.
+
+        A block's interference is the sum, in booking order, of the
+        received powers of the other transmitters on it; the receiver's
+        own transmissions are skipped, since a node cannot receive while
+        it transmits on the block.  Blocks covered by the same powers get
+        the same SINR, so it is computed once per distinct cover.
         """
         signal_mw = dbm_to_mw(self.received_power_dbm(tx_id, rx_id, tti, tx_power_dbm))
         noise_mw = self.noise_mw_per_rb()
+        wanted = set(rbs)
+        covers: dict[int, tuple[float, ...]] = {}  # rb -> interferer powers (mW)
+        for entry in self.binder.band_allocations(ledger_tti, direction.band):
+            if entry.tx_node_id == tx_id or entry.tx_node_id == rx_id:
+                continue
+            power_mw = None
+            for rb in entry.rbs:
+                if rb in wanted:
+                    if power_mw is None:
+                        power_mw = dbm_to_mw(self.received_power_dbm(
+                            entry.tx_node_id, rx_id, tti, entry.tx_power_dbm))
+                    covers[rb] = covers.get(rb, ()) + (power_mw,)
+        if not covers:  # noise + 0.0 == noise, so this is the general case's value
+            return [mw_to_dbm(signal_mw / noise_mw)] * len(rbs)
+        sinr_of: dict[tuple[float, ...], float] = {}
         out: list[float] = []
         for rb in rbs:
-            interference_mw = 0.0
-            for entry in self.binder.interferers(ledger_tti, rb, direction.band, tx_id):
-                if entry.tx_node_id == rx_id:
-                    continue  # a node cannot receive while it transmits on the block
-                interference_mw += dbm_to_mw(self.received_power_dbm(
-                    entry.tx_node_id, rx_id, tti, entry.tx_power_dbm))
-            out.append(mw_to_dbm(signal_mw / (noise_mw + interference_mw)))
+            powers = covers.get(rb, ())
+            sinr = sinr_of.get(powers)
+            if sinr is None:
+                interference_mw = 0.0
+                for power_mw in powers:
+                    interference_mw += power_mw
+                sinr = sinr_of[powers] = mw_to_dbm(
+                    signal_mw / (noise_mw + interference_mw))
+            out.append(sinr)
         return out
 
     def wideband_cqi(self, tx_id: int, rx_id: int, *, tti: int,

@@ -15,7 +15,7 @@ import sys
 from dataclasses import dataclass, replace
 
 from .channel import ChannelParams, CqiTable, decode, path_loss_db
-from .config import ScenarioConfig, ScenarioError, load_scenario
+from .config import ScenarioConfig, ScenarioError, load_scenario, validate
 from .engine import run_scenario
 from .mode_selection import Mode
 from .stack import rbs_needed
@@ -23,6 +23,10 @@ from .stack import rbs_needed
 
 class SweepRequiresDeterministicChannel(Exception):
     """Range sweeps are closed-form only without shadowing."""
+
+
+class UsageError(Exception):
+    """A command-line option has a value the command cannot use."""
 
 
 @dataclass(frozen=True)
@@ -103,7 +107,22 @@ def _load(args: argparse.Namespace) -> ScenarioConfig:
         overrides["tti_count"] = args.ttis
     if overrides:
         config = replace(config, sim=replace(config.sim, **overrides))
+        problems = validate(config)
+        if problems:
+            raise UsageError("invalid override: "
+                             + "; ".join(str(problem) for problem in problems))
     return config
+
+
+def _parse_cqis(text: str, table: CqiTable) -> list[int]:
+    try:
+        cqis = [int(token) for token in text.split(",")]
+    except ValueError:
+        raise UsageError(f"--cqis {text!r}: expected comma-separated integers") from None
+    for cqi in cqis:
+        if not 1 <= cqi <= table.max_cqi:
+            raise UsageError(f"--cqis: cqi {cqi} outside 1..{table.max_cqi}")
+    return cqis
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -127,10 +146,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         print(f"error: no flow[{args.flow}] in scenario", file=sys.stderr)
         return 2
     sender = config.node_by_name(flow.source_node)
-    cqis = [int(token) for token in args.cqis.split(",")]
-    rows = sweep_cqi_range(cqis, sender.d2d_tx_power_dbm, flow.packet_bytes,
-                           config.sim.rb_capacity_re, config.channel,
-                           CqiTable.default())
+    table = CqiTable.default()
+    rows = sweep_cqi_range(_parse_cqis(args.cqis, table), sender.d2d_tx_power_dbm,
+                           flow.packet_bytes, config.sim.rb_capacity_re,
+                           config.channel, table)
     lines = ["cqi,max_distance_m,rbs_per_packet"]
     for row in rows:
         lines.append(f"{row.cqi},{row.max_distance_m:.3f},{row.rbs_per_packet}")
@@ -206,7 +225,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ScenarioError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (SweepRequiresDeterministicChannel, OSError) as exc:
+    except (SweepRequiresDeterministicChannel, UsageError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -356,7 +356,7 @@ def _scan(text: str) -> tuple[list[_Assignment], list[_Assignment]]:
     return main, multicast
 
 
-def _node_pattern(scope: list[str], line: int) -> str:
+def _node_pattern(scope: list[str]) -> str:
     """Reduce a scope chain to its node pattern segment."""
     if "**" in scope:
         return "**"
@@ -428,7 +428,7 @@ def parse_scenario(text: str) -> ScenarioConfig:
             attr, value = _convert(_FLOW_KEYS, assignment)
             flow_values.setdefault(int(m.group(1)), {})[attr] = value
         else:
-            pattern = _node_pattern(scope, assignment.line)
+            pattern = _node_pattern(scope)
             try:
                 matched = resolve_pattern(pattern, declared)
             except MalformedPatternError as exc:

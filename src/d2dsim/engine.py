@@ -27,7 +27,7 @@ import heapq
 import random
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .binder import Binder, LinkDirection
 from .channel import ChannelModel, CqiTable
@@ -35,7 +35,7 @@ from .config import (FlowConfig, NodeConfig, Role, ScenarioConfig, Transport,
                      resolve_pattern)
 from .mode_selection import (Mode, ModeSwitchCommand, PeeringTable,
                              apply_mode_switch, do_mode_selection, get_policy)
-from .stack import (Direction, HarqOutcome, HarqPool, PacketAssembler,
+from .stack import (Direction, HarqOutcome, HarqPool, HarqProcess, PacketAssembler,
                     PacketDescriptor, RlcChunk, RlcTxQueue, ScheduleGrant,
                     ScheduleRequest, TransportBlock, harq_on_feedback,
                     pdcp_classify, phy_receive, phy_send, schedule_band)
@@ -166,6 +166,7 @@ class Engine:
                 position=(node.position_x, node.position_y))
             self.node_cfg[node_id] = node
         self.enb_id = self.binder.enb_id()
+        self.ue_ids = [r.node_id for r in self.binder.records if not r.is_enb]
 
         names = [node.name for node in config.nodes]
         self.peering = PeeringTable()
@@ -193,9 +194,13 @@ class Engine:
                     0, flow.start_jitter_ttis)
             self.flows.append((flow, src_id, dst_id, flow.start_tti + jitter))
 
-        # mutable run state
+        # mutable run state; bearers and D2D pools are also indexed per
+        # sender, so a TTI's scheduling pass only visits what each UE holds
         self.bearers: dict[tuple[int, Direction, int | str], RlcTxQueue] = {}
         self.pools: dict[tuple, HarqPool] = {}
+        self._tx_bearers: dict[Direction, dict[int, dict[int | str, RlcTxQueue]]] = {
+            direction: {} for direction in Direction}
+        self._d2d_pools: dict[int, dict[int, HarqPool]] = {}
         self.assemblers: dict[int, PacketAssembler] = {}
         self.cqi_store: dict[tuple, list[tuple[int, int]]] = {}  # (cqi, usable_from)
         self.instances: dict[tuple[int, int | None], _Instance] = {}
@@ -221,12 +226,14 @@ class Engine:
     def _name(self, node_id: int) -> str:
         return self.binder.record(node_id).name
 
-    def _trace(self, event: str, src: str, dst: str, direction: str,
+    def _trace(self, event: str, src_id: int, dst: int | str, direction: str,
                rbs: int = 0, sinr_db: float | None = None,
                decoded: bool | None = None) -> None:
+        """Record a trace row; ``dst`` is a node id or a group address."""
         if self.trace_enabled:
-            self.trace.append(TraceRow(self.now_tti, event, src, dst,
-                                       direction, rbs, sinr_db, decoded))
+            dst_name = dst if isinstance(dst, str) else self._name(dst)
+            self.trace.append(TraceRow(self.now_tti, event, self._name(src_id),
+                                       dst_name, direction, rbs, sinr_db, decoded))
 
     def schedule_event(self, fire_tti: int, phase: Phase, kind: str,
                        payload: object) -> None:
@@ -244,15 +251,21 @@ class Engine:
 
     def _bearer(self, tx_id: int, direction: Direction,
                 endpoint: int | str) -> RlcTxQueue:
-        key = (tx_id, direction, endpoint)
-        if key not in self.bearers:
-            self.bearers[key] = RlcTxQueue()
-        return self.bearers[key]
+        queues = self._tx_bearers[direction].setdefault(tx_id, {})
+        queue = queues.get(endpoint)
+        if queue is None:
+            queue = queues[endpoint] = RlcTxQueue()
+            self.bearers[(tx_id, direction, endpoint)] = queue
+        return queue
 
     def _pool(self, link_key: tuple) -> HarqPool:
-        if link_key not in self.pools:
-            self.pools[link_key] = HarqPool(self.config.sim.harq_processes)
-        return self.pools[link_key]
+        pool = self.pools.get(link_key)
+        if pool is None:
+            pool = self.pools[link_key] = HarqPool(self.config.sim.harq_processes)
+            tx_id, direction, dst_id = link_key
+            if direction is Direction.D2D:
+                self._d2d_pools.setdefault(tx_id, {})[dst_id] = pool
+        return pool
 
     def _assembler(self, rx_id: int) -> PacketAssembler:
         if rx_id not in self.assemblers:
@@ -277,9 +290,6 @@ class Engine:
             return node.d2d_cqi or 0
         return self._cqi_for(("SL", src_id, dst_id), tti)
 
-    def _ue_ids(self) -> list[int]:
-        return [r.node_id for r in self.binder.records if not r.is_enb]
-
     # -- packet lifecycle ------------------------------------------------
 
     def _new_packet(self, flow: FlowConfig, src_id: int, dst_id: int | None,
@@ -293,7 +303,7 @@ class Engine:
             self.instances[(packet.packet_id, None)] = _Instance(
                 flow.flow_id, self.now_tti, packet.size_bits)
         else:
-            for rx_id in self._ue_ids():
+            for rx_id in self.ue_ids:
                 if rx_id != src_id:
                     self.instances[(packet.packet_id, rx_id)] = _Instance(
                         flow.flow_id, self.now_tti, packet.size_bits)
@@ -307,7 +317,29 @@ class Engine:
         instance.status = status
         if status is InstanceStatus.DELIVERED:
             instance.delivered_tti = self.now_tti
+        elif rx_id is None:  # part of a unicast packet may wait at any hop
+            for assembler in self.assemblers.values():
+                assembler.discard(packet_id)
+        elif rx_id in self.assemblers:
+            self.assemblers[rx_id].discard(packet_id)
         return True
+
+    def _reassemble(self, rx_id: int, chunks: Iterable[RlcChunk], *,
+                    multicast: bool) -> Iterator[PacketDescriptor]:
+        """Packets that ``chunks`` complete at ``rx_id``.
+
+        A chunk whose packet instance has already closed is dropped: the
+        packet's fate is settled, and its bits would never be freed.
+        """
+        assembler = self._assembler(rx_id)
+        instance_rx = rx_id if multicast else None
+        for chunk in chunks:
+            instance = self.instances[(chunk.packet.packet_id, instance_rx)]
+            if instance.status is not InstanceStatus.OPEN:
+                continue
+            done = assembler.add(chunk)
+            if done is not None:
+                yield done
 
     def _classify_and_enqueue(self, packet: PacketDescriptor, at_node: int) -> None:
         """Run one hop's PDCP classification and queue the packet."""
@@ -320,9 +352,7 @@ class Engine:
         direction = pdcp_classify(src_is_enb, dst_is_enb, is_mcast, peer_mode)
         endpoint = packet.group_address if is_mcast else packet.dst_id
         self._bearer(at_node, direction, endpoint).push(packet)
-        dst_name = (packet.group_address if is_mcast
-                    else self._name(packet.dst_id))
-        self._trace("classify", self._name(at_node), dst_name, direction.value)
+        self._trace("classify", at_node, endpoint, direction.value)
 
     # -- phases -----------------------------------------------------------
 
@@ -339,7 +369,7 @@ class Engine:
         if tti % self.config.sim.cqi_report_period_ttis != 0:
             return
         enb_cfg = self.node_cfg[self.enb_id]
-        for ue_id in self._ue_ids():
+        for ue_id in self.ue_ids:
             ue_cfg = self.node_cfg[ue_id]
             ul = self.channel.wideband_cqi(
                 ue_id, self.enb_id, tti=tti,
@@ -401,21 +431,21 @@ class Engine:
                             for p in relay.flush_where(lambda p: p.src_id == src))
         for packet_id in lost:
             self._close_instance(packet_id, None, InstanceStatus.LOST_MODE_SWITCH)
-        self._trace("modeSwitch", self._name(src), self._name(dst),
-                    command.new_mode.value)
+        self._trace("modeSwitch", src, dst, command.new_mode.value)
 
     # -- scheduling --------------------------------------------------------
 
-    def _link_backlog(self, tx_id: int, direction: Direction,
-                      endpoints: list[int | str]) -> int:
-        return sum(self.bearers[(tx_id, direction, e)].backlog_bits
-                   for e in endpoints
-                   if (tx_id, direction, e) in self.bearers)
+    def _queues(self, tx_id: int, direction: Direction) -> dict[int | str, RlcTxQueue]:
+        """One sender's bearers in one direction, by endpoint."""
+        return self._tx_bearers[direction].get(tx_id, {})
 
-    def _bearer_endpoints(self, tx_id: int, direction: Direction) -> list[int | str]:
-        found = [key[2] for key, queue in self.bearers.items()
-                 if key[0] == tx_id and key[1] is direction and len(queue) > 0]
-        return sorted(found, key=lambda e: (isinstance(e, str), e))
+    @staticmethod
+    def _busy_endpoints(queues: dict[int | str, RlcTxQueue]) -> list[int | str]:
+        """Endpoints with queued data, node ids first, each kind sorted."""
+        found = [endpoint for endpoint, queue in queues.items() if len(queue) > 0]
+        if len(found) > 1:
+            found.sort(key=lambda e: (isinstance(e, str), e))
+        return found
 
     def _phase_schedule(self, tti: int) -> None:
         sim = self.config.sim
@@ -423,75 +453,83 @@ class Engine:
         ul_requests: list[ScheduleRequest] = []
         contexts: dict[tuple, _LinkCtx] = {}
 
-        def consider(link_key: tuple, ctx: _LinkCtx, cqi: int, backlog: int,
-                     bucket: list[ScheduleRequest]) -> None:
-            pool = ctx.pool
-            retx = pool.pending_retx() if pool is not None else None
+        def consider(link_key: tuple, ctx: _LinkCtx, retx: HarqProcess | None,
+                     cqi: int, backlog: int, bucket: list[ScheduleRequest]) -> None:
+            node_id = ctx.rx_id if ctx.direction is Direction.DL else ctx.tx_id
             if retx is not None:
                 request = ScheduleRequest(
-                    node_id=link_key[0] if ctx.direction is not Direction.DL
-                    else ctx.rx_id,
-                    direction=ctx.direction, cqi=retx.cqi,
+                    node_id=node_id, direction=ctx.direction, cqi=retx.cqi,
                     retx_rbs=retx.num_rbs, link_key=link_key)
             elif backlog > 0 and cqi >= 1 and (
-                    pool is None or pool.has_idle()):
+                    ctx.pool is None or ctx.pool.has_idle()):
                 request = ScheduleRequest(
-                    node_id=link_key[0] if ctx.direction is not Direction.DL
-                    else ctx.rx_id,
-                    direction=ctx.direction, cqi=cqi, backlog_bits=backlog,
-                    link_key=link_key)
+                    node_id=node_id, direction=ctx.direction, cqi=cqi,
+                    backlog_bits=backlog, link_key=link_key)
             else:
                 return
             contexts[link_key] = ctx
             bucket.append(request)
 
-        enb_cfg = self.node_cfg[self.enb_id]
-        for ue_id in self._ue_ids():
+        # a link with neither queued data nor a pending retransmission
+        # asks for nothing, so its CQI and context are never looked up
+        enb_id = self.enb_id
+        enb_power = self.node_cfg[enb_id].ue_tx_power_dbm
+        dl_queues = self._queues(enb_id, Direction.DL)
+        for ue_id in self.ue_ids:
             ue_cfg = self.node_cfg[ue_id]
 
             # downlink toward this UE
-            dl_backlog = self._link_backlog(self.enb_id, Direction.DL, [ue_id])
-            link_key = (self.enb_id, Direction.DL, ue_id)
-            consider(link_key,
-                     _LinkCtx(self.enb_id, ue_id, Direction.DL,
-                              enb_cfg.ue_tx_power_dbm, pool=self._pool(link_key)),
-                     self._cqi_for(("DL", ue_id), tti), dl_backlog, dl_requests)
+            link_key = (enb_id, Direction.DL, ue_id)
+            pool = self._pool(link_key)
+            retx = pool.pending_retx()
+            queue = dl_queues.get(ue_id)
+            backlog = queue.backlog_bits if queue is not None else 0
+            if retx is not None or backlog > 0:
+                consider(link_key,
+                         _LinkCtx(enb_id, ue_id, Direction.DL, enb_power, pool=pool),
+                         retx, self._cqi_for(("DL", ue_id), tti), backlog, dl_requests)
 
             # uplink from this UE (all final destinations share the hop)
-            ul_endpoints = self._bearer_endpoints(ue_id, Direction.UL)
-            ul_backlog = self._link_backlog(ue_id, Direction.UL, ul_endpoints)
-            link_key = (ue_id, Direction.UL, self.enb_id)
-            consider(link_key,
-                     _LinkCtx(ue_id, self.enb_id, Direction.UL,
-                              ue_cfg.ue_tx_power_dbm, pool=self._pool(link_key)),
-                     self._cqi_for(("UL", ue_id), tti), ul_backlog, ul_requests)
+            link_key = (ue_id, Direction.UL, enb_id)
+            pool = self._pool(link_key)
+            retx = pool.pending_retx()
+            backlog = sum(queue.backlog_bits
+                          for queue in self._queues(ue_id, Direction.UL).values())
+            if retx is not None or backlog > 0:
+                consider(link_key,
+                         _LinkCtx(ue_id, enb_id, Direction.UL, ue_cfg.ue_tx_power_dbm,
+                                  pool=pool),
+                         retx, self._cqi_for(("UL", ue_id), tti), backlog, ul_requests)
 
             # direct sidelink: pending retransmissions outrank new data,
             # then the lowest-id peer with queued data is served
+            d2d_queues = self._queues(ue_id, Direction.D2D)
             retx_dsts = sorted(
-                key[2] for key, pool in self.pools.items()
-                if key[0] == ue_id and key[1] is Direction.D2D
-                and pool.pending_retx() is not None)
-            d2d_endpoints = retx_dsts or self._bearer_endpoints(ue_id, Direction.D2D)
+                dst_id for dst_id, pool in self._d2d_pools.get(ue_id, {}).items()
+                if pool.pending_retx() is not None)
+            d2d_endpoints = retx_dsts or self._busy_endpoints(d2d_queues)
             if d2d_endpoints:
                 dst_id = d2d_endpoints[0]
                 link_key = (ue_id, Direction.D2D, dst_id)
+                pool = self._pool(link_key)
+                queue = d2d_queues.get(dst_id)
                 consider(link_key,
                          _LinkCtx(ue_id, dst_id, Direction.D2D,
-                                  ue_cfg.d2d_tx_power_dbm, pool=self._pool(link_key)),
-                         self._sl_cqi(ue_id, dst_id, tti),
-                         self._link_backlog(ue_id, Direction.D2D, [dst_id]),
+                                  ue_cfg.d2d_tx_power_dbm, pool=pool),
+                         pool.pending_retx(), self._sl_cqi(ue_id, dst_id, tti),
+                         queue.backlog_bits if queue is not None else 0,
                          ul_requests)
-            # one-to-many sidelink: fixed transmit format, no feedback
-            for group in self._bearer_endpoints(ue_id, Direction.D2D_MULTI):
-                link_key = (ue_id, Direction.D2D_MULTI, group)
-                consider(link_key,
+            # one-to-many sidelink: fixed transmit format, no feedback;
+            # like unicast, one group per TTI, the lowest with queued data
+            multi_queues = self._queues(ue_id, Direction.D2D_MULTI)
+            groups = self._busy_endpoints(multi_queues)
+            if groups:
+                group = groups[0]
+                consider((ue_id, Direction.D2D_MULTI, group),
                          _LinkCtx(ue_id, None, Direction.D2D_MULTI,
-                                  ue_cfg.d2d_tx_power_dbm, group_address=group,
-                                  pool=None),
-                         ue_cfg.d2d_cqi or 0,
-                         self._link_backlog(ue_id, Direction.D2D_MULTI, [group]),
-                         ul_requests)
+                                  ue_cfg.d2d_tx_power_dbm, group_address=group),
+                         None, ue_cfg.d2d_cqi or 0,
+                         multi_queues[group].backlog_bits, ul_requests)
 
         for requests in (dl_requests, ul_requests):
             for grant in schedule_band(requests, sim.num_rbs,
@@ -536,25 +574,26 @@ class Engine:
             harq_process_id=process_id,
             harq_epoch=ctx.pool.epoch if ctx.pool is not None else 0,
             is_retx=grant.is_retx)
-        dst_name = ctx.group_address if ctx.rx_id is None else self._name(ctx.rx_id)
-        self._trace("grant", self._name(ctx.tx_id), dst_name,
+        self._trace("grant", ctx.tx_id,
+                    ctx.group_address if ctx.rx_id is None else ctx.rx_id,
                     ctx.direction.value, grant.num_rbs)
         self.schedule_event(self.now_tti + 1, Phase.TRANSMIT, "transmit", tb)
 
     def _fill_chunks(self, ctx: _LinkCtx, capacity_bits: int) -> list[RlcChunk]:
         """Drain this link's bearers into one transport block payload."""
         if ctx.direction is Direction.UL:
-            endpoints = self._bearer_endpoints(ctx.tx_id, Direction.UL)
+            endpoints = self._busy_endpoints(self._queues(ctx.tx_id, Direction.UL))
         elif ctx.direction is Direction.DL:
             endpoints = [ctx.rx_id]
         elif ctx.direction is Direction.D2D:
             endpoints = [ctx.rx_id]
         else:
             endpoints = [ctx.group_address]
+        queues = self._queues(ctx.tx_id, ctx.direction)
         chunks: list[RlcChunk] = []
         capacity = capacity_bits
         for endpoint in endpoints:
-            queue = self.bearers.get((ctx.tx_id, ctx.direction, endpoint))
+            queue = queues.get(endpoint)
             if queue is None or capacity < 8:
                 continue
             taken = queue.fill(capacity)
@@ -568,8 +607,8 @@ class Engine:
 
     def _phase_transmit(self, tb: TransportBlock) -> None:
         phy_send(self.binder, tb)
-        dst_name = tb.group_address if tb.dst_id is None else self._name(tb.dst_id)
-        self._trace("transmit", self._name(tb.tx_id), dst_name,
+        self._trace("transmit", tb.tx_id,
+                    tb.group_address if tb.dst_id is None else tb.dst_id,
                     tb.direction.value, len(tb.rbs))
         if self.ledger_dump:
             self.ledger_rows.append(
@@ -582,41 +621,33 @@ class Engine:
             self._receive_multicast(tb)
             return
         result = phy_receive(self.channel, tb, tb.dst_id)
-        self._trace("receive", self._name(tb.tx_id), self._name(tb.dst_id),
-                    tb.direction.value, len(tb.rbs), result.mean_sinr_db,
-                    result.decoded)
+        self._trace("receive", tb.tx_id, tb.dst_id, tb.direction.value,
+                    len(tb.rbs), result.mean_sinr_db, result.decoded)
         if result.decoded:
-            assembler = self._assembler(tb.dst_id)
-            for chunk in tb.chunks:
-                done = assembler.add(chunk)
-                if done is not None:
-                    self._deliver(done, tb.dst_id)
+            for packet in self._reassemble(tb.dst_id, tb.chunks, multicast=False):
+                self._deliver(packet, tb.dst_id)
         if tb.harq_key is not None:
             self.schedule_event(self.now_tti + 1, Phase.HARQ_FEEDBACK,
                                 "harqFeedback", (tb, result.decoded))
 
     def _receive_multicast(self, tb: TransportBlock) -> None:
         group = tb.group_address
-        for rx_id in self._ue_ids():
+        for rx_id in self.ue_ids:
             if rx_id == tb.tx_id:
                 continue
             if not self.binder.is_member(group, rx_id):
                 for packet_id in sorted({c.packet.packet_id for c in tb.chunks}):
                     self._close_instance(packet_id, rx_id, InstanceStatus.FILTERED)
-                self._trace("receive", self._name(tb.tx_id), self._name(rx_id),
-                            tb.direction.value, len(tb.rbs), None, None)
+                self._trace("receive", tb.tx_id, rx_id, tb.direction.value,
+                            len(tb.rbs), None, None)
                 continue
             result = phy_receive(self.channel, tb, rx_id)
-            self._trace("receive", self._name(tb.tx_id), self._name(rx_id),
-                        tb.direction.value, len(tb.rbs), result.mean_sinr_db,
-                        result.decoded)
+            self._trace("receive", tb.tx_id, rx_id, tb.direction.value,
+                        len(tb.rbs), result.mean_sinr_db, result.decoded)
             if result.decoded:
-                assembler = self._assembler(rx_id)
-                for chunk in tb.chunks:
-                    done = assembler.add(chunk)
-                    if done is not None:
-                        self._close_instance(done.packet_id, rx_id,
-                                             InstanceStatus.DELIVERED)
+                for packet in self._reassemble(rx_id, tb.chunks, multicast=True):
+                    self._close_instance(packet.packet_id, rx_id,
+                                         InstanceStatus.DELIVERED)
             else:
                 for packet_id in sorted({c.packet.packet_id for c in tb.chunks}):
                     self._close_instance(packet_id, rx_id, InstanceStatus.LOST_DECODE)
@@ -639,9 +670,8 @@ class Engine:
             return  # the link was reset while this block was in flight
         process = pool.get(tb.harq_process_id)
         outcome = harq_on_feedback(process, ack, self.config.sim.harq_max_retx)
-        dst_name = self._name(tb.dst_id)
-        self._trace("feedback", dst_name, self._name(tb.tx_id),
-                    tb.direction.value, 0, None, ack)
+        self._trace("feedback", tb.dst_id, tb.tx_id, tb.direction.value, 0,
+                    None, ack)
         if outcome is HarqOutcome.RELEASED:
             pool.release(process)
         elif outcome is HarqOutcome.DROPPED:

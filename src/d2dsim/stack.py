@@ -144,6 +144,10 @@ class PacketAssembler:
         self._received_bits[pid] = total
         return None
 
+    def discard(self, packet_id: int) -> None:
+        """Forget the bits of a packet that will not complete."""
+        self._received_bits.pop(packet_id, None)
+
 
 # ---------------------------------------------------------------------------
 # AMC

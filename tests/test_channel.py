@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from d2dsim import (Binder, ChannelModel, ChannelParams, CqiTable,
                     LinkDirection, decode, mean_sinr_db, path_loss_db)
+from d2dsim.channel import dbm_to_mw, mw_to_dbm
 
 TABLE = CqiTable.default()
 
@@ -191,3 +192,112 @@ def test_wideband_cqi_degrades_with_distance():
     assert near > far
     # 2.5 km: 26 - (40 + 35*log10(2500)) + 114.4 = -18.5 dB, below CQI 1
     assert far == 0
+
+
+def _reference_sinrs(model, tx_id, rx_id, *, tti, ledger_tti, rbs, tx_power_dbm,
+                     direction):
+    """The definition: scan the ledger per block, recompute every loss."""
+    rx_position = model.binder.record(rx_id).position
+
+    def received_mw(src_id, power_dbm):
+        distance = math.dist(model.binder.record(src_id).position, rx_position)
+        loss = (path_loss_db(distance, model.params)
+                + model.shadowing_db(src_id, rx_id, tti))
+        return dbm_to_mw(power_dbm - loss)
+
+    signal_mw = received_mw(tx_id, tx_power_dbm)
+    noise_mw = model.noise_mw_per_rb()
+    out = []
+    for rb in rbs:
+        interference_mw = 0.0
+        for entry in model.binder.interferers(ledger_tti, rb, direction.band, tx_id):
+            if entry.tx_node_id != rx_id:
+                interference_mw += received_mw(entry.tx_node_id, entry.tx_power_dbm)
+        out.append(mw_to_dbm(signal_mw / (noise_mw + interference_mw)))
+    return out
+
+
+NUM_RBS = 6  # few blocks, so that grants pile up on the same ones
+DIRECTIONS = [LinkDirection.DL, LinkDirection.UL, LinkDirection.SL]
+_coordinate = st.floats(-300.0, 300.0, allow_nan=False)
+_block_sets = st.sets(st.integers(0, NUM_RBS - 1), min_size=1, max_size=NUM_RBS)
+
+
+@st.composite
+def _ledger_and_queries(draw):
+    """Random nodes, a random two-TTI ledger and queries against it.
+
+    Sidelink grants overlap freely; UL and DL grants keep to free blocks,
+    as the binder demands.  Any node may book, the receiver included.
+    """
+    positions = draw(st.lists(st.tuples(_coordinate, _coordinate),
+                              min_size=2, max_size=6))
+    nodes = st.integers(0, len(positions) - 1)
+    bookings = draw(st.lists(st.tuples(st.integers(0, 1), nodes,
+                                       st.sampled_from(DIRECTIONS), _block_sets,
+                                       st.floats(-10.0, 46.0)), max_size=12))
+    queries = draw(st.lists(st.tuples(
+        nodes, nodes, st.integers(0, 3), st.booleans(),
+        st.lists(st.integers(0, NUM_RBS - 1), min_size=1, max_size=NUM_RBS,
+                 unique=True),
+        st.floats(-10.0, 46.0), st.sampled_from(DIRECTIONS)), min_size=1, max_size=6))
+    return positions, bookings, queries
+
+
+@given(_ledger_and_queries(), st.sampled_from([0.0, 8.0]))
+def test_sinr_per_rb_matches_per_block_reference(case, shadowing):
+    positions, bookings, queries = case
+    binder = Binder(num_rbs=NUM_RBS)
+    for i, position in enumerate(positions):
+        binder.register_node(f"n{i}", is_enb=i == 0, position=position)
+    for tti, tx_id, direction, blocks, power in bookings:
+        if direction is not LinkDirection.SL:
+            blocks -= binder.allocated_rbs(tti, direction)
+        if blocks:
+            binder.record_allocation(tti, tx_id, direction, tuple(sorted(blocks)),
+                                     power)
+    model = ChannelModel(binder, ChannelParams(shadowing_std_dev_db=shadowing),
+                         TABLE, seed=5)
+    for tx_id, rx_id, tti, probe, rbs, power, direction in queries:
+        if tx_id == rx_id:
+            continue
+        # a reception reads its own TTI's ledger, a probe the one before
+        kwargs = dict(tti=tti, ledger_tti=tti - 1 if probe else tti,
+                      rbs=tuple(rbs), tx_power_dbm=power, direction=direction)
+        assert (model.sinr_per_rb_db(tx_id, rx_id, **kwargs)
+                == _reference_sinrs(model, tx_id, rx_id, **kwargs))
+
+
+def test_interference_adds_up_in_booking_order():
+    # three sidelink grants on block 0 at powers where the float sum
+    # depends on the order of addition
+    binder = Binder(num_rbs=4)
+    binder.register_node("eNodeB", is_enb=True, position=(0.0, 0.0))
+    binder.register_node("ue", position=(100.0, 0.0))
+    for i, (y, power) in enumerate([(180.0, 10.0), (110.0, 10.0), (40.0, 11.0)]):
+        binder.register_node(f"sl{i}", position=(0.0, y))
+        binder.record_allocation(2, 2 + i, LinkDirection.SL, (0,), power)
+    model = ChannelModel(binder, ChannelParams(), TABLE, 1)
+    kwargs = dict(tti=2, ledger_tti=2, rbs=(0, 1), tx_power_dbm=26.0,
+                  direction=LinkDirection.UL)
+    expected = _reference_sinrs(model, 1, 0, **kwargs)
+    assert model.sinr_per_rb_db(1, 0, **kwargs) == expected
+
+    powers = [dbm_to_mw(model.received_power_dbm(2 + i, 0, 2, entry.tx_power_dbm))
+              for i, entry in enumerate(binder.allocations(2))]
+    signal_mw = dbm_to_mw(model.received_power_dbm(1, 0, 2, 26.0))
+    reversed_mw = 0.0
+    for power_mw in reversed(powers):
+        reversed_mw += power_mw
+    assert mw_to_dbm(signal_mw / (model.noise_mw_per_rb() + reversed_mw)) != expected[0]
+
+
+def test_link_losses_are_kept_for_two_ttis_only():
+    binder, model = _model(shadowing=8.0)
+    for tti in range(10):
+        model.link_loss_db(1, 0, tti)
+        model.link_loss_db(2, 0, tti)
+    assert sorted(model._loss) == [8, 9]
+    first = model.link_loss_db(1, 0, 3)  # too old to keep: computed afresh
+    assert sorted(model._loss) == [8, 9]
+    assert first == model.link_loss_db(1, 0, 3)

@@ -154,3 +154,25 @@ def test_compare_modes_command_output(good_ini, capsys):
 def test_missing_flow_for_sweep(good_ini, capsys):
     assert main(["sweep-cqi", good_ini, "--flow", "7"]) == 2
     assert "no flow[7]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cqis", ["0,16", "3,16", "x", "3,,7"])
+def test_sweep_rejects_bad_cqi_list_with_exit_2(good_ini, capsys, cqis):
+    assert main(["sweep-cqi", good_ini, "--cqis", cqis]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --cqis")
+    assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("command", ["run", "compare-modes"])
+def test_negative_tti_override_exits_2(good_ini, capsys, command):
+    assert main([command, good_ini, "--ttis", "-5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "ttiCount must be >= 0" in captured.err
+    assert len(captured.err.splitlines()) == 1
+
+
+def test_valid_overrides_still_run(good_ini, capsys):
+    assert main(["run", good_ini, "--ttis", "0", "--seed", "-3"]) == 0
+    assert capsys.readouterr().out.startswith("scope,flow_id,metric,value")

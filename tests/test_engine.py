@@ -1,11 +1,16 @@
 """End-to-end engine behavior on small scenarios."""
 
 import dataclasses
+import random
+from pathlib import Path
 
 import pytest
 
 from d2dsim import (Direction, Engine, Mode, PastEvent, Phase, parse_scenario,
                     run_scenario)
+from d2dsim.engine import InstanceStatus
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def scenario(extra="", tti_count=60, flows=True, d2d_distance=4.0):
@@ -320,3 +325,65 @@ def test_ledger_dump_lists_allocations():
     lines = result.ledger_csv().splitlines()
     assert lines[0] == "tti,node,direction,rb_list,power_dbm"
     assert any(",SL," in line for line in lines[1:])
+
+
+def test_sender_in_two_multicast_groups_serves_both():
+    text = (ROOT / "scenarios" / "one_to_many.ini").read_text().replace(
+        "sim.ttiCount = 2000", "sim.ttiCount = 300")
+    text = text.replace("[multicast]", """
+flow[1].sourceNode = "ueD2D[0]"
+flow[1].destAddress = "224.0.0.20"
+flow[1].packetBytes = 300
+flow[1].periodTtis = 7
+
+[multicast]
+224.0.0.20 = "ueD2D[1]"
+""")
+    result = run_scenario(parse_scenario(text))
+    assert conservation_ok(result)
+    assert result.run_metrics["rb_conservation_violations"] == 0
+    assert result.flow_metrics[0]["delivered_packets"] > 0
+    assert result.flow_metrics[1]["delivered_packets"] > 0
+
+
+def _lossy_cell():
+    """12-UE shadowed cell with mode selection, one HARQ retry and multicast."""
+    rng = random.Random(7)
+    ues = [f"ue[{i}]" for i in range(12)]
+    lines = ["sim.ttiCount = 200", "sim.seed = 3", "sim.harqMaxRetx = 1",
+             f'sim.nodes = "eNodeB {" ".join(ues)}"',
+             "channel.shadowingStdDevDb = 8", 'eNodeB.role = "eNB"',
+             "eNodeB.d2dCapable = true", 'eNodeB.amcMode = "D2D"',
+             "eNodeB.d2dModeSelection = true", "**.d2dCapable = true"]
+    for ue in ues:
+        lines += [f"{ue}.positionX = {rng.uniform(-400, 400):.1f}",
+                  f"{ue}.positionY = {rng.uniform(-400, 400):.1f}"]
+    for i in range(4):
+        src, dst = ues[2 * i], ues[2 * i + 1]
+        lines += [f'{src}.d2dPeerAddresses = "{dst}"',
+                  f"{src}.enableD2DCqiReporting = true",
+                  f'flow[{i}].sourceNode = "{src}"', f'flow[{i}].destAddress = "{dst}"',
+                  f"flow[{i}].packetBytes = 1500", f"flow[{i}].periodTtis = 4"]
+    lines += [f"{ues[8]}.usePreconfiguredTxParams = true", f"{ues[8]}.d2dCqi = 12",
+              f'flow[4].sourceNode = "{ues[8]}"', 'flow[4].destAddress = "224.0.0.10"',
+              "flow[4].packetBytes = 1500", "flow[4].periodTtis = 5",
+              "[multicast]", '224.0.0.10 = "ue[*]"']
+    return parse_scenario("\n".join(lines) + "\n")
+
+
+def test_assemblers_drop_packets_whose_instance_closed():
+    engine = Engine(_lossy_cell())
+    result = engine.run()
+    totals = {name: sum(m[name] for m in result.flow_metrics.values())
+              for name in ("lost_harq_exhausted", "lost_mode_switch",
+                           "lost_decode_failed")}
+    assert result.run_metrics["mode_switch_count"] > 0
+    assert all(count > 0 for count in totals.values()), totals
+    assert conservation_ok(result)
+    held = [(rx_id, packet_id) for rx_id, assembler in engine.assemblers.items()
+            for packet_id in assembler._received_bits]
+    assert held  # open packets are still being reassembled
+    for rx_id, packet_id in held:
+        instance = (engine.instances.get((packet_id, None))
+                    or engine.instances[(packet_id, rx_id)])
+        assert instance.status is InstanceStatus.OPEN, (rx_id, packet_id)
