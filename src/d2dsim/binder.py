@@ -25,6 +25,8 @@ class LinkDirection(Enum):
     UL = "UL"
     SL = "SL"
 
+    __hash__ = object.__hash__  # identity, in C; see stack.Direction
+
     @property
     def band(self) -> str:
         """Spectrum partition this direction transmits in."""

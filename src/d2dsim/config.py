@@ -604,7 +604,9 @@ def validate(config: ScenarioConfig) -> list[Diagnostic]:
                 bad("requestResponse flows need a unicast destination", key=fid)
             if flow.source_node in names:
                 sender = config.node_by_name(flow.source_node)
-                if sender.role is Role.UE and not sender.use_preconfigured_tx_params:
+                if sender.role is Role.ENB:
+                    bad("one-to-many flows must originate at a UE", key=fid)
+                elif not sender.use_preconfigured_tx_params:
                     bad("one-to-many senders must use preconfigured CQI",
                         node=sender.name, key="usePreconfiguredTxParams")
         if flow.dest_address == flow.source_node:

@@ -6,6 +6,10 @@ phase order so runs are reproducible event for event:
     packetArrival < cqiReport < modeSelection < modeSwitchApply
         < schedule < transmit < receive < harqFeedback
 
+modeSwitchApply, transmit, receive and harqFeedback only handle
+events, each queued by ``schedule_event`` in a FIFO list for one later
+(TTI, phase); every delay is +1 TTI.
+
 Scheduling at TTI t produces transport blocks that hit the air at
 t+1, are evaluated against the t+1 interference ledger and received
 at t+2, with HARQ feedback at t+3.  One radio hop therefore costs
@@ -23,10 +27,9 @@ buckets; the run audits the resource ledger every TTI the same way.
 
 from __future__ import annotations
 
-import heapq
 import random
 from dataclasses import dataclass
-from enum import IntEnum
+from enum import Enum, IntEnum
 from typing import Iterable, Iterator
 
 from .binder import Binder, LinkDirection
@@ -35,7 +38,7 @@ from .config import (FlowConfig, NodeConfig, Role, ScenarioConfig, Transport,
                      resolve_pattern)
 from .mode_selection import (Mode, ModeSwitchCommand, PeeringTable,
                              apply_mode_switch, do_mode_selection, get_policy)
-from .stack import (Direction, HarqOutcome, HarqPool, HarqProcess, PacketAssembler,
+from .stack import (Direction, HarqOutcome, HarqPool, PacketAssembler,
                     PacketDescriptor, RlcChunk, RlcTxQueue, ScheduleGrant,
                     ScheduleRequest, TransportBlock, harq_on_feedback,
                     pdcp_classify, phy_receive, phy_send, schedule_band)
@@ -56,13 +59,15 @@ class PastEvent(Exception):
     """An event was scheduled at or before the point being processed."""
 
 
-class InstanceStatus(IntEnum):
-    OPEN = 0
-    DELIVERED = 1
-    LOST_HARQ = 2
-    LOST_MODE_SWITCH = 3
-    FILTERED = 4
-    LOST_DECODE = 5
+class InstanceStatus(Enum):
+    """Where a packet instance ended; the value names its per-flow count."""
+
+    OPEN = "queued_end"
+    DELIVERED = "delivered_packets"
+    LOST_HARQ = "lost_harq_exhausted"
+    LOST_MODE_SWITCH = "lost_mode_switch"
+    FILTERED = "lost_filtered"
+    LOST_DECODE = "lost_decode_failed"
 
 
 @dataclass
@@ -131,12 +136,20 @@ def _fmt(value: float) -> str:
 class _LinkCtx:
     """Everything the scheduler needs to serve one radio link."""
 
+    key: tuple  # (tx_id, direction, rx_id or group address)
     tx_id: int
     rx_id: int | None  # None for multicast
     direction: Direction
     tx_power_dbm: float
+    cqi_key: tuple | None  # the link's CQI history, None for a fixed format
+    fixed_cqi: int = 0
     group_address: str | None = None
     pool: HarqPool | None = None
+
+    def __post_init__(self) -> None:
+        self.node_id = self.rx_id if self.direction is Direction.DL else self.tx_id
+        self.link = self.direction.link.value.lower()  # as metric names spell it
+        self.granted_key = f"rbs_granted_{self.link}"
 
 
 def rng_stream(seed: int, purpose: str, *extra) -> random.Random:
@@ -183,6 +196,7 @@ class Engine:
                     self.binder.add_member(group.address, member_id)
 
         self.flows: list[tuple[FlowConfig, int, int | None, int]] = []
+        self._flow_by_id: dict[int, FlowConfig] = {}
         for flow in config.flows:
             src_id = self.binder.id_of(flow.source_node)
             dst_id = (None if any(g.address == flow.dest_address
@@ -193,23 +207,23 @@ class Engine:
                 jitter = rng_stream(sim.seed, "jitter", flow.flow_id).randint(
                     0, flow.start_jitter_ttis)
             self.flows.append((flow, src_id, dst_id, flow.start_tti + jitter))
+            self._flow_by_id.setdefault(flow.flow_id, flow)
 
-        # mutable run state; bearers and D2D pools are also indexed per
-        # sender, so a TTI's scheduling pass only visits what each UE holds
-        self.bearers: dict[tuple[int, Direction, int | str], RlcTxQueue] = {}
+        # mutable run state; bearers and D2D pools are indexed per sender, and
+        # ``_active`` holds the UEs that may have queued data or a pending retx
         self.pools: dict[tuple, HarqPool] = {}
         self._tx_bearers: dict[Direction, dict[int, dict[int | str, RlcTxQueue]]] = {
             direction: {} for direction in Direction}
         self._d2d_pools: dict[int, dict[int, HarqPool]] = {}
+        self._links: dict[tuple, _LinkCtx] = {}
+        self._active: set[int] = set()
         self.assemblers: dict[int, PacketAssembler] = {}
         self.cqi_store: dict[tuple, list[tuple[int, int]]] = {}  # (cqi, usable_from)
         self.instances: dict[tuple[int, int | None], _Instance] = {}
-        self.events: list[tuple[int, int, int, str, object]] = []
-        self.pending_switches: list[ModeSwitchCommand] = []
+        self._events: dict[tuple[int, Phase], list] = {}  # FIFO per (tti, phase)
 
         self.now_tti = -1
         self.now_phase = Phase.PACKET_ARRIVAL
-        self._seq = 0
         self._packet_seq = 0
 
         self.trace: list[TraceRow] = []
@@ -226,28 +240,26 @@ class Engine:
     def _name(self, node_id: int) -> str:
         return self.binder.record(node_id).name
 
-    def _trace(self, event: str, src_id: int, dst: int | str, direction: str,
-               rbs: int = 0, sinr_db: float | None = None,
-               decoded: bool | None = None) -> None:
+    def _trace(self, event: str, src_id: int, dst: int | str,
+               direction: Direction | Mode, rbs: int = 0,
+               sinr_db: float | None = None, decoded: bool | None = None) -> None:
         """Record a trace row; ``dst`` is a node id or a group address."""
         if self.trace_enabled:
             dst_name = dst if isinstance(dst, str) else self._name(dst)
-            self.trace.append(TraceRow(self.now_tti, event, self._name(src_id),
-                                       dst_name, direction, rbs, sinr_db, decoded))
+            self.trace.append(TraceRow(self.now_tti, event, self._name(src_id), dst_name,
+                                       direction.value, rbs, sinr_db, decoded))
 
-    def schedule_event(self, fire_tti: int, phase: Phase, kind: str,
-                       payload: object) -> None:
+    def schedule_event(self, fire_tti: int, phase: Phase, payload: object) -> None:
+        """Queue ``payload`` for ``phase`` of ``fire_tti``, behind earlier ones."""
         if (fire_tti, phase) <= (self.now_tti, self.now_phase):
-            raise PastEvent(f"cannot schedule {kind} at tti {fire_tti} phase "
-                            f"{phase.name} from tti {self.now_tti} "
-                            f"phase {self.now_phase.name}")
-        self._seq += 1
-        heapq.heappush(self.events, (fire_tti, int(phase), self._seq, kind, payload))
+            raise PastEvent(f"cannot schedule at tti {fire_tti} phase {phase.name} "
+                            f"from tti {self.now_tti} phase {self.now_phase.name}")
+        self._events.setdefault((fire_tti, phase), []).append(payload)
 
-    def _drain_events(self, tti: int, phase: Phase) -> Iterable[tuple[str, object]]:
-        while self.events and self.events[0][0] == tti and self.events[0][1] == int(phase):
-            _, _, _, kind, payload = heapq.heappop(self.events)
-            yield kind, payload
+    def _enter(self, tti: int, phase: Phase) -> list:
+        """Make ``phase`` current and take the events queued for it."""
+        self.now_phase = phase
+        return self._events.pop((tti, phase), ())
 
     def _bearer(self, tx_id: int, direction: Direction,
                 endpoint: int | str) -> RlcTxQueue:
@@ -255,17 +267,7 @@ class Engine:
         queue = queues.get(endpoint)
         if queue is None:
             queue = queues[endpoint] = RlcTxQueue()
-            self.bearers[(tx_id, direction, endpoint)] = queue
         return queue
-
-    def _pool(self, link_key: tuple) -> HarqPool:
-        pool = self.pools.get(link_key)
-        if pool is None:
-            pool = self.pools[link_key] = HarqPool(self.config.sim.harq_processes)
-            tx_id, direction, dst_id = link_key
-            if direction is Direction.D2D:
-                self._d2d_pools.setdefault(tx_id, {})[dst_id] = pool
-        return pool
 
     def _assembler(self, rx_id: int) -> PacketAssembler:
         if rx_id not in self.assemblers:
@@ -280,9 +282,10 @@ class Engine:
         del history[:-2]
 
     def _cqi_for(self, key: tuple, tti: int) -> int:
-        usable = [cqi for cqi, usable_from in self.cqi_store.get(key, ())
-                  if usable_from <= tti]
-        return usable[-1] if usable else 0
+        for cqi, usable_from in reversed(self.cqi_store.get(key, ())):
+            if usable_from <= tti:
+                return cqi
+        return 0
 
     def _sl_cqi(self, src_id: int, dst_id: int, tti: int) -> int:
         node = self.node_cfg[src_id]
@@ -352,7 +355,13 @@ class Engine:
         direction = pdcp_classify(src_is_enb, dst_is_enb, is_mcast, peer_mode)
         endpoint = packet.group_address if is_mcast else packet.dst_id
         self._bearer(at_node, direction, endpoint).push(packet)
-        self._trace("classify", at_node, endpoint, direction.value)
+        self._activate(endpoint if direction is Direction.DL else at_node)
+        self._trace("classify", at_node, endpoint, direction)
+
+    def _activate(self, ue_id: int) -> None:
+        """Have the scheduling pass visit ``ue_id``, its downlink included."""
+        if ue_id != self.enb_id:  # only UEs are served; an eNB multicast is invalid
+            self._active.add(ue_id)
 
     # -- phases -----------------------------------------------------------
 
@@ -368,19 +377,14 @@ class Engine:
     def _phase_cqi_report(self, tti: int) -> None:
         if tti % self.config.sim.cqi_report_period_ttis != 0:
             return
-        enb_cfg = self.node_cfg[self.enb_id]
         for ue_id in self.ue_ids:
-            ue_cfg = self.node_cfg[ue_id]
-            ul = self.channel.wideband_cqi(
-                ue_id, self.enb_id, tti=tti,
-                tx_power_dbm=ue_cfg.ue_tx_power_dbm, direction=LinkDirection.UL)
-            self._store_cqi(("UL", ue_id), ul)
-            self.counters["cqi_reports_ul"] += 1
-            dl = self.channel.wideband_cqi(
-                self.enb_id, ue_id, tti=tti,
-                tx_power_dbm=enb_cfg.ue_tx_power_dbm, direction=LinkDirection.DL)
-            self._store_cqi(("DL", ue_id), dl)
-            self.counters["cqi_reports_dl"] += 1
+            for link, tx_id, rx_id in ((LinkDirection.UL, ue_id, self.enb_id),
+                                       (LinkDirection.DL, self.enb_id, ue_id)):
+                cqi = self.channel.wideband_cqi(
+                    tx_id, rx_id, tti=tti,
+                    tx_power_dbm=self.node_cfg[tx_id].ue_tx_power_dbm, direction=link)
+                self._store_cqi((link.value, ue_id), cqi)
+                self.counters[f"cqi_reports_{link.value.lower()}"] += 1
         for src_id, dst_id in self.peering.peerings():
             src_cfg = self.node_cfg[src_id]
             if src_cfg.use_preconfigured_tx_params:
@@ -403,8 +407,7 @@ class Engine:
             lambda s, d: (self._sl_cqi(s, d, tti), self._cqi_for(("UL", s), tti)),
             tti)
         for command in commands:
-            self.schedule_event(command.apply_tti, Phase.MODE_SWITCH_APPLY,
-                                "modeSwitchApply", command)
+            self.schedule_event(command.apply_tti, Phase.MODE_SWITCH_APPLY, command)
 
     def _apply_switch(self, command: ModeSwitchCommand) -> None:
         old = apply_mode_switch(self.peering, command)
@@ -412,7 +415,7 @@ class Engine:
         src, dst = command.src_id, command.dst_id
         lost: list[int] = []
         if old is Mode.DM:
-            queue = self.bearers.get((src, Direction.D2D, dst))
+            queue = self._queues(src, Direction.D2D).get(dst)
             if queue is not None:
                 lost.extend(p.packet_id for p in queue.flush())
             pool = self.pools.get((src, Direction.D2D, dst))
@@ -422,16 +425,16 @@ class Engine:
                     lost.extend({c.packet.packet_id for c in process.chunks})
                     pool.release(process)
         else:
-            queue = self.bearers.get((src, Direction.UL, dst))
+            queue = self._queues(src, Direction.UL).get(dst)
             if queue is not None:
                 lost.extend(p.packet_id for p in queue.flush())
-            relay = self.bearers.get((self.enb_id, Direction.DL, dst))
+            relay = self._queues(self.enb_id, Direction.DL).get(dst)
             if relay is not None:
                 lost.extend(p.packet_id
                             for p in relay.flush_where(lambda p: p.src_id == src))
         for packet_id in lost:
             self._close_instance(packet_id, None, InstanceStatus.LOST_MODE_SWITCH)
-        self._trace("modeSwitch", src, dst, command.new_mode.value)
+        self._trace("modeSwitch", src, dst, command.new_mode)
 
     # -- scheduling --------------------------------------------------------
 
@@ -447,60 +450,65 @@ class Engine:
             found.sort(key=lambda e: (isinstance(e, str), e))
         return found
 
+    def _link(self, tx_id: int, direction: Direction, rx: int | str) -> _LinkCtx:
+        """The context of one link, built on first use."""
+        key = (tx_id, direction, rx)
+        ctx = self._links.get(key)
+        if ctx is None:
+            cfg = self.node_cfg[tx_id]
+            if direction is Direction.D2D_MULTI:  # fixed format, no feedback, no HARQ
+                ctx = _LinkCtx(key, tx_id, None, direction, cfg.d2d_tx_power_dbm,
+                               None, cfg.d2d_cqi or 0, group_address=rx)
+            else:
+                pool = self.pools[key] = HarqPool(self.config.sim.harq_processes)
+                if direction is Direction.D2D:
+                    self._d2d_pools.setdefault(tx_id, {})[rx] = pool
+                    cqi_key = None if cfg.use_preconfigured_tx_params else ("SL", tx_id, rx)
+                    ctx = _LinkCtx(key, tx_id, rx, direction, cfg.d2d_tx_power_dbm,
+                                   cqi_key, cfg.d2d_cqi or 0, pool=pool)
+                else:
+                    ue_id = rx if direction is Direction.DL else tx_id
+                    ctx = _LinkCtx(key, tx_id, rx, direction, cfg.ue_tx_power_dbm,
+                                   (direction.value, ue_id), pool=pool)
+            self._links[key] = ctx
+        return ctx
+
+    def _request(self, ctx: _LinkCtx, backlog: int, tti: int,
+                 bucket: list[ScheduleRequest]) -> bool:
+        """Request a pending retransmission, else new data if the link has a
+        usable CQI and an idle HARQ process; True if it holds either."""
+        retx = ctx.pool.pending_retx() if ctx.pool is not None else None
+        if retx is not None:
+            bucket.append(ScheduleRequest(ctx.node_id, ctx.direction, retx.cqi,
+                                          retx_rbs=retx.num_rbs, link_key=ctx.key))
+            return True
+        if backlog <= 0:
+            return False
+        cqi = ctx.fixed_cqi if ctx.cqi_key is None else self._cqi_for(ctx.cqi_key, tti)
+        if cqi >= 1 and (ctx.pool is None or ctx.pool.has_idle()):
+            bucket.append(ScheduleRequest(ctx.node_id, ctx.direction, cqi,
+                                          backlog_bits=backlog, link_key=ctx.key))
+        return True
+
     def _phase_schedule(self, tti: int) -> None:
         sim = self.config.sim
         dl_requests: list[ScheduleRequest] = []
         ul_requests: list[ScheduleRequest] = []
-        contexts: dict[tuple, _LinkCtx] = {}
 
-        def consider(link_key: tuple, ctx: _LinkCtx, retx: HarqProcess | None,
-                     cqi: int, backlog: int, bucket: list[ScheduleRequest]) -> None:
-            node_id = ctx.rx_id if ctx.direction is Direction.DL else ctx.tx_id
-            if retx is not None:
-                request = ScheduleRequest(
-                    node_id=node_id, direction=ctx.direction, cqi=retx.cqi,
-                    retx_rbs=retx.num_rbs, link_key=link_key)
-            elif backlog > 0 and cqi >= 1 and (
-                    ctx.pool is None or ctx.pool.has_idle()):
-                request = ScheduleRequest(
-                    node_id=node_id, direction=ctx.direction, cqi=cqi,
-                    backlog_bits=backlog, link_key=link_key)
-            else:
-                return
-            contexts[link_key] = ctx
-            bucket.append(request)
-
-        # a link with neither queued data nor a pending retransmission
-        # asks for nothing, so its CQI and context are never looked up
+        # a UE with nothing left leaves; an enqueue or a NACK brings it back
         enb_id = self.enb_id
-        enb_power = self.node_cfg[enb_id].ue_tx_power_dbm
         dl_queues = self._queues(enb_id, Direction.DL)
-        for ue_id in self.ue_ids:
-            ue_cfg = self.node_cfg[ue_id]
-
+        for ue_id in sorted(self._active):
             # downlink toward this UE
-            link_key = (enb_id, Direction.DL, ue_id)
-            pool = self._pool(link_key)
-            retx = pool.pending_retx()
             queue = dl_queues.get(ue_id)
-            backlog = queue.backlog_bits if queue is not None else 0
-            if retx is not None or backlog > 0:
-                consider(link_key,
-                         _LinkCtx(enb_id, ue_id, Direction.DL, enb_power, pool=pool),
-                         retx, self._cqi_for(("DL", ue_id), tti), backlog, dl_requests)
-
+            busy = self._request(self._link(enb_id, Direction.DL, ue_id),
+                                 queue.backlog_bits if queue is not None else 0,
+                                 tti, dl_requests)
             # uplink from this UE (all final destinations share the hop)
-            link_key = (ue_id, Direction.UL, enb_id)
-            pool = self._pool(link_key)
-            retx = pool.pending_retx()
             backlog = sum(queue.backlog_bits
                           for queue in self._queues(ue_id, Direction.UL).values())
-            if retx is not None or backlog > 0:
-                consider(link_key,
-                         _LinkCtx(ue_id, enb_id, Direction.UL, ue_cfg.ue_tx_power_dbm,
-                                  pool=pool),
-                         retx, self._cqi_for(("UL", ue_id), tti), backlog, ul_requests)
-
+            busy |= self._request(self._link(ue_id, Direction.UL, enb_id), backlog,
+                                  tti, ul_requests)
             # direct sidelink: pending retransmissions outrank new data,
             # then the lowest-id peer with queued data is served
             d2d_queues = self._queues(ue_id, Direction.D2D)
@@ -509,39 +517,31 @@ class Engine:
                 if pool.pending_retx() is not None)
             d2d_endpoints = retx_dsts or self._busy_endpoints(d2d_queues)
             if d2d_endpoints:
-                dst_id = d2d_endpoints[0]
-                link_key = (ue_id, Direction.D2D, dst_id)
-                pool = self._pool(link_key)
-                queue = d2d_queues.get(dst_id)
-                consider(link_key,
-                         _LinkCtx(ue_id, dst_id, Direction.D2D,
-                                  ue_cfg.d2d_tx_power_dbm, pool=pool),
-                         pool.pending_retx(), self._sl_cqi(ue_id, dst_id, tti),
-                         queue.backlog_bits if queue is not None else 0,
-                         ul_requests)
+                queue = d2d_queues.get(d2d_endpoints[0])
+                busy |= self._request(self._link(ue_id, Direction.D2D, d2d_endpoints[0]),
+                                      queue.backlog_bits if queue is not None else 0,
+                                      tti, ul_requests)
             # one-to-many sidelink: fixed transmit format, no feedback;
             # like unicast, one group per TTI, the lowest with queued data
             multi_queues = self._queues(ue_id, Direction.D2D_MULTI)
             groups = self._busy_endpoints(multi_queues)
             if groups:
-                group = groups[0]
-                consider((ue_id, Direction.D2D_MULTI, group),
-                         _LinkCtx(ue_id, None, Direction.D2D_MULTI,
-                                  ue_cfg.d2d_tx_power_dbm, group_address=group),
-                         None, ue_cfg.d2d_cqi or 0,
-                         multi_queues[group].backlog_bits, ul_requests)
+                busy |= self._request(self._link(ue_id, Direction.D2D_MULTI, groups[0]),
+                                      multi_queues[groups[0]].backlog_bits,
+                                      tti, ul_requests)
+            if not busy:
+                self._active.discard(ue_id)
 
         for requests in (dl_requests, ul_requests):
             for grant in schedule_band(requests, sim.num_rbs,
                                        sim.rb_capacity_re, self.table):
-                self._issue_grant(grant, contexts[grant.request.link_key])
+                self._issue_grant(grant, self._links[grant.request.link_key])
 
     def _issue_grant(self, grant: ScheduleGrant, ctx: _LinkCtx) -> None:
         request = grant.request
-        link = ctx.direction.link
-        self.counters[f"rbs_granted_{link.value.lower()}"] += grant.num_rbs
-        self.cqi_hist[(link.value.lower(), request.cqi)] = (
-            self.cqi_hist.get((link.value.lower(), request.cqi), 0) + 1)
+        self.counters[ctx.granted_key] += grant.num_rbs
+        hist_key = (ctx.link, request.cqi)
+        self.cqi_hist[hist_key] = self.cqi_hist.get(hist_key, 0) + 1
 
         if grant.is_retx:
             process = ctx.pool.pending_retx()
@@ -570,26 +570,21 @@ class Engine:
             cqi=cqi, rbs=grant.rbs, tx_power_dbm=ctx.tx_power_dbm,
             tti=self.now_tti + 1, dst_id=ctx.rx_id,
             group_address=ctx.group_address,
-            harq_key=request.link_key if ctx.pool is not None else None,
+            harq_key=ctx.key if ctx.pool is not None else None,
             harq_process_id=process_id,
             harq_epoch=ctx.pool.epoch if ctx.pool is not None else 0,
             is_retx=grant.is_retx)
         self._trace("grant", ctx.tx_id,
                     ctx.group_address if ctx.rx_id is None else ctx.rx_id,
-                    ctx.direction.value, grant.num_rbs)
-        self.schedule_event(self.now_tti + 1, Phase.TRANSMIT, "transmit", tb)
+                    ctx.direction, grant.num_rbs)
+        self.schedule_event(self.now_tti + 1, Phase.TRANSMIT, tb)
 
     def _fill_chunks(self, ctx: _LinkCtx, capacity_bits: int) -> list[RlcChunk]:
         """Drain this link's bearers into one transport block payload."""
-        if ctx.direction is Direction.UL:
-            endpoints = self._busy_endpoints(self._queues(ctx.tx_id, Direction.UL))
-        elif ctx.direction is Direction.DL:
-            endpoints = [ctx.rx_id]
-        elif ctx.direction is Direction.D2D:
-            endpoints = [ctx.rx_id]
-        else:
-            endpoints = [ctx.group_address]
         queues = self._queues(ctx.tx_id, ctx.direction)
+        # the uplink hop carries data for any destination, other links one
+        endpoints = (self._busy_endpoints(queues) if ctx.direction is Direction.UL
+                     else [ctx.key[2]])
         chunks: list[RlcChunk] = []
         capacity = capacity_bits
         for endpoint in endpoints:
@@ -609,26 +604,26 @@ class Engine:
         phy_send(self.binder, tb)
         self._trace("transmit", tb.tx_id,
                     tb.group_address if tb.dst_id is None else tb.dst_id,
-                    tb.direction.value, len(tb.rbs))
+                    tb.direction, len(tb.rbs))
         if self.ledger_dump:
             self.ledger_rows.append(
                 (tb.tti, self._name(tb.tx_id), tb.direction.link.value,
                  " ".join(str(rb) for rb in tb.rbs), tb.tx_power_dbm))
-        self.schedule_event(tb.tti + 1, Phase.RECEIVE, "receive", tb)
+        self.schedule_event(tb.tti + 1, Phase.RECEIVE, tb)
 
     def _phase_receive(self, tb: TransportBlock) -> None:
         if tb.group_address is not None:
             self._receive_multicast(tb)
             return
         result = phy_receive(self.channel, tb, tb.dst_id)
-        self._trace("receive", tb.tx_id, tb.dst_id, tb.direction.value,
+        self._trace("receive", tb.tx_id, tb.dst_id, tb.direction,
                     len(tb.rbs), result.mean_sinr_db, result.decoded)
         if result.decoded:
             for packet in self._reassemble(tb.dst_id, tb.chunks, multicast=False):
                 self._deliver(packet, tb.dst_id)
         if tb.harq_key is not None:
             self.schedule_event(self.now_tti + 1, Phase.HARQ_FEEDBACK,
-                                "harqFeedback", (tb, result.decoded))
+                                (tb, result.decoded))
 
     def _receive_multicast(self, tb: TransportBlock) -> None:
         group = tb.group_address
@@ -638,11 +633,11 @@ class Engine:
             if not self.binder.is_member(group, rx_id):
                 for packet_id in sorted({c.packet.packet_id for c in tb.chunks}):
                     self._close_instance(packet_id, rx_id, InstanceStatus.FILTERED)
-                self._trace("receive", tb.tx_id, rx_id, tb.direction.value,
+                self._trace("receive", tb.tx_id, rx_id, tb.direction,
                             len(tb.rbs), None, None)
                 continue
             result = phy_receive(self.channel, tb, rx_id)
-            self._trace("receive", tb.tx_id, rx_id, tb.direction.value,
+            self._trace("receive", tb.tx_id, rx_id, tb.direction,
                         len(tb.rbs), result.mean_sinr_db, result.decoded)
             if result.decoded:
                 for packet in self._reassemble(rx_id, tb.chunks, multicast=True):
@@ -658,10 +653,8 @@ class Engine:
             return
         self._close_instance(packet.packet_id, None, InstanceStatus.DELIVERED)
         if packet.is_request:
-            flow = next(f for f, _, _, _ in self.flows
-                        if f.flow_id == packet.flow_id)
-            response = self._new_packet(flow, rx_id, packet.src_id, None,
-                                        is_request=False)
+            response = self._new_packet(self._flow_by_id[packet.flow_id], rx_id,
+                                        packet.src_id, None, is_request=False)
             self._classify_and_enqueue(response, rx_id)
 
     def _phase_harq_feedback(self, tb: TransportBlock, ack: bool) -> None:
@@ -670,9 +663,11 @@ class Engine:
             return  # the link was reset while this block was in flight
         process = pool.get(tb.harq_process_id)
         outcome = harq_on_feedback(process, ack, self.config.sim.harq_max_retx)
-        self._trace("feedback", tb.dst_id, tb.tx_id, tb.direction.value, 0,
+        self._trace("feedback", tb.dst_id, tb.tx_id, tb.direction, 0,
                     None, ack)
-        if outcome is HarqOutcome.RELEASED:
+        if outcome is HarqOutcome.RETRANSMIT:
+            self._activate(tb.dst_id if tb.direction is Direction.DL else tb.tx_id)
+        elif outcome is HarqOutcome.RELEASED:
             pool.release(process)
         elif outcome is HarqOutcome.DROPPED:
             for packet_id in sorted({c.packet.packet_id for c in process.chunks}):
@@ -685,25 +680,22 @@ class Engine:
         for tti in range(self.config.sim.tti_count):
             self.now_tti = tti
             self.binder.advance(tti)
-            for phase in Phase:
-                self.now_phase = phase
-                if phase is Phase.PACKET_ARRIVAL:
-                    self._phase_packet_arrival(tti)
-                elif phase is Phase.CQI_REPORT:
-                    self._phase_cqi_report(tti)
-                elif phase is Phase.MODE_SELECTION:
-                    self._phase_mode_selection(tti)
-                elif phase is Phase.SCHEDULE:
-                    self._phase_schedule(tti)
-                for kind, payload in self._drain_events(tti, phase):
-                    if kind == "modeSwitchApply":
-                        self._apply_switch(payload)
-                    elif kind == "transmit":
-                        self._phase_transmit(payload)
-                    elif kind == "receive":
-                        self._phase_receive(payload)
-                    elif kind == "harqFeedback":
-                        self._phase_harq_feedback(*payload)
+            self._enter(tti, Phase.PACKET_ARRIVAL)
+            self._phase_packet_arrival(tti)
+            self._enter(tti, Phase.CQI_REPORT)
+            self._phase_cqi_report(tti)
+            self._enter(tti, Phase.MODE_SELECTION)
+            self._phase_mode_selection(tti)
+            for command in self._enter(tti, Phase.MODE_SWITCH_APPLY):
+                self._apply_switch(command)
+            self._enter(tti, Phase.SCHEDULE)
+            self._phase_schedule(tti)
+            for tb in self._enter(tti, Phase.TRANSMIT):
+                self._phase_transmit(tb)
+            for tb in self._enter(tti, Phase.RECEIVE):
+                self._phase_receive(tb)
+            for tb, ack in self._enter(tti, Phase.HARQ_FEEDBACK):
+                self._phase_harq_feedback(tb, ack)
             for problem in self.binder.check_conservation(tti):
                 self.counters["rb_conservation_violations"] += 1
         return self._finalize()
@@ -724,21 +716,11 @@ class Engine:
             metrics = flow_metrics[instance.flow_id]
             metrics["offered_packets"] += 1
             metrics["offered_bits"] += instance.size_bits
+            metrics[instance.status.value] += 1
             if instance.status is InstanceStatus.DELIVERED:
-                metrics["delivered_packets"] += 1
                 metrics["delivered_bits"] += instance.size_bits
                 latencies[instance.flow_id].append(
                     instance.delivered_tti - instance.created_tti)
-            elif instance.status is InstanceStatus.LOST_HARQ:
-                metrics["lost_harq_exhausted"] += 1
-            elif instance.status is InstanceStatus.LOST_MODE_SWITCH:
-                metrics["lost_mode_switch"] += 1
-            elif instance.status is InstanceStatus.FILTERED:
-                metrics["lost_filtered"] += 1
-            elif instance.status is InstanceStatus.LOST_DECODE:
-                metrics["lost_decode_failed"] += 1
-            else:
-                metrics["queued_end"] += 1
 
         for flow_id, values in latencies.items():
             if values:

@@ -28,6 +28,8 @@ class Direction(Enum):
     D2D = "D2D"
     D2D_MULTI = "D2D_MULTI"
 
+    __hash__ = object.__hash__  # identity, in C; no set of these is iterated
+
     @property
     def link(self) -> LinkDirection:
         if self is Direction.DL:
@@ -88,13 +90,15 @@ class RlcTxQueue:
     """
 
     _pending: deque = field(default_factory=deque)  # [descriptor, remaining_bits]
+    _backlog: int = 0  # running total of the remaining bits
 
     def push(self, packet: PacketDescriptor) -> None:
         self._pending.append([packet, packet.size_bits])
+        self._backlog += packet.size_bits
 
     @property
     def backlog_bits(self) -> int:
-        return sum(remaining for _, remaining in self._pending)
+        return self._backlog
 
     def __len__(self) -> int:
         return len(self._pending)
@@ -112,13 +116,16 @@ class RlcTxQueue:
                 fragment = (capacity // 8) * 8
                 chunks.append(RlcChunk(packet, fragment, last=False))
                 self._pending[0][1] = remaining - fragment
+                capacity -= fragment
                 break
+        self._backlog -= capacity_bits - capacity
         return chunks
 
     def flush(self) -> list[PacketDescriptor]:
         """Drop everything queued, returning one descriptor per packet."""
         dropped = [packet for packet, _ in self._pending]
         self._pending.clear()
+        self._backlog = 0
         return dropped
 
     def flush_where(self, predicate) -> list[PacketDescriptor]:
@@ -126,6 +133,7 @@ class RlcTxQueue:
         dropped = [packet for packet, _ in self._pending if predicate(packet)]
         self._pending = deque(item for item in self._pending
                               if not predicate(item[0]))
+        self._backlog = sum(remaining for _, remaining in self._pending)
         return dropped
 
 
@@ -194,6 +202,10 @@ class ScheduleGrant:
     is_retx: bool
 
 
+_DIRECTION_RANK = {d: rank for rank, d in
+                   enumerate(sorted(Direction, key=lambda d: d.value))}
+
+
 def schedule_band(requests: list[ScheduleRequest], num_rbs: int,
                   rb_capacity_re: int, table: CqiTable) -> list[ScheduleGrant]:
     """Share one band's blocks among this TTI's requests.
@@ -213,33 +225,35 @@ def schedule_band(requests: list[ScheduleRequest], num_rbs: int,
                              f"{request.direction.value}")
         seen.add(key)
 
+    by_node = lambda r: (r.node_id, _DIRECTION_RANK[r.direction])
     available = num_rbs
     ordered: list[tuple[ScheduleRequest, int, bool]] = []  # (request, rb count, retx)
 
-    for request in sorted((r for r in requests if r.retx_rbs > 0),
-                          key=lambda r: (r.node_id, r.direction.value)):
+    for request in sorted((r for r in requests if r.retx_rbs > 0), key=by_node):
         if request.retx_rbs <= available:
             ordered.append((request, request.retx_rbs, True))
             available -= request.retx_rbs
 
     fresh = sorted((r for r in requests
                     if r.retx_rbs == 0 and r.backlog_bits > 0 and r.cqi >= 1),
-                   key=lambda r: (r.node_id, r.direction.value))
-    need = {id(r): rbs_needed(r.backlog_bits, r.cqi, rb_capacity_re, table)
-            for r in fresh}
-    counts = {id(r): 0 for r in fresh}
-    active = list(fresh)
-    while available > 0 and active:
-        for request in list(active):
-            if available == 0:
-                break
-            counts[id(request)] += 1
-            available -= 1
-            if counts[id(request)] >= need[id(request)]:
-                active.remove(request)
-    for request in fresh:
-        if counts[id(request)] > 0:
-            ordered.append((request, counts[id(request)], False))
+                   key=by_node)
+    # whole rounds up to the smallest open need, then one block each
+    need = [rbs_needed(r.backlog_bits, r.cqi, rb_capacity_re, table) for r in fresh]
+    active = list(range(len(fresh)))  # requesters short of their need
+    level = 0  # blocks each of them holds
+    while active:
+        step = min(need[i] for i in active) - level
+        rounds = min(step, available // len(active))
+        level += rounds
+        available -= rounds * len(active)
+        if rounds < step:
+            break
+        active = [i for i in active if need[i] > level]
+    counts = [min(n, level) for n in need]
+    for i in active[:available]:
+        counts[i] += 1
+    ordered.extend((request, count, False)
+                   for request, count in zip(fresh, counts) if count > 0)
 
     grants: list[ScheduleGrant] = []
     next_rb = 0

@@ -84,6 +84,20 @@ def test_validate_reports_scenario_errors_with_exit_1(tmp_path, capsys):
     assert "mysteryKnob" in capsys.readouterr().err
 
 
+def test_validate_rejects_multicast_from_the_enb_with_exit_1(tmp_path, capsys):
+    bad = tmp_path / "enb_multicast.ini"
+    bad.write_text(GOOD + """
+flow[1].sourceNode = "eNodeB"
+flow[1].destAddress = "224.0.0.1"
+flow[1].packetBytes = 100
+flow[1].periodTtis = 5
+[multicast]
+224.0.0.1 = "ue*"
+""")
+    assert main(["validate", str(bad)]) == 1
+    assert "one-to-many flows must originate at a UE" in capsys.readouterr().err
+
+
 def test_missing_scenario_file_exits_1(tmp_path, capsys):
     assert main(["validate", str(tmp_path / "nowhere.ini")]) == 1
     assert "nowhere.ini" in capsys.readouterr().err

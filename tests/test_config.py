@@ -226,6 +226,20 @@ flow[1].periodTtis = 5
         parse_scenario(text)
 
 
+def test_multicast_flow_from_the_enb_rejected():
+    text = BASE + """
+flow[1].sourceNode = "eNodeB"
+flow[1].destAddress = "224.0.0.10"
+flow[1].packetBytes = 100
+flow[1].periodTtis = 5
+[multicast]
+224.0.0.10 = "ueD2D*"
+"""
+    with pytest.raises(ConstraintViolationError, match="originate at a UE") as err:
+        parse_scenario(text)
+    assert err.value.diagnostics[0].key == "flow[1]"
+
+
 def test_multicast_address_range_checked():
     text = BASE + '[multicast]\n192.168.0.1 = "ueD2D*"\n'
     with pytest.raises(ConstraintViolationError, match="224..239"):

@@ -290,10 +290,10 @@ def test_scheduling_past_events_is_rejected():
     engine.now_tti = 5
     engine.now_phase = Phase.SCHEDULE
     with pytest.raises(PastEvent):
-        engine.schedule_event(5, Phase.PACKET_ARRIVAL, "transmit", None)
+        engine.schedule_event(5, Phase.PACKET_ARRIVAL, None)
     with pytest.raises(PastEvent):
-        engine.schedule_event(4, Phase.RECEIVE, "transmit", None)
-    engine.schedule_event(5, Phase.TRANSMIT, "transmit", None)  # later phase ok
+        engine.schedule_event(4, Phase.RECEIVE, None)
+    engine.schedule_event(5, Phase.TRANSMIT, None)  # later phase ok
 
 
 def test_initial_mode_override_forces_infrastructure():
@@ -387,3 +387,61 @@ def test_assemblers_drop_packets_whose_instance_closed():
         instance = (engine.instances.get((packet_id, None))
                     or engine.instances[(packet_id, rx_id)])
         assert instance.status is InstanceStatus.OPEN, (rx_id, packet_id)
+
+
+def test_nacked_link_with_empty_queue_gets_its_retransmission_next_tti():
+    # one packet on a link that never decodes: after each NACK the queue
+    # is empty and only the waiting HARQ process can bring the UE back
+    config = scenario(tti_count=30, d2d_distance=400.0)
+    config = dataclasses.replace(
+        config, flows=(dataclasses.replace(config.flows[0], period_ttis=1000),))
+    engine = Engine(config, trace=True)
+    result = engine.run()
+    grants = [row for row in result.trace if row.event == "grant"]
+    nacks = [row.tti for row in result.trace
+             if row.event == "feedback" and not row.decoded]
+    assert len(grants) == 1 + config.sim.harq_max_retx
+    # each NACK but the last, which drops the packet, is served next TTI
+    assert [row.tti for row in grants[1:]] == [tti + 1 for tti in nacks[:-1]]
+    assert {row.rbs for row in grants} == {grants[0].rbs}
+    assert not engine._active  # nothing is left to schedule
+
+
+def test_idle_ue_is_scheduled_in_the_first_pass_after_data_reaches_it():
+    # ueRx[0] -> ueTx[0] is not peered, so it crosses the eNB: the sender
+    # idles 100 TTIs before its uplink, the receiver 103 before its downlink
+    config = scenario("""
+flow[0].sourceNode = "ueRx[0]"
+flow[0].destAddress = "ueTx[0]"
+flow[0].packetBytes = 200
+flow[0].periodTtis = 150
+flow[0].startTti = 100
+""", tti_count=400)
+    result = run_scenario(config, trace=True)
+    grants = [(row.tti, row.src, row.dst, row.direction)
+              for row in result.trace if row.event == "grant"]
+    assert grants == [(100, "ueRx[0]", "eNodeB", "UL"), (103, "eNodeB", "ueTx[0]", "DL"),
+                      (250, "ueRx[0]", "eNodeB", "UL"), (253, "eNodeB", "ueTx[0]", "DL")]
+    assert result.flow_metrics[0]["delivered_packets"] == 2
+    assert result.flow_metrics[0]["max_latency_ttis"] == 5
+
+
+def test_unvalidated_enb_multicast_never_reaches_the_scheduler():
+    # validate rejects this flow; an engine built around it queues the
+    # packets at the eNB, which the scheduler never serves
+    config = scenario("""
+flow[1].sourceNode = "ueTx[0]"
+flow[1].destAddress = "224.0.0.1"
+flow[1].packetBytes = 100
+flow[1].periodTtis = 5
+[multicast]
+224.0.0.1 = "ue*"
+""", tti_count=200)
+    flows = (config.flows[0],
+             dataclasses.replace(config.flows[1], source_node="eNodeB"))
+    engine = Engine(dataclasses.replace(config, flows=flows))
+    result = engine.run()
+    metrics = result.flow_metrics[1]
+    assert metrics["offered_packets"] == metrics["queued_end"] == 80  # 40 x 2 UEs
+    assert engine._active <= set(engine.ue_ids)
+    assert conservation_ok(result)

@@ -6,8 +6,8 @@ from hypothesis import strategies as st
 
 from d2dsim import (CqiTable, Direction, HarqOutcome, HarqPool, LinkDirection,
                     Mode, PacketAssembler, PacketDescriptor, RlcTxQueue,
-                    ScheduleRequest, amc_tbs, harq_on_feedback, pdcp_classify,
-                    rbs_needed, schedule_band)
+                    ScheduleGrant, ScheduleRequest, amc_tbs, harq_on_feedback,
+                    pdcp_classify, rbs_needed, schedule_band)
 
 TABLE = CqiTable.default()
 
@@ -45,6 +45,33 @@ def test_direction_band_mapping():
 
 
 # -- RLC ------------------------------------------------------------------------
+
+def test_backlog_bits_stays_a_property():
+    # per-layer tracing wraps its getter, so it must remain a property
+    assert isinstance(RlcTxQueue.__dict__["backlog_bits"], property)
+
+
+_rlc_ops = st.lists(st.one_of(
+    st.tuples(st.just("push"), st.integers(1, 400)),
+    st.tuples(st.just("fill"), st.integers(0, 5000)),
+    st.tuples(st.just("flush"), st.just(0)),
+    st.tuples(st.just("flush_where"), st.integers(0, 2))), max_size=40)
+
+
+@given(_rlc_ops)
+def test_running_backlog_equals_the_queued_remainder(ops):
+    queue = RlcTxQueue()
+    for pid, (op, arg) in enumerate(ops):
+        if op == "push":
+            queue.push(_packet(pid, size_bits=8 * arg))
+        elif op == "fill":
+            queue.fill(arg)
+        elif op == "flush":
+            queue.flush()
+        else:
+            queue.flush_where(lambda packet: packet.packet_id % 3 == arg)
+        assert queue.backlog_bits == sum(remaining for _, remaining in queue._pending)
+
 
 def test_fill_takes_whole_packets_then_one_fragment():
     queue = RlcTxQueue()
@@ -259,6 +286,86 @@ def test_scheduler_never_overallocates(mix, num_rbs):
     for grant in grants:
         if grant.is_retx:
             assert grant.num_rbs == grant.request.retx_rbs
+
+
+def _reference_schedule_band(requests, num_rbs, rb_capacity_re, table):
+    """Reference scheduler: deals fresh blocks one per requester per pass."""
+    seen = set()
+    for request in requests:
+        key = (request.node_id, request.direction)
+        if key in seen:
+            raise ValueError(f"duplicate request for node {request.node_id} "
+                             f"{request.direction.value}")
+        seen.add(key)
+
+    available = num_rbs
+    ordered = []
+    for request in sorted((r for r in requests if r.retx_rbs > 0),
+                          key=lambda r: (r.node_id, r.direction.value)):
+        if request.retx_rbs <= available:
+            ordered.append((request, request.retx_rbs, True))
+            available -= request.retx_rbs
+
+    fresh = sorted((r for r in requests
+                    if r.retx_rbs == 0 and r.backlog_bits > 0 and r.cqi >= 1),
+                   key=lambda r: (r.node_id, r.direction.value))
+    need = {id(r): rbs_needed(r.backlog_bits, r.cqi, rb_capacity_re, table)
+            for r in fresh}
+    counts = {id(r): 0 for r in fresh}
+    active = list(fresh)
+    while available > 0 and active:
+        for request in list(active):
+            if available == 0:
+                break
+            counts[id(request)] += 1
+            available -= 1
+            if counts[id(request)] >= need[id(request)]:
+                active.remove(request)
+    for request in fresh:
+        if counts[id(request)] > 0:
+            ordered.append((request, counts[id(request)], False))
+
+    grants = []
+    next_rb = 0
+    for request, count, is_retx in ordered:
+        rbs = tuple(range(next_rb, next_rb + count))
+        next_rb += count
+        grants.append(ScheduleGrant(
+            request=request, num_rbs=count, rbs=rbs,
+            tbs_bits=amc_tbs(request.cqi, count, rb_capacity_re, table),
+            is_retx=is_retx))
+    return grants
+
+
+# (node, direction, cqi, backlog bits, retransmission blocks or 0 for new data)
+_requesters = st.lists(
+    st.tuples(st.integers(0, 11), st.sampled_from(list(Direction)),
+              st.integers(0, 15), st.integers(0, 20_000),
+              st.one_of(st.just(0), st.integers(1, 100))),
+    min_size=1, max_size=12, unique_by=lambda t: (t[0], t[1]))
+
+
+def _requests_of(requesters):
+    return [_req(node, direction, cqi=cqi, backlog=backlog, retx=retx)
+            for node, direction, cqi, backlog, retx in requesters]
+
+
+@given(_requesters, st.integers(min_value=1, max_value=100))
+def test_scheduler_matches_the_per_block_round_robin(requesters, num_rbs):
+    requests = _requests_of(requesters)
+    expected = _reference_schedule_band(requests, num_rbs, 168, TABLE)
+    assert schedule_band(requests, num_rbs, 168, TABLE) == expected
+
+
+@given(_requesters, st.integers(min_value=1, max_value=100), st.data())
+def test_scheduler_and_reference_reject_the_same_duplicates(requesters, num_rbs, data):
+    requests = _requests_of(requesters)
+    twin = data.draw(st.sampled_from(requests))
+    requests.append(_req(twin.node_id, twin.direction, backlog=100))
+    with pytest.raises(ValueError, match="duplicate"):
+        _reference_schedule_band(requests, num_rbs, 168, TABLE)
+    with pytest.raises(ValueError, match="duplicate"):
+        schedule_band(requests, num_rbs, 168, TABLE)
 
 
 # -- HARQ ----------------------------------------------------------------------------
