@@ -115,9 +115,9 @@ class Binder:
         an uplink grant or another sidelink, is deliberate spatial
         reuse and shows up as interference instead.
         """
-        for rb in rbs:
-            if not 0 <= rb < self.num_rbs:
-                raise ValueError(f"rb index {rb} outside 0..{self.num_rbs - 1}")
+        if rbs and (min(rbs) < 0 or max(rbs) >= self.num_rbs):
+            rb = next(rb for rb in rbs if not 0 <= rb < self.num_rbs)
+            raise ValueError(f"rb index {rb} outside 0..{self.num_rbs - 1}")
         if len(set(rbs)) != len(rbs):
             raise RbConflict(f"duplicate rb in grant {rbs}")
         if direction is not LinkDirection.SL:

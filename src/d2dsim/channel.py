@@ -20,7 +20,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from importlib import resources
 
-from .binder import Binder, LinkDirection
+from .binder import AllocationEntry, Binder, LinkDirection
 
 
 @dataclass(frozen=True)
@@ -53,9 +53,11 @@ def mean_sinr_db(sinr_values_db: list[float]) -> float:
         raise ValueError("no SINR samples")
     # blocks often share a value: convert each distinct one once, but
     # still sum every block in order
+    first, n = sinr_values_db[0], len(sinr_values_db)
+    if sinr_values_db.count(first) == n:
+        return mw_to_dbm(sum([dbm_to_mw(first)] * n) / n)
     linear = {v: dbm_to_mw(v) for v in set(sinr_values_db)}
-    mean_linear = sum([linear[v] for v in sinr_values_db]) / len(sinr_values_db)
-    return mw_to_dbm(mean_linear)
+    return mw_to_dbm(sum([linear[v] for v in sinr_values_db]) / n)
 
 
 class CqiTable:
@@ -133,8 +135,9 @@ class ChannelModel:
     Shadowing draws are keyed by (seed, tx, rx, tti), so any query for
     the same link and TTI sees the same value.  Link losses are
     memoised per (tx, rx, tti) for the newest TTI queried and the one
-    before it, the only two the engine asks about: a probe measures
-    now, a reception is evaluated one TTI after its transmission.  An
+    before it (a reception is evaluated one TTI after its transmission)
+    and for the last two TTIs passed to :meth:`pin` (a CQI probe is
+    evaluated when first read, up to a report period late).  Any other
     older query is computed afresh.  Nodes do not move, so the
     distance-dependent part is memoised per (tx, rx) for the whole run.
     """
@@ -147,6 +150,7 @@ class ChannelModel:
         self.seed = seed
         self._path_loss: dict[tuple[int, int], float] = {}
         self._loss: dict[int, dict[tuple[int, int], float]] = {}
+        self._pinned: dict[int, dict[tuple[int, int], float]] = {}
         self._newest_tti = -math.inf
 
     def shadowing_db(self, tx_id: int, rx_id: int, tti: int) -> float:
@@ -163,8 +167,14 @@ class ChannelModel:
             self._loss = {t: losses for t, losses in self._loss.items()
                           if t >= tti - 1}
         if tti < self._newest_tti - 1:
-            return {}  # too old to keep
+            return self._pinned.get(tti, {})  # too old to keep unless pinned
         return self._loss.setdefault(tti, {})
+
+    def pin(self, tti: int) -> None:
+        """Keep ``tti``'s link losses until two later TTIs are pinned."""
+        self._pinned[tti] = self._losses_at(tti)
+        if len(self._pinned) > 2:
+            del self._pinned[min(self._pinned)]
 
     def link_loss_db(self, tx_id: int, rx_id: int, tti: int) -> float:
         losses = self._losses_at(tti)
@@ -188,12 +198,14 @@ class ChannelModel:
 
     def sinr_per_rb_db(self, tx_id: int, rx_id: int, *, tti: int, ledger_tti: int,
                        rbs: tuple[int, ...], tx_power_dbm: float,
-                       direction: LinkDirection) -> list[float]:
+                       direction: LinkDirection,
+                       entries: tuple[AllocationEntry, ...] | None = None) -> list[float]:
         """Per-block SINR at the receiver against the booked interferers.
 
         ``tti`` keys the shadowing draw (the transmission instant);
         ``ledger_tti`` selects which TTI's allocations interfere, which
-        differs from ``tti`` only for channel-quality probes.
+        differs from ``tti`` only for channel-quality probes; ``entries``,
+        if given, are that TTI's entries in the band, kept by the caller.
 
         A block's interference is the sum, in booking order, of the
         received powers of the other transmitters on it; the receiver's
@@ -203,20 +215,22 @@ class ChannelModel:
         """
         signal_mw = dbm_to_mw(self.received_power_dbm(tx_id, rx_id, tti, tx_power_dbm))
         noise_mw = self.noise_mw_per_rb()
+        if entries is None:
+            entries = self.binder.band_allocations(ledger_tti, direction.band)
         wanted = set(rbs)
-        covers: dict[int, tuple[float, ...]] = {}  # rb -> interferer powers (mW)
-        for entry in self.binder.band_allocations(ledger_tti, direction.band):
-            if entry.tx_node_id == tx_id or entry.tx_node_id == rx_id:
-                continue
-            power_mw = None
-            for rb in entry.rbs:
-                if rb in wanted:
-                    if power_mw is None:
-                        power_mw = dbm_to_mw(self.received_power_dbm(
-                            entry.tx_node_id, rx_id, tti, entry.tx_power_dbm))
-                    covers[rb] = covers.get(rb, ()) + (power_mw,)
-        if not covers:  # noise + 0.0 == noise, so this is the general case's value
+        hits = []  # a plain loop: cheaper than a comprehension for a few entries
+        for entry in entries:
+            if (entry.tx_node_id != tx_id and entry.tx_node_id != rx_id
+                    and not wanted.isdisjoint(entry.rbs)):
+                hits.append(entry)
+        if not hits:  # noise + 0.0 == noise, so this is the general case's value
             return [mw_to_dbm(signal_mw / noise_mw)] * len(rbs)
+        covers: dict[int, tuple[float, ...]] = {}  # rb -> interferer powers (mW)
+        for entry in hits:
+            power_mw = dbm_to_mw(self.received_power_dbm(
+                entry.tx_node_id, rx_id, tti, entry.tx_power_dbm))
+            for rb in wanted.intersection(entry.rbs):
+                covers[rb] = covers.get(rb, ()) + (power_mw,)
         sinr_of: dict[tuple[float, ...], float] = {}
         out: list[float] = []
         for rb in rbs:
@@ -232,14 +246,16 @@ class ChannelModel:
         return out
 
     def wideband_cqi(self, tx_id: int, rx_id: int, *, tti: int,
-                     tx_power_dbm: float, direction: LinkDirection) -> int:
-        """CQI a receiver would report from a full-band measurement now.
+                     tx_power_dbm: float, direction: LinkDirection,
+                     entries: tuple[AllocationEntry, ...] | None = None) -> int:
+        """CQI a receiver would report from a full-band measurement at ``tti``.
 
         Interference is taken from the previous TTI's ledger, the most
-        recent one a measurement could have observed.
+        recent one a measurement could have observed (or its ``entries``
+        in the band, kept by a caller that measures later).
         """
         rbs = tuple(range(self.binder.num_rbs))
         sinrs = self.sinr_per_rb_db(
             tx_id, rx_id, tti=tti, ledger_tti=tti - 1, rbs=rbs,
-            tx_power_dbm=tx_power_dbm, direction=direction)
+            tx_power_dbm=tx_power_dbm, direction=direction, entries=entries)
         return self.table.sinr_to_cqi(mean_sinr_db(sinrs))

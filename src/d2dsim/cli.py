@@ -97,9 +97,17 @@ def _write(path: str, text: str) -> None:
             fh.write(text)
 
 
+def _read_scenario(path: str) -> ScenarioConfig:
+    """Load a scenario file; one that cannot be read is a scenario problem."""
+    try:
+        return load_scenario(path)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ScenarioError(f"cannot read {path}: {exc}") from None
+
+
 def _load(args: argparse.Namespace) -> ScenarioConfig:
     """Read the scenario and apply any command-line overrides."""
-    config = load_scenario(args.scenario)
+    config = _read_scenario(args.scenario)
     overrides = {}
     if getattr(args, "seed", None) is not None:
         overrides["seed"] = args.seed
@@ -140,7 +148,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    config = load_scenario(args.scenario)
+    config = _read_scenario(args.scenario)
     flow = next((f for f in config.flows if f.flow_id == args.flow), None)
     if flow is None:
         print(f"error: no flow[{args.flow}] in scenario", file=sys.stderr)
@@ -168,7 +176,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    config = load_scenario(args.scenario)
+    config = _read_scenario(args.scenario)
     print(f"ok: {len(config.nodes)} nodes, {len(config.flows)} flows, "
           f"{config.sim.tti_count} TTIs")
     return 0
@@ -218,11 +226,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    """Exit 0 on success, 1 on a scenario problem, 2 on a runtime error."""
+    """Exit 0 on success, 1 on a scenario problem, 2 on a runtime or output error."""
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ScenarioError, FileNotFoundError) as exc:
+    except ScenarioError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (SweepRequiresDeterministicChannel, UsageError, OSError) as exc:

@@ -10,6 +10,10 @@ modeSwitchApply, transmit, receive and harqFeedback only handle
 events, each queued by ``schedule_event`` in a FIFO list for one later
 (TTI, phase); every delay is +1 TTI.
 
+A CQI report is counted when taken but measured when first read, as
+of its own TTI and against the ledger entries of the TTI before it,
+which it keeps; a report that nothing reads is never measured.
+
 Scheduling at TTI t produces transport blocks that hit the air at
 t+1, are evaluated against the t+1 interference ledger and received
 at t+2, with HARQ feedback at t+3.  One radio hop therefore costs
@@ -30,6 +34,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from enum import Enum, IntEnum
+from functools import partial
 from typing import Iterable, Iterator
 
 from .binder import Binder, LinkDirection
@@ -218,7 +223,7 @@ class Engine:
         self._links: dict[tuple, _LinkCtx] = {}
         self._active: set[int] = set()
         self.assemblers: dict[int, PacketAssembler] = {}
-        self.cqi_store: dict[tuple, list[tuple[int, int]]] = {}  # (cqi, usable_from)
+        self.cqi_store: dict[tuple, list[list]] = {}  # [cqi or probe, usable_from]
         self.instances: dict[tuple[int, int | None], _Instance] = {}
         self._events: dict[tuple[int, Phase], list] = {}  # FIFO per (tti, phase)
 
@@ -274,17 +279,19 @@ class Engine:
             self.assemblers[rx_id] = PacketAssembler()
         return self.assemblers[rx_id]
 
-    def _store_cqi(self, key: tuple, cqi: int) -> None:
+    def _store_cqi(self, key: tuple, probe: partial) -> None:
         # a report becomes usable one TTI after it is taken; the previous
         # report stays in force until then
         history = self.cqi_store.setdefault(key, [])
-        history.append((cqi, self.now_tti + 1))
+        history.append([probe, self.now_tti + 1])
         del history[:-2]
 
     def _cqi_for(self, key: tuple, tti: int) -> int:
-        for cqi, usable_from in reversed(self.cqi_store.get(key, ())):
-            if usable_from <= tti:
-                return cqi
+        for report in reversed(self.cqi_store.get(key, ())):
+            if report[1] <= tti:
+                if type(report[0]) is not int:  # a probe, measured on first read
+                    report[0] = report[0]()
+                return report[0]
         return 0
 
     def _sl_cqi(self, src_id: int, dst_id: int, tti: int) -> int:
@@ -377,13 +384,16 @@ class Engine:
     def _phase_cqi_report(self, tti: int) -> None:
         if tti % self.config.sim.cqi_report_period_ttis != 0:
             return
+        self.channel.pin(tti)  # the round's probes share its link losses
+        measure = partial(self.channel.wideband_cqi, tti=tti)
+        band = {link: self.binder.band_allocations(tti - 1, link.band)
+                for link in (LinkDirection.UL, LinkDirection.DL)}
         for ue_id in self.ue_ids:
             for link, tx_id, rx_id in ((LinkDirection.UL, ue_id, self.enb_id),
                                        (LinkDirection.DL, self.enb_id, ue_id)):
-                cqi = self.channel.wideband_cqi(
-                    tx_id, rx_id, tti=tti,
-                    tx_power_dbm=self.node_cfg[tx_id].ue_tx_power_dbm, direction=link)
-                self._store_cqi((link.value, ue_id), cqi)
+                self._store_cqi((link.value, ue_id), partial(
+                    measure, tx_id, rx_id, direction=link, entries=band[link],
+                    tx_power_dbm=self.node_cfg[tx_id].ue_tx_power_dbm))
                 self.counters[f"cqi_reports_{link.value.lower()}"] += 1
         for src_id, dst_id in self.peering.peerings():
             src_cfg = self.node_cfg[src_id]
@@ -391,10 +401,9 @@ class Engine:
                 continue  # fixed transmit format, the pair is never sounded
             if not src_cfg.enable_d2d_cqi_reporting:
                 continue
-            sl = self.channel.wideband_cqi(
-                src_id, dst_id, tti=tti,
-                tx_power_dbm=src_cfg.d2d_tx_power_dbm, direction=LinkDirection.SL)
-            self._store_cqi(("SL", src_id, dst_id), sl)
+            self._store_cqi(("SL", src_id, dst_id), partial(
+                measure, src_id, dst_id, direction=LinkDirection.SL,
+                entries=band[LinkDirection.UL], tx_power_dbm=src_cfg.d2d_tx_power_dbm))
             self.counters["cqi_reports_sl"] += 1
 
     def _phase_mode_selection(self, tti: int) -> None:

@@ -77,6 +77,58 @@ def test_duplicate_rb_within_grant(binder):
         binder.record_allocation(0, 1, LinkDirection.UL, (3, 3), 26.0)
 
 
+def test_out_of_range_block_named_in_grant_order(binder):
+    with pytest.raises(ValueError, match=r"rb index 50 outside 0\.\.49"):
+        binder.record_allocation(0, 1, LinkDirection.UL, (3, 50, -1), 26.0)
+    with pytest.raises(ValueError, match=r"rb index -2 outside 0\.\.49"):
+        binder.record_allocation(0, 1, LinkDirection.SL, (5, -2, 60), 20.0)
+    # range is checked before duplicates
+    with pytest.raises(ValueError, match="rb index 50 outside"):
+        binder.record_allocation(0, 1, LinkDirection.UL, (50, 50), 26.0)
+    assert binder.allocations(0) == ()
+    assert binder.allocated_rbs(0, LinkDirection.UL) == set()
+
+
+def test_unsorted_non_contiguous_grants(binder):
+    entry = binder.record_allocation(0, 1, LinkDirection.UL, (9, 2, 30), 26.0)
+    assert entry.rbs == (9, 2, 30)
+    assert binder.allocated_rbs(0, LinkDirection.UL) == {2, 9, 30}
+    with pytest.raises(RbConflict, match="duplicate rb in grant \\(7, 2, 7\\)"):
+        binder.record_allocation(0, 2, LinkDirection.UL, (7, 2, 7), 26.0)
+    with pytest.raises(RbConflict, match="rb \\[30\\] already granted in UL"):
+        binder.record_allocation(0, 2, LinkDirection.UL, (31, 30, 0), 26.0)
+    assert binder.record_allocation(0, 2, LinkDirection.UL, (31, 0, 29), 26.0)
+    assert binder.check_conservation(0) == []
+
+
+def _record_allocation_reference(binder, rbs):
+    """The per-block loop the range and duplicate checks replace."""
+    for rb in rbs:
+        if not 0 <= rb < binder.num_rbs:
+            raise ValueError(f"rb index {rb} outside 0..{binder.num_rbs - 1}")
+    if len(set(rbs)) != len(rbs):
+        raise RbConflict(f"duplicate rb in grant {rbs}")
+
+
+@given(st.lists(st.integers(-3, 8), max_size=6))
+def test_grant_checks_match_per_block_loop(blocks):
+    rbs = tuple(blocks)
+
+    def outcome(call):
+        try:
+            call()
+        except (ValueError, RbConflict) as exc:
+            return type(exc), str(exc)
+        return None
+
+    reference = Binder(num_rbs=6)
+    expected = outcome(lambda: _record_allocation_reference(reference, rbs))
+    binder = Binder(num_rbs=6)
+    assert outcome(lambda: binder.record_allocation(
+        0, 1, LinkDirection.SL, rbs, 20.0)) == expected
+    assert len(binder.allocations(0)) == (expected is None)
+
+
 def test_interferers_filter_band_and_serving_node(binder):
     binder.record_allocation(5, 1, LinkDirection.UL, (0, 1), 26.0)
     binder.record_allocation(5, 2, LinkDirection.SL, (1, 2), 20.0)

@@ -301,3 +301,67 @@ def test_link_losses_are_kept_for_two_ttis_only():
     first = model.link_loss_db(1, 0, 3)  # too old to keep: computed afresh
     assert sorted(model._loss) == [8, 9]
     assert first == model.link_loss_db(1, 0, 3)
+
+
+@given(st.floats(-40.0, 60.0), st.integers(1, 100))
+def test_mean_of_equal_values_is_bit_identical_to_general_formula(value, n):
+    general = mw_to_dbm(sum([dbm_to_mw(v) for v in [value] * n]) / n)
+    assert mean_sinr_db([value] * n) == general
+    # one differing block takes the general path
+    mixed = [value] * n + [value + 1.0]
+    assert mean_sinr_db(mixed) == mw_to_dbm(
+        sum([dbm_to_mw(v) for v in mixed]) / len(mixed))
+
+
+@given(st.permutations(range(2, 8)), st.sampled_from([0.0, 8.0]), st.booleans())
+def test_permuted_blocks_and_edge_interferers_match_reference(rbs, shadowing, probe):
+    binder = Binder(num_rbs=10)
+    binder.register_node("eNodeB", is_enb=True, position=(0.0, 0.0))
+    binder.register_node("ue", position=(100.0, 0.0))
+    binder.register_node("slA", position=(0.0, 150.0))
+    binder.register_node("slB", position=(60.0, 60.0))
+    binder.register_node("slC", position=(-80.0, 20.0))
+    # each interferer touches only one edge of the query's range, or none
+    binder.record_allocation(4, 2, LinkDirection.SL, (7,), 20.0)
+    binder.record_allocation(4, 3, LinkDirection.SL, (2, 1, 0), 23.0)
+    binder.record_allocation(4, 4, LinkDirection.SL, (9, 8), 23.0)
+    model = ChannelModel(binder, ChannelParams(shadowing_std_dev_db=shadowing),
+                         TABLE, seed=3)
+    kwargs = dict(tti=5 if probe else 4, ledger_tti=4, rbs=tuple(rbs),
+                  tx_power_dbm=26.0, direction=LinkDirection.UL)
+    sinrs = model.sinr_per_rb_db(1, 0, **kwargs)
+    assert sinrs == _reference_sinrs(model, 1, 0, **kwargs)
+    middle = sinrs[rbs.index(4)]
+    assert sinrs[rbs.index(7)] < middle and sinrs[rbs.index(2)] < middle
+    assert sinrs.count(middle) == 4
+
+
+def test_probe_on_kept_entries_matches_the_ledger_it_was_taken_from():
+    binder, model = _model(shadowing=8.0)
+    binder.record_allocation(4, 3, LinkDirection.SL, tuple(range(50)), 26.0)
+    kept = binder.band_allocations(4, "UL")
+    kwargs = dict(tti=5, tx_power_dbm=26.0, direction=LinkDirection.UL)
+    then = model.wideband_cqi(1, 0, **kwargs)
+    binder.advance(9)  # the ledger drops TTI 4
+    assert binder.band_allocations(4, "UL") == ()
+    assert model.wideband_cqi(1, 0, entries=kept, **kwargs) == then
+    assert model.wideband_cqi(1, 0, **kwargs) > then  # without them: noise only
+
+
+def test_pinned_link_losses_outlive_the_two_tti_window(monkeypatch):
+    binder, model = _model(shadowing=8.0)
+    draws = []
+    shadowing_db = ChannelModel.shadowing_db
+    monkeypatch.setattr(ChannelModel, "shadowing_db",
+                        lambda self, *key: draws.append(key) or shadowing_db(self, *key))
+    model.pin(2)
+    loss = model.link_loss_db(1, 0, 2)
+    for tti in range(3, 10):
+        model.link_loss_db(2, 0, tti)
+    assert sorted(model._loss) == [8, 9]
+    assert model.link_loss_db(1, 0, 2) == loss
+    assert draws.count((1, 0, 2)) == 1  # kept, not drawn again
+    model.pin(5)
+    model.pin(7)  # a third pin releases TTI 2
+    assert model.link_loss_db(1, 0, 2) == loss
+    assert draws.count((1, 0, 2)) == 2

@@ -190,3 +190,26 @@ def test_negative_tti_override_exits_2(good_ini, capsys, command):
 def test_valid_overrides_still_run(good_ini, capsys):
     assert main(["run", good_ini, "--ttis", "0", "--seed", "-3"]) == 0
     assert capsys.readouterr().out.startswith("scope,flow_id,metric,value")
+
+
+@pytest.mark.parametrize("command", ["validate", "run", "sweep-cqi", "compare-modes"])
+def test_non_utf8_scenario_exits_1_with_one_line(tmp_path, capsys, command):
+    bad = tmp_path / "b.ini"
+    bad.write_bytes(b"\xff\xfe")
+    assert main([command, str(bad)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot read {bad}")
+    assert len(captured.err.splitlines()) == 1
+
+
+def test_unwritable_output_exits_2(good_ini, tmp_path, capsys):
+    missing = tmp_path / "no" / "such" / "dir"
+    assert main(["run", good_ini, "--metrics", str(missing / "x.csv")]) == 2
+    assert main(["run", good_ini, "--metrics", str(tmp_path / "m.csv"),
+                 "--trace", str(missing / "t.csv")]) == 2
+    assert main(["sweep-cqi", good_ini, "--out", str(missing / "s.csv")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 3
+    for line, name in zip(err, ("x.csv", "t.csv", "s.csv")):
+        assert line.startswith("error: ") and name in line

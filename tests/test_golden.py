@@ -39,8 +39,10 @@ def test_shipped_scenario_outputs_are_byte_identical(rel):
 
 # mixed_7ue instance 0 at seed 42 is the criterion-1 scenario (cut to
 # the workload's TTI count); cell_40ue_shadowed is the one workload
-# with shadowing, overlapping sidelink grants and mode switches.
-@pytest.mark.parametrize("workload", ["mixed_7ue", "cell_40ue_shadowed"])
+# with shadowing, overlapping sidelink grants and mode switches;
+# saturated_cell keeps its uplink queues growing all run.
+@pytest.mark.parametrize("workload", ["mixed_7ue", "cell_40ue_shadowed",
+                                      "saturated_cell"])
 def test_workload_outputs_are_byte_identical(workload):
     golden = GOLDEN["workloads"][workload]
     digests = _digests(scenario_text(workload, golden["seed"], 0))
