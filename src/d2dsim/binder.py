@@ -45,7 +45,7 @@ class NodeRecord:
     position: tuple[float, float]
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class AllocationEntry:
     tti: int
     tx_node_id: int

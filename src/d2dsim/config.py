@@ -25,6 +25,7 @@ keys are errors, not warnings.  All transmit powers are in dBm.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field, fields
 from enum import Enum
@@ -525,11 +526,14 @@ def validate(config: ScenarioConfig) -> list[Diagnostic]:
         bad("harqProcesses must be >= 1", key="harqProcesses")
 
     ch = config.channel
-    if not ch.path_loss_exponent > 0:
+    for key, (attr, _) in _CHANNEL_KEYS.items():
+        if not math.isfinite(getattr(ch, attr)):
+            bad(f"{key} must be finite", key=key)
+    if ch.path_loss_exponent <= 0:
         bad("pathLossExponent must be > 0", key="pathLossExponent")
     if ch.shadowing_std_dev_db < 0:
         bad("shadowingStdDevDb must be >= 0", key="shadowingStdDevDb")
-    if not ch.min_distance_m > 0:
+    if ch.min_distance_m <= 0:
         bad("minDistanceM must be > 0", key="minDistanceM")
 
     names = {node.name for node in config.nodes}
@@ -539,9 +543,9 @@ def validate(config: ScenarioConfig) -> list[Diagnostic]:
     enb = enbs[0] if enbs else None
 
     for node in config.nodes:
-        isfinite = lambda v: v == v and abs(v) != float("inf")
-        if not (isfinite(node.position_x) and isfinite(node.position_y)):
-            bad("position must be finite", node=node.name, key="positionX")
+        for key, (attr, convert) in _NODE_KEYS.items():
+            if convert is _to_float and not math.isfinite(getattr(node, attr)):
+                bad(f"{key} must be finite", node=node.name, key=key)
         if node.d2d_peer_addresses and not node.d2d_capable:
             bad("d2dPeerAddresses set on a node that is not d2dCapable",
                 node=node.name, key="d2dPeerAddresses")

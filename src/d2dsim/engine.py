@@ -32,7 +32,7 @@ buckets; the run audits the resource ledger every TTI the same way.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum, IntEnum
 from functools import partial
 from typing import Iterable, Iterator
@@ -138,23 +138,27 @@ def _fmt(value: float) -> str:
 
 
 @dataclass
-class _LinkCtx:
-    """Everything the scheduler needs to serve one radio link."""
+class _Link:
+    """One radio link: its RLC queues, its HARQ pool and how it is served."""
 
     key: tuple  # (tx_id, direction, rx_id or group address)
-    tx_id: int
-    rx_id: int | None  # None for multicast
-    direction: Direction
     tx_power_dbm: float
     cqi_key: tuple | None  # the link's CQI history, None for a fixed format
     fixed_cqi: int = 0
-    group_address: str | None = None
-    pool: HarqPool | None = None
+    pool: HarqPool | None = None  # None on one-to-many links: no feedback
+    # by final endpoint, in endpoint order; only a UE's uplink has several
+    queues: dict[int | str, RlcTxQueue] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        self.node_id = self.rx_id if self.direction is Direction.DL else self.tx_id
+        self.tx_id, self.direction, rx = self.key
+        self.rx_id = None if self.direction is Direction.D2D_MULTI else rx
+        self.group_address = rx if self.rx_id is None else None
+        self.node_id = rx if self.direction is Direction.DL else self.tx_id
         self.link = self.direction.link.value.lower()  # as metric names spell it
         self.granted_key = f"rbs_granted_{self.link}"
+
+    def backlog(self) -> int:
+        return sum(queue.backlog_bits for queue in self.queues.values())
 
 
 def rng_stream(seed: int, purpose: str, *extra) -> random.Random:
@@ -214,13 +218,26 @@ class Engine:
             self.flows.append((flow, src_id, dst_id, flow.start_tti + jitter))
             self._flow_by_id.setdefault(flow.flow_id, flow)
 
-        # mutable run state; bearers and D2D pools are indexed per sender, and
-        # ``_active`` holds the UEs that may have queued data or a pending retx
+        # every link the scenario can use, as (downlink, uplink, peers, groups)
+        # per UE; a UE serves its peers in id order and its groups by address
         self.pools: dict[tuple, HarqPool] = {}
-        self._tx_bearers: dict[Direction, dict[int, dict[int | str, RlcTxQueue]]] = {
-            direction: {} for direction in Direction}
-        self._d2d_pools: dict[int, dict[int, HarqPool]] = {}
-        self._links: dict[tuple, _LinkCtx] = {}
+        self._links: dict[tuple, _Link] = {}
+        self._ue_links: dict[int, tuple[_Link, _Link, list[_Link], list[_Link]]] = {
+            ue_id: (self._add_link(self.enb_id, Direction.DL, ue_id),
+                    self._add_link(ue_id, Direction.UL, self.enb_id), [], [])
+            for ue_id in self.ue_ids}
+        one_to_many = {(src_id, flow.dest_address)
+                       for flow, src_id, dst_id, _ in self.flows if dst_id is None}
+        for direction, pairs in ((Direction.D2D, self.peering.peerings()),
+                                 (Direction.D2D_MULTI, one_to_many)):
+            for tx_id, rx in sorted(pairs):
+                link = self._add_link(tx_id, direction, rx)
+                if tx_id in self._ue_links:  # the eNB has no sidelink to serve
+                    sidelinks = self._ue_links[tx_id][2 if direction is Direction.D2D else 3]
+                    sidelinks.append(link)
+
+        # mutable run state; ``_active`` holds the UEs that may have queued
+        # data or a pending retransmission
         self._active: set[int] = set()
         self.assemblers: dict[int, PacketAssembler] = {}
         self.cqi_store: dict[tuple, list[list]] = {}  # [cqi or probe, usable_from]
@@ -266,13 +283,21 @@ class Engine:
         self.now_phase = phase
         return self._events.pop((tti, phase), ())
 
-    def _bearer(self, tx_id: int, direction: Direction,
-                endpoint: int | str) -> RlcTxQueue:
-        queues = self._tx_bearers[direction].setdefault(tx_id, {})
-        queue = queues.get(endpoint)
-        if queue is None:
-            queue = queues[endpoint] = RlcTxQueue()
-        return queue
+    def _add_link(self, tx_id: int, direction: Direction, rx: int | str) -> _Link:
+        key = (tx_id, direction, rx)
+        cfg = self.node_cfg[tx_id]
+        if direction is Direction.D2D_MULTI:  # fixed format, no feedback, no HARQ
+            link = _Link(key, cfg.d2d_tx_power_dbm, None, cfg.d2d_cqi or 0)
+        else:
+            pool = self.pools[key] = HarqPool(self.config.sim.harq_processes)
+            if direction is Direction.D2D:
+                cqi_key = None if cfg.use_preconfigured_tx_params else ("SL", tx_id, rx)
+                link = _Link(key, cfg.d2d_tx_power_dbm, cqi_key, cfg.d2d_cqi or 0, pool)
+            else:
+                ue_id = rx if direction is Direction.DL else tx_id
+                link = _Link(key, cfg.ue_tx_power_dbm, (direction.value, ue_id), pool=pool)
+        self._links[key] = link
+        return link
 
     def _assembler(self, rx_id: int) -> PacketAssembler:
         if rx_id not in self.assemblers:
@@ -294,11 +319,8 @@ class Engine:
                 return report[0]
         return 0
 
-    def _sl_cqi(self, src_id: int, dst_id: int, tti: int) -> int:
-        node = self.node_cfg[src_id]
-        if node.use_preconfigured_tx_params:
-            return node.d2d_cqi or 0
-        return self._cqi_for(("SL", src_id, dst_id), tti)
+    def _link_cqi(self, link: _Link, tti: int) -> int:
+        return link.fixed_cqi if link.cqi_key is None else self._cqi_for(link.cqi_key, tti)
 
     # -- packet lifecycle ------------------------------------------------
 
@@ -361,7 +383,11 @@ class Engine:
             peer_mode = self.peering.mode_of(at_node, packet.dst_id)
         direction = pdcp_classify(src_is_enb, dst_is_enb, is_mcast, peer_mode)
         endpoint = packet.group_address if is_mcast else packet.dst_id
-        self._bearer(at_node, direction, endpoint).push(packet)
+        link = self._links[at_node, direction,
+                           self.enb_id if direction is Direction.UL else endpoint]
+        if endpoint not in link.queues:  # keep the queues in endpoint order
+            link.queues = dict(sorted({**link.queues, endpoint: RlcTxQueue()}.items()))
+        link.queues[endpoint].push(packet)
         self._activate(endpoint if direction is Direction.DL else at_node)
         self._trace("classify", at_node, endpoint, direction)
 
@@ -413,7 +439,8 @@ class Engine:
         policy = get_policy(ms.policy_name)
         commands = do_mode_selection(
             self.peering, policy,
-            lambda s, d: (self._sl_cqi(s, d, tti), self._cqi_for(("UL", s), tti)),
+            lambda s, d: (self._link_cqi(self._links[s, Direction.D2D, d], tti),
+                          self._cqi_for(("UL", s), tti)),
             tti)
         for command in commands:
             self.schedule_event(command.apply_tti, Phase.MODE_SWITCH_APPLY, command)
@@ -424,79 +451,40 @@ class Engine:
         src, dst = command.src_id, command.dst_id
         lost: list[int] = []
         if old is Mode.DM:
-            queue = self._queues(src, Direction.D2D).get(dst)
-            if queue is not None:
+            link = self._links[src, Direction.D2D, dst]
+            for queue in link.queues.values():
                 lost.extend(p.packet_id for p in queue.flush())
-            pool = self.pools.get((src, Direction.D2D, dst))
-            if pool is not None:
-                pool.epoch += 1  # feedback for in-flight blocks is now stale
-                for process in pool.busy_processes():
-                    lost.extend({c.packet.packet_id for c in process.chunks})
-                    pool.release(process)
-        else:
-            queue = self._queues(src, Direction.UL).get(dst)
-            if queue is not None:
-                lost.extend(p.packet_id for p in queue.flush())
-            relay = self._queues(self.enb_id, Direction.DL).get(dst)
-            if relay is not None:
-                lost.extend(p.packet_id
-                            for p in relay.flush_where(lambda p: p.src_id == src))
+            link.pool.epoch += 1  # feedback for in-flight blocks is now stale
+            for process in link.pool.busy_processes():
+                lost.extend({c.packet.packet_id for c in process.chunks})
+                link.pool.release(process)
+        else:  # src's uplink and the eNB's relay leg; a peering with the eNB has neither
+            for key in ((src, Direction.UL, self.enb_id), (self.enb_id, Direction.DL, dst)):
+                queue = self._links[key].queues.get(dst) if key in self._links else None
+                if queue is not None:  # every packet on src's uplink is from src
+                    lost.extend(p.packet_id
+                                for p in queue.flush_where(lambda p: p.src_id == src))
         for packet_id in lost:
             self._close_instance(packet_id, None, InstanceStatus.LOST_MODE_SWITCH)
         self._trace("modeSwitch", src, dst, command.new_mode)
 
     # -- scheduling --------------------------------------------------------
 
-    def _queues(self, tx_id: int, direction: Direction) -> dict[int | str, RlcTxQueue]:
-        """One sender's bearers in one direction, by endpoint."""
-        return self._tx_bearers[direction].get(tx_id, {})
-
-    @staticmethod
-    def _busy_endpoints(queues: dict[int | str, RlcTxQueue]) -> list[int | str]:
-        """Endpoints with queued data, node ids first, each kind sorted."""
-        found = [endpoint for endpoint, queue in queues.items() if len(queue) > 0]
-        if len(found) > 1:
-            found.sort(key=lambda e: (isinstance(e, str), e))
-        return found
-
-    def _link(self, tx_id: int, direction: Direction, rx: int | str) -> _LinkCtx:
-        """The context of one link, built on first use."""
-        key = (tx_id, direction, rx)
-        ctx = self._links.get(key)
-        if ctx is None:
-            cfg = self.node_cfg[tx_id]
-            if direction is Direction.D2D_MULTI:  # fixed format, no feedback, no HARQ
-                ctx = _LinkCtx(key, tx_id, None, direction, cfg.d2d_tx_power_dbm,
-                               None, cfg.d2d_cqi or 0, group_address=rx)
-            else:
-                pool = self.pools[key] = HarqPool(self.config.sim.harq_processes)
-                if direction is Direction.D2D:
-                    self._d2d_pools.setdefault(tx_id, {})[rx] = pool
-                    cqi_key = None if cfg.use_preconfigured_tx_params else ("SL", tx_id, rx)
-                    ctx = _LinkCtx(key, tx_id, rx, direction, cfg.d2d_tx_power_dbm,
-                                   cqi_key, cfg.d2d_cqi or 0, pool=pool)
-                else:
-                    ue_id = rx if direction is Direction.DL else tx_id
-                    ctx = _LinkCtx(key, tx_id, rx, direction, cfg.ue_tx_power_dbm,
-                                   (direction.value, ue_id), pool=pool)
-            self._links[key] = ctx
-        return ctx
-
-    def _request(self, ctx: _LinkCtx, backlog: int, tti: int,
-                 bucket: list[ScheduleRequest]) -> bool:
+    def _request(self, link: _Link, tti: int, bucket: list[ScheduleRequest]) -> bool:
         """Request a pending retransmission, else new data if the link has a
         usable CQI and an idle HARQ process; True if it holds either."""
-        retx = ctx.pool.pending_retx() if ctx.pool is not None else None
+        retx = link.pool.pending_retx() if link.pool is not None else None
         if retx is not None:
-            bucket.append(ScheduleRequest(ctx.node_id, ctx.direction, retx.cqi,
-                                          retx_rbs=retx.num_rbs, link_key=ctx.key))
+            bucket.append(ScheduleRequest(link.node_id, link.direction, retx.cqi,
+                                          retx_rbs=retx.num_rbs, link_key=link.key))
             return True
+        backlog = link.backlog()
         if backlog <= 0:
             return False
-        cqi = ctx.fixed_cqi if ctx.cqi_key is None else self._cqi_for(ctx.cqi_key, tti)
-        if cqi >= 1 and (ctx.pool is None or ctx.pool.has_idle()):
-            bucket.append(ScheduleRequest(ctx.node_id, ctx.direction, cqi,
-                                          backlog_bits=backlog, link_key=ctx.key))
+        cqi = self._link_cqi(link, tti)
+        if cqi >= 1 and (link.pool is None or link.pool.has_idle()):
+            bucket.append(ScheduleRequest(link.node_id, link.direction, cqi,
+                                          backlog_bits=backlog, link_key=link.key))
         return True
 
     def _phase_schedule(self, tti: int) -> None:
@@ -505,39 +493,23 @@ class Engine:
         ul_requests: list[ScheduleRequest] = []
 
         # a UE with nothing left leaves; an enqueue or a NACK brings it back
-        enb_id = self.enb_id
-        dl_queues = self._queues(enb_id, Direction.DL)
         for ue_id in sorted(self._active):
-            # downlink toward this UE
-            queue = dl_queues.get(ue_id)
-            busy = self._request(self._link(enb_id, Direction.DL, ue_id),
-                                 queue.backlog_bits if queue is not None else 0,
-                                 tti, dl_requests)
-            # uplink from this UE (all final destinations share the hop)
-            backlog = sum(queue.backlog_bits
-                          for queue in self._queues(ue_id, Direction.UL).values())
-            busy |= self._request(self._link(ue_id, Direction.UL, enb_id), backlog,
-                                  tti, ul_requests)
-            # direct sidelink: pending retransmissions outrank new data,
-            # then the lowest-id peer with queued data is served
-            d2d_queues = self._queues(ue_id, Direction.D2D)
-            retx_dsts = sorted(
-                dst_id for dst_id, pool in self._d2d_pools.get(ue_id, {}).items()
-                if pool.pending_retx() is not None)
-            d2d_endpoints = retx_dsts or self._busy_endpoints(d2d_queues)
-            if d2d_endpoints:
-                queue = d2d_queues.get(d2d_endpoints[0])
-                busy |= self._request(self._link(ue_id, Direction.D2D, d2d_endpoints[0]),
-                                      queue.backlog_bits if queue is not None else 0,
-                                      tti, ul_requests)
-            # one-to-many sidelink: fixed transmit format, no feedback;
-            # like unicast, one group per TTI, the lowest with queued data
-            multi_queues = self._queues(ue_id, Direction.D2D_MULTI)
-            groups = self._busy_endpoints(multi_queues)
+            downlink, uplink, peers, groups = self._ue_links[ue_id]
+            busy = self._request(downlink, tti, dl_requests)
+            busy |= self._request(uplink, tti, ul_requests)
+            # one sidelink per TTI: a pending retransmission outranks new
+            # data, then the first peer with queued data is served
+            if peers:
+                peer = (next((link for link in peers
+                              if link.pool.pending_retx() is not None), None)
+                        or next((link for link in peers if link.backlog()), None))
+                if peer is not None:
+                    busy |= self._request(peer, tti, ul_requests)
+            # likewise one group per TTI, the first with queued data
             if groups:
-                busy |= self._request(self._link(ue_id, Direction.D2D_MULTI, groups[0]),
-                                      multi_queues[groups[0]].backlog_bits,
-                                      tti, ul_requests)
+                group = next((link for link in groups if link.backlog()), None)
+                if group is not None:
+                    busy |= self._request(group, tti, ul_requests)
             if not busy:
                 self._active.discard(ue_id)
 
@@ -546,14 +518,14 @@ class Engine:
                                        sim.rb_capacity_re, self.table):
                 self._issue_grant(grant, self._links[grant.request.link_key])
 
-    def _issue_grant(self, grant: ScheduleGrant, ctx: _LinkCtx) -> None:
+    def _issue_grant(self, grant: ScheduleGrant, link: _Link) -> None:
         request = grant.request
-        self.counters[ctx.granted_key] += grant.num_rbs
-        hist_key = (ctx.link, request.cqi)
+        self.counters[link.granted_key] += grant.num_rbs
+        hist_key = (link.link, request.cqi)
         self.cqi_hist[hist_key] = self.cqi_hist.get(hist_key, 0) + 1
 
         if grant.is_retx:
-            process = ctx.pool.pending_retx()
+            process = link.pool.pending_retx()
             process.awaiting_retx = False
             process.num_rbs = grant.num_rbs
             process.tx_count += 1
@@ -561,13 +533,13 @@ class Engine:
             cqi = process.cqi
             process_id = process.process_id
         else:
-            chunks = self._fill_chunks(ctx, grant.tbs_bits)
+            chunks = self._fill_chunks(link, grant.tbs_bits)
             if not chunks:
                 return
             cqi = request.cqi
             process_id = None
-            if ctx.pool is not None:
-                process = ctx.pool.allocate()
+            if link.pool is not None:
+                process = link.pool.allocate()
                 process.chunks = tuple(chunks)
                 process.cqi = cqi
                 process.num_rbs = grant.num_rbs
@@ -575,30 +547,22 @@ class Engine:
                 process_id = process.process_id
 
         tb = TransportBlock(
-            tx_id=ctx.tx_id, direction=ctx.direction, chunks=tuple(chunks),
-            cqi=cqi, rbs=grant.rbs, tx_power_dbm=ctx.tx_power_dbm,
-            tti=self.now_tti + 1, dst_id=ctx.rx_id,
-            group_address=ctx.group_address,
-            harq_key=ctx.key if ctx.pool is not None else None,
-            harq_process_id=process_id,
-            harq_epoch=ctx.pool.epoch if ctx.pool is not None else 0,
-            is_retx=grant.is_retx)
-        self._trace("grant", ctx.tx_id,
-                    ctx.group_address if ctx.rx_id is None else ctx.rx_id,
-                    ctx.direction, grant.num_rbs)
+            tx_id=link.tx_id, direction=link.direction, chunks=tuple(chunks),
+            cqi=cqi, rbs=grant.rbs, tx_power_dbm=link.tx_power_dbm,
+            tti=self.now_tti + 1, dst_id=link.rx_id,
+            group_address=link.group_address, harq_process_id=process_id,
+            harq_epoch=link.pool.epoch if link.pool is not None else 0)
+        self._trace("grant", link.tx_id,
+                    link.group_address if link.rx_id is None else link.rx_id,
+                    link.direction, grant.num_rbs)
         self.schedule_event(self.now_tti + 1, Phase.TRANSMIT, tb)
 
-    def _fill_chunks(self, ctx: _LinkCtx, capacity_bits: int) -> list[RlcChunk]:
-        """Drain this link's bearers into one transport block payload."""
-        queues = self._queues(ctx.tx_id, ctx.direction)
-        # the uplink hop carries data for any destination, other links one
-        endpoints = (self._busy_endpoints(queues) if ctx.direction is Direction.UL
-                     else [ctx.key[2]])
+    def _fill_chunks(self, link: _Link, capacity_bits: int) -> list[RlcChunk]:
+        """Drain this link's queues, lowest endpoint first, into one payload."""
         chunks: list[RlcChunk] = []
         capacity = capacity_bits
-        for endpoint in endpoints:
-            queue = queues.get(endpoint)
-            if queue is None or capacity < 8:
+        for queue in link.queues.values():
+            if not queue or capacity < 8:
                 continue
             taken = queue.fill(capacity)
             capacity -= sum(c.bits for c in taken)
@@ -630,7 +594,7 @@ class Engine:
         if result.decoded:
             for packet in self._reassemble(tb.dst_id, tb.chunks, multicast=False):
                 self._deliver(packet, tb.dst_id)
-        if tb.harq_key is not None:
+        if tb.harq_process_id is not None:
             self.schedule_event(self.now_tti + 1, Phase.HARQ_FEEDBACK,
                                 (tb, result.decoded))
 
@@ -667,7 +631,7 @@ class Engine:
             self._classify_and_enqueue(response, rx_id)
 
     def _phase_harq_feedback(self, tb: TransportBlock, ack: bool) -> None:
-        pool = self.pools[tb.harq_key]
+        pool = self._links[tb.tx_id, tb.direction, tb.dst_id].pool
         if tb.harq_epoch != pool.epoch:
             return  # the link was reset while this block was in flight
         process = pool.get(tb.harq_process_id)

@@ -73,7 +73,7 @@ def pdcp_classify(src_is_enb: bool, dst_is_enb: bool, is_multicast: bool,
 # ---------------------------------------------------------------------------
 # RLC (unacknowledged mode, byte-granular segmentation)
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class RlcChunk:
     packet: PacketDescriptor
     bits: int
@@ -183,7 +183,7 @@ def rbs_needed(bits: int, cqi: int, rb_capacity_re: int, table: CqiTable) -> int
 # ---------------------------------------------------------------------------
 # MAC scheduler
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ScheduleRequest:
     node_id: int
     direction: Direction
@@ -193,7 +193,7 @@ class ScheduleRequest:
     link_key: tuple = ()
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ScheduleGrant:
     request: ScheduleRequest
     num_rbs: int
@@ -334,7 +334,12 @@ class HarqPool:
         return [p for p in self.processes if p.busy]
 
     def pending_retx(self) -> HarqProcess | None:
-        """Oldest process waiting for a retransmission grant, if any."""
+        """Lowest-numbered process waiting for a retransmission grant, if any.
+
+        Several can wait at once when a retransmission is refused a full
+        band while a later block of the link is NACKed; the lowest-numbered
+        one is served first, even if another was NACKed before it.
+        """
         for process in self.processes:
             if process.busy and process.awaiting_retx:
                 return process
@@ -362,7 +367,7 @@ def harq_on_feedback(process: HarqProcess, ack: bool, max_retx: int) -> HarqOutc
 # ---------------------------------------------------------------------------
 # PHY
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class TransportBlock:
     """One over-the-air transmission and everything needed to receive it."""
 
@@ -375,13 +380,11 @@ class TransportBlock:
     tti: int
     dst_id: int | None = None
     group_address: str | None = None
-    harq_key: tuple | None = None
-    harq_process_id: int | None = None
+    harq_process_id: int | None = None  # None when the link has no HARQ
     harq_epoch: int = 0
-    is_retx: bool = False
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ReceptionResult:
     decoded: bool
     mean_sinr_db: float

@@ -1,5 +1,7 @@
 """Command-line interface and sweep/compare helpers."""
 
+from pathlib import Path
+
 import pytest
 
 from d2dsim import ChannelParams, CqiTable, load_scenario
@@ -213,3 +215,20 @@ def test_unwritable_output_exits_2(good_ini, tmp_path, capsys):
     assert len(err) == 3
     for line, name in zip(err, ("x.csv", "t.csv", "s.csv")):
         assert line.startswith("error: ") and name in line
+
+
+@pytest.mark.parametrize("line", [
+    "channel.pathLossExponent = inf", "channel.referenceLossDb = inf",
+    "channel.shadowingStdDevDb = nan", "channel.noiseFigureDb = -inf",
+    "channel.thermalNoiseDbmPerRb = inf", "channel.minDistanceM = inf",
+    "*.ueD2DTx[0].ueTxPower = nan", "*.ueD2DTx[0].d2dTxPower = -inf"])
+@pytest.mark.parametrize("command", [["validate"], ["run", "--ttis", "40"]])
+def test_non_finite_float_keys_exit_1_with_one_line(tmp_path, capsys, line, command):
+    shipped = Path(__file__).resolve().parents[1] / "scenarios" / "one_to_one.ini"
+    bad = tmp_path / "bad.ini"
+    bad.write_text(shipped.read_text() + line + "\n")
+    assert main([command[0], str(bad), *command[1:]]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert "must be finite" in captured.err

@@ -445,3 +445,96 @@ flow[1].periodTtis = 5
     assert metrics["offered_packets"] == metrics["queued_end"] == 80  # 40 x 2 UEs
     assert engine._active <= set(engine.ue_ids)
     assert conservation_ok(result)
+
+
+def _sidelink_grants(text):
+    result = run_scenario(parse_scenario(text), trace=True)
+    return [(row.tti, row.dst) for row in result.trace
+            if row.event == "grant" and row.src == "ueS"]
+
+
+SERVING_CELL = """
+sim.ttiCount = 8
+sim.nodes = "eNodeB ueS ueA ueB"
+eNodeB.role = "eNB"
+eNodeB.d2dCapable = true
+eNodeB.amcMode = "D2D"
+**.d2dCapable = true
+ueS.usePreconfiguredTxParams = true
+ueS.d2dCqi = 7
+ueA.positionX = 4.0
+ueB.positionX = 400.0
+"""
+
+
+def test_a_peer_awaiting_retransmission_is_served_before_new_data():
+    # ueB (id 3) is out of range and NACKs at TTI 3; at TTI 4 its
+    # retransmission waits while new data for ueA (id 2) arrives, and at
+    # TTI 5 both peers have new data, so the lower id goes first
+    grants = _sidelink_grants(SERVING_CELL + """
+ueS.d2dPeerAddresses = "ueB ueA"
+flow[0].sourceNode = "ueS"
+flow[0].destAddress = "ueB"
+flow[0].packetBytes = 500
+flow[0].periodTtis = 1000
+flow[1].sourceNode = "ueS"
+flow[1].destAddress = "ueA"
+flow[1].packetBytes = 500
+flow[1].periodTtis = 1000
+flow[1].startTti = 4
+flow[2].sourceNode = "ueS"
+flow[2].destAddress = "ueB"
+flow[2].packetBytes = 500
+flow[2].periodTtis = 1000
+flow[2].startTti = 5
+""")
+    assert grants == [(0, "ueB"), (4, "ueB"), (5, "ueA"), (6, "ueB")]
+
+
+def test_a_sender_in_two_groups_serves_the_lowest_address_first():
+    # both packets arrive at TTI 0; the higher address is declared first
+    grants = _sidelink_grants(SERVING_CELL + """
+flow[0].sourceNode = "ueS"
+flow[0].destAddress = "224.0.0.20"
+flow[0].packetBytes = 100
+flow[0].periodTtis = 1000
+flow[1].sourceNode = "ueS"
+flow[1].destAddress = "224.0.0.10"
+flow[1].packetBytes = 100
+flow[1].periodTtis = 1000
+[multicast]
+224.0.0.20 = "ueB"
+224.0.0.10 = "ueA"
+""")
+    assert grants == [(0, "224.0.0.10"), (1, "224.0.0.20")]
+
+
+def test_peerings_with_the_enb_switch_modes_without_error():
+    # validate accepts a peering to or from the eNB; neither has both an
+    # uplink and a relay leg, yet a switch to direct mode must still run
+    config = parse_scenario("""
+sim.ttiCount = 100
+sim.nodes = "eNodeB ueA ueB"
+eNodeB.role = "eNB"
+eNodeB.amcMode = "D2D"
+eNodeB.d2dModeSelection = true
+eNodeB.d2dModeSelectionPeriod = 20
+eNodeB.d2dPeerAddresses = "ueA"
+eNodeB.enableD2DCqiReporting = true
+**.d2dCapable = true
+ueA.positionX = 50.0
+ueB.positionX = 80.0
+ueA.d2dPeerAddresses = "eNodeB ueB"
+ueA.enableD2DCqiReporting = true
+flow[0].sourceNode = "ueA"
+flow[0].destAddress = "eNodeB"
+flow[0].packetBytes = 300
+flow[0].periodTtis = 3
+flow[1].sourceNode = "eNodeB"
+flow[1].destAddress = "ueA"
+flow[1].packetBytes = 300
+flow[1].periodTtis = 3
+""")
+    result = run_scenario(config, initial_mode=Mode.IM)
+    assert result.run_metrics["mode_switch_count"] == 3
+    assert conservation_ok(result)

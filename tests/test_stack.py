@@ -424,6 +424,17 @@ def test_pending_retx_reports_waiting_process():
     assert pool.pending_retx() is None
 
 
+def test_pending_retx_serves_the_lowest_numbered_waiting_process():
+    pool = HarqPool(3)
+    first, second = pool.allocate(), pool.allocate()
+    first.tx_count = second.tx_count = 1
+    harq_on_feedback(second, False, 3)  # process 1 is NACKed first
+    harq_on_feedback(first, False, 3)
+    assert pool.pending_retx() is first
+    pool.release(first)
+    assert pool.pending_retx() is second
+
+
 def test_max_retx_zero_drops_on_first_nack():
     pool = HarqPool(1)
     process = pool.allocate()
