@@ -294,6 +294,19 @@ _FLOW_KEYS: dict[str, tuple[str, Callable]] = {
 
 _REQUIRED_FLOW_KEYS = ("sourceNode", "destAddress", "packetBytes", "periodTtis")
 
+# Ranges of the bounded keys, closed but for pathLossExponent's lower end.
+# The float ranges keep every dB <-> mW conversion finite and nonzero;
+# numRbs and harqProcesses size per-block and per-process lists.
+_RANGES: dict[str, tuple[float, float]] = {
+    "numRbs": (1, 110), "harqProcesses": (1, 16),
+    "pathLossExponent": (0, 10), "referenceLossDb": (0, 200),
+    "shadowingStdDevDb": (0, 30), "noiseFigureDb": (0, 30),
+    "thermalNoiseDbmPerRb": (-200, 0), "minDistanceM": (0.001, 1e5),
+    "positionX": (-1e5, 1e5), "positionY": (-1e5, 1e5),
+    "ueTxPowerDbm": (-50, 50), "d2dTxPowerDbm": (-50, 50),
+}
+_OPEN_BELOW = frozenset({"pathLossExponent"})
+
 
 # ---------------------------------------------------------------------------
 # parsing
@@ -511,30 +524,30 @@ def validate(config: ScenarioConfig) -> list[Diagnostic]:
     def unresolved(message: str, node: str | None = None, key: str | None = None):
         out.append(Diagnostic("UnresolvedNodeReference", message, node=node, key=key))
 
+    def bounded(key: str, value: float, node: str | None = None):
+        low, high = _RANGES[key]
+        open_below = key in _OPEN_BELOW
+        if not math.isfinite(value):
+            bad(f"{key} must be finite", node=node, key=key)
+        elif not low <= value <= high or (open_below and value == low):
+            bad(f"{key} must be in {'(' if open_below else '['}{low:g}, {high:g}]",
+                node=node, key=key)
+
     sim = config.sim
     if sim.tti_count < 0:
         bad("ttiCount must be >= 0", key="ttiCount")
-    if sim.num_rbs < 1:
-        bad("numRbs must be >= 1", key="numRbs")
+    bounded("numRbs", sim.num_rbs)
     if sim.rb_capacity_re < 1:
         bad("rbCapacityRe must be >= 1", key="rbCapacityRe")
     if sim.cqi_report_period_ttis < 1:
         bad("cqiReportPeriodTtis must be >= 1", key="cqiReportPeriodTtis")
     if sim.harq_max_retx < 0:
         bad("harqMaxRetx must be >= 0", key="harqMaxRetx")
-    if sim.harq_processes < 1:
-        bad("harqProcesses must be >= 1", key="harqProcesses")
+    bounded("harqProcesses", sim.harq_processes)
 
     ch = config.channel
     for key, (attr, _) in _CHANNEL_KEYS.items():
-        if not math.isfinite(getattr(ch, attr)):
-            bad(f"{key} must be finite", key=key)
-    if ch.path_loss_exponent <= 0:
-        bad("pathLossExponent must be > 0", key="pathLossExponent")
-    if ch.shadowing_std_dev_db < 0:
-        bad("shadowingStdDevDb must be >= 0", key="shadowingStdDevDb")
-    if ch.min_distance_m <= 0:
-        bad("minDistanceM must be > 0", key="minDistanceM")
+        bounded(key, getattr(ch, attr))
 
     names = {node.name for node in config.nodes}
     enbs = [node for node in config.nodes if node.role is Role.ENB]
@@ -544,8 +557,8 @@ def validate(config: ScenarioConfig) -> list[Diagnostic]:
 
     for node in config.nodes:
         for key, (attr, convert) in _NODE_KEYS.items():
-            if convert is _to_float and not math.isfinite(getattr(node, attr)):
-                bad(f"{key} must be finite", node=node.name, key=key)
+            if convert is _to_float:
+                bounded(key, getattr(node, attr), node=node.name)
         if node.d2d_peer_addresses and not node.d2d_capable:
             bad("d2dPeerAddresses set on a node that is not d2dCapable",
                 node=node.name, key="d2dPeerAddresses")

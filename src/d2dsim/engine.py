@@ -67,23 +67,11 @@ class PastEvent(Exception):
 class InstanceStatus(Enum):
     """Where a packet instance ended; the value names its per-flow count."""
 
-    OPEN = "queued_end"
     DELIVERED = "delivered_packets"
     LOST_HARQ = "lost_harq_exhausted"
     LOST_MODE_SWITCH = "lost_mode_switch"
     FILTERED = "lost_filtered"
     LOST_DECODE = "lost_decode_failed"
-
-
-@dataclass
-class _Instance:
-    """Fate of one packet at one intended receiver."""
-
-    flow_id: int
-    created_tti: int
-    size_bits: int
-    status: InstanceStatus = InstanceStatus.OPEN
-    delivered_tti: int = -1
 
 
 @dataclass(frozen=True)
@@ -241,7 +229,8 @@ class Engine:
         self._active: set[int] = set()
         self.assemblers: dict[int, PacketAssembler] = {}
         self.cqi_store: dict[tuple, list[list]] = {}  # [cqi or probe, usable_from]
-        self.instances: dict[tuple[int, int | None], _Instance] = {}
+        # open packet instances only: each is counted in ``totals`` as it closes
+        self.instances: dict[tuple[int, int | None], PacketDescriptor] = {}
         self._events: dict[tuple[int, Phase], list] = {}  # FIFO per (tti, phase)
 
         self.now_tti = -1
@@ -256,6 +245,15 @@ class Engine:
             "mode_switch_count": 0, "rb_conservation_violations": 0,
         }
         self.cqi_hist: dict[tuple[str, int], int] = {}
+        self.totals: dict[int, dict[str, float]] = {
+            flow.flow_id: {
+                "offered_packets": 0, "offered_bits": 0,
+                "delivered_packets": 0, "delivered_bits": 0,
+                "lost_harq_exhausted": 0, "lost_mode_switch": 0,
+                "lost_filtered": 0, "lost_decode_failed": 0, "queued_end": 0,
+                "mean_latency_ttis": float("nan"), "max_latency_ttis": 0,
+            } for flow, _, _, _ in self.flows}
+        self._latency_sum: dict[int, int] = dict.fromkeys(self.totals, 0)
 
     # -- helpers --------------------------------------------------------
 
@@ -331,30 +329,32 @@ class Engine:
             packet_id=self._packet_seq, flow_id=flow.flow_id, src_id=src_id,
             dst_id=dst_id, group_address=group, size_bits=flow.packet_bytes * 8,
             created_tti=self.now_tti, is_request=is_request)
-        if group is None:
-            self.instances[(packet.packet_id, None)] = _Instance(
-                flow.flow_id, self.now_tti, packet.size_bits)
-        else:
-            for rx_id in self.ue_ids:
-                if rx_id != src_id:
-                    self.instances[(packet.packet_id, rx_id)] = _Instance(
-                        flow.flow_id, self.now_tti, packet.size_bits)
+        rx_ids = [None] if group is None else [r for r in self.ue_ids if r != src_id]
+        for rx_id in rx_ids:
+            self.instances[(packet.packet_id, rx_id)] = packet
+        totals = self.totals[flow.flow_id]
+        totals["offered_packets"] += len(rx_ids)
+        totals["offered_bits"] += len(rx_ids) * packet.size_bits
         return packet
 
     def _close_instance(self, packet_id: int, rx_id: int | None,
-                        status: InstanceStatus) -> bool:
-        instance = self.instances.get((packet_id, rx_id))
-        if instance is None or instance.status is not InstanceStatus.OPEN:
-            return False
-        instance.status = status
+                        status: InstanceStatus) -> None:
+        """Count an open instance in its flow's totals and forget it."""
+        packet = self.instances.pop((packet_id, rx_id), None)
+        if packet is None:
+            return  # already closed
+        totals = self.totals[packet.flow_id]
+        totals[status.value] += 1
         if status is InstanceStatus.DELIVERED:
-            instance.delivered_tti = self.now_tti
+            totals["delivered_bits"] += packet.size_bits
+            latency = self.now_tti - packet.created_tti
+            self._latency_sum[packet.flow_id] += latency
+            totals["max_latency_ttis"] = max(totals["max_latency_ttis"], latency)
         elif rx_id is None:  # part of a unicast packet may wait at any hop
             for assembler in self.assemblers.values():
                 assembler.discard(packet_id)
         elif rx_id in self.assemblers:
             self.assemblers[rx_id].discard(packet_id)
-        return True
 
     def _reassemble(self, rx_id: int, chunks: Iterable[RlcChunk], *,
                     multicast: bool) -> Iterator[PacketDescriptor]:
@@ -366,8 +366,7 @@ class Engine:
         assembler = self._assembler(rx_id)
         instance_rx = rx_id if multicast else None
         for chunk in chunks:
-            instance = self.instances[(chunk.packet.packet_id, instance_rx)]
-            if instance.status is not InstanceStatus.OPEN:
+            if (chunk.packet.packet_id, instance_rx) not in self.instances:
                 continue
             done = assembler.add(chunk)
             if done is not None:
@@ -674,32 +673,13 @@ class Engine:
         return self._finalize()
 
     def _finalize(self) -> SimulationResult:
-        flow_metrics: dict[int, dict[str, float]] = {}
-        for flow, _, _, _ in self.flows:
-            flow_metrics[flow.flow_id] = {
-                "offered_packets": 0, "offered_bits": 0,
-                "delivered_packets": 0, "delivered_bits": 0,
-                "lost_harq_exhausted": 0, "lost_mode_switch": 0,
-                "lost_filtered": 0, "lost_decode_failed": 0, "queued_end": 0,
-                "mean_latency_ttis": float("nan"), "max_latency_ttis": 0,
-            }
-        latencies: dict[int, list[int]] = {fid: [] for fid in flow_metrics}
-
-        for instance in self.instances.values():
-            metrics = flow_metrics[instance.flow_id]
-            metrics["offered_packets"] += 1
-            metrics["offered_bits"] += instance.size_bits
-            metrics[instance.status.value] += 1
-            if instance.status is InstanceStatus.DELIVERED:
-                metrics["delivered_bits"] += instance.size_bits
-                latencies[instance.flow_id].append(
-                    instance.delivered_tti - instance.created_tti)
-
-        for flow_id, values in latencies.items():
-            if values:
-                flow_metrics[flow_id]["mean_latency_ttis"] = (
-                    sum(values) / len(values))
-                flow_metrics[flow_id]["max_latency_ttis"] = max(values)
+        flow_metrics = {flow_id: dict(totals) for flow_id, totals in self.totals.items()}
+        for packet in self.instances.values():
+            flow_metrics[packet.flow_id]["queued_end"] += 1
+        for flow_id, metrics in flow_metrics.items():
+            if metrics["delivered_packets"]:
+                metrics["mean_latency_ttis"] = (
+                    self._latency_sum[flow_id] / metrics["delivered_packets"])
 
         run_metrics = dict(self.counters)
         ttis = self.config.sim.tti_count

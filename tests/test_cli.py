@@ -232,3 +232,71 @@ def test_non_finite_float_keys_exit_1_with_one_line(tmp_path, capsys, line, comm
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1
     assert "must be finite" in captured.err
+
+
+@pytest.mark.parametrize("line", [
+    "ueD2DTx[0].d2dTxPower = 5000", "ueD2DTx[0].d2dTxPower = -4000",
+    "ueCell[0].ueTxPower = -4000", "ueD2DTx[0].positionX = 1e200",
+    "channel.pathLossExponent = 1000", "channel.pathLossExponent = 0",
+    "channel.referenceLossDb = 5000", "channel.thermalNoiseDbmPerRb = 4000",
+    "channel.noiseFigureDb = -4000", "channel.minDistanceM = 0.0001",
+    "sim.numRbs = 111", "sim.harqProcesses = 17"])
+@pytest.mark.parametrize("command", [["validate"], ["run", "--ttis", "40"]])
+def test_out_of_range_keys_exit_1_with_one_line(tmp_path, capsys, line, command):
+    shipped = Path(__file__).resolve().parents[1] / "scenarios" / "one_to_one.ini"
+    bad = tmp_path / "bad.ini"
+    bad.write_text(shipped.read_text() + line + "\n")
+    assert main([command[0], str(bad), *command[1:]]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert line.split(" = ")[0].split(".")[-1] in captured.err  # the key, maybe aliased
+    assert "must be in" in captured.err
+
+
+_NODES = ("eNodeB", "ueD2DTx[0]", "ueD2DRx[0]", "ueCell[0]")
+
+
+def _placed(*positions):
+    return [f"{node}.position{axis} = {value}"
+            for node, (x, y) in zip(_NODES, positions)
+            for axis, value in (("X", x), ("Y", y))]
+
+
+# every bounded key at an end of its range: all low, all high, and the
+# strongest signal over the least noise against the weakest signal under
+# the strongest interferer and the most noise
+_CORNERS = {
+    "low": ["sim.numRbs = 1", "sim.harqProcesses = 1",
+            "channel.pathLossExponent = 5e-324", "channel.referenceLossDb = 0",
+            "channel.shadowingStdDevDb = 0", "channel.noiseFigureDb = 0",
+            "channel.thermalNoiseDbmPerRb = -200", "channel.minDistanceM = 0.001",
+            "**.ueTxPower = -50", "**.d2dTxPower = -50",
+            *_placed(*[(-1e5, -1e5)] * 4)],
+    "high": ["sim.numRbs = 110", "sim.harqProcesses = 16",
+             "channel.pathLossExponent = 10", "channel.referenceLossDb = 200",
+             "channel.shadowingStdDevDb = 30", "channel.noiseFigureDb = 30",
+             "channel.thermalNoiseDbmPerRb = 0", "channel.minDistanceM = 1e5",
+             "**.ueTxPower = 50", "**.d2dTxPower = 50",
+             *_placed(*[(1e5, 1e5)] * 4)],
+    "strongest": ["channel.pathLossExponent = 10", "channel.referenceLossDb = 0",
+                  "channel.shadowingStdDevDb = 30", "channel.noiseFigureDb = 0",
+                  "channel.thermalNoiseDbmPerRb = -200", "channel.minDistanceM = 0.001",
+                  "**.ueTxPower = 50", "**.d2dTxPower = 50",
+                  *_placed(*[(1e5, -1e5)] * 4)],
+    "near_far": ["channel.pathLossExponent = 10", "channel.referenceLossDb = 200",
+                 "channel.shadowingStdDevDb = 30", "channel.noiseFigureDb = 30",
+                 "channel.thermalNoiseDbmPerRb = 0", "channel.minDistanceM = 0.001",
+                 "**.ueTxPower = -50", "**.d2dTxPower = -50", "ueCell[0].ueTxPower = 50",
+                 *_placed((-1e5, -1e5), (1e5, 1e5), (-1e5, -1e5), (-1e5, -1e5))],
+}
+
+
+@pytest.mark.parametrize("corner", sorted(_CORNERS))
+def test_scenarios_at_range_corners_run(tmp_path, capsys, corner):
+    shipped = Path(__file__).resolve().parents[1] / "scenarios" / "one_to_one.ini"
+    path = tmp_path / "corner.ini"
+    path.write_text(shipped.read_text() + "\n".join(_CORNERS[corner]) + "\n")
+    assert main(["validate", str(path)]) == 0
+    assert main(["run", str(path), "--ttis", "40"]) == 0
+    assert capsys.readouterr().err == ""

@@ -93,21 +93,25 @@ def scenarios(draw):
 
 
 def _outputs(text):
-    result = Engine(parse_scenario(text), trace=True, ledger_dump=True).run()
-    return result, (result.metrics_csv(), result.trace_csv(), result.ledger_csv())
+    engine = Engine(parse_scenario(text), trace=True, ledger_dump=True)
+    result = engine.run()
+    return engine, result, (result.metrics_csv(), result.trace_csv(), result.ledger_csv())
 
 
 @settings(max_examples=150, deadline=None)
 @given(scenarios())
 def test_random_valid_scenarios_conserve_and_replay(text):
-    result, outputs = _outputs(text)
+    engine, result, outputs = _outputs(text)
     for flow_id, metrics in result.flow_metrics.items():
         ends = sum(metrics[name] for name in (
             "delivered_packets", "lost_harq_exhausted", "lost_mode_switch",
             "lost_filtered", "lost_decode_failed", "queued_end"))
         assert metrics["offered_packets"] == ends, flow_id
     assert result.run_metrics["rb_conservation_violations"] == 0
-    assert _outputs(text)[1] == outputs
+    # only open instances are kept, and each is queued at the end
+    assert len(engine.instances) == sum(
+        metrics["queued_end"] for metrics in result.flow_metrics.values())
+    assert _outputs(text)[2] == outputs
 
 
 def _eager_reads_checked(engine):
