@@ -12,8 +12,7 @@ from .config import (ConstraintViolationError, Diagnostic, FlowConfig,
                      serialize_scenario, validate)
 from .engine import (Engine, PastEvent, Phase, SimulationResult, TraceRow,
                      rng_stream, run_scenario)
-from .mode_selection import (Mode, ModeSwitchCommand, PeeringTable,
-                             UnknownPolicyError, apply_mode_switch,
+from .mode_selection import (Mode, ModeSwitchCommand, UnknownPolicyError,
                              best_cqi_decide, do_mode_selection, get_policy,
                              policy_names, register_policy)
 from .stack import (Direction, HarqOutcome, HarqPool, HarqProcess,

@@ -136,8 +136,9 @@ class ChannelModel:
     the same link and TTI sees the same value.  Link losses are
     memoised per (tx, rx, tti) for the newest TTI queried and the one
     before it (a reception is evaluated one TTI after its transmission)
-    and for the last two TTIs passed to :meth:`pin` (a CQI probe is
-    evaluated when first read, up to a report period late).  Any other
+    and for the last two TTIs passed to :meth:`pin`, which also keeps the
+    ledger entries a CQI measurement at that TTI reads (a report is
+    measured when first read, up to a report period late).  Any other
     older query is computed afresh.  Nodes do not move, so the
     distance-dependent part is memoised per (tx, rx) for the whole run.
     """
@@ -150,7 +151,8 @@ class ChannelModel:
         self.seed = seed
         self._path_loss: dict[tuple[int, int], float] = {}
         self._loss: dict[int, dict[tuple[int, int], float]] = {}
-        self._pinned: dict[int, dict[tuple[int, int], float]] = {}
+        # tti -> (its link losses, the previous TTI's entries per band)
+        self._pinned: dict[int, tuple[dict, dict[str, tuple[AllocationEntry, ...]]]] = {}
         self._newest_tti = -math.inf
 
     def shadowing_db(self, tx_id: int, rx_id: int, tti: int) -> float:
@@ -167,12 +169,14 @@ class ChannelModel:
             self._loss = {t: losses for t, losses in self._loss.items()
                           if t >= tti - 1}
         if tti < self._newest_tti - 1:
-            return self._pinned.get(tti, {})  # too old to keep unless pinned
+            return self._pinned[tti][0] if tti in self._pinned else {}  # too old
         return self._loss.setdefault(tti, {})
 
     def pin(self, tti: int) -> None:
-        """Keep ``tti``'s link losses until two later TTIs are pinned."""
-        self._pinned[tti] = self._losses_at(tti)
+        """Keep ``tti``'s link losses and the previous TTI's ledger entries,
+        which a CQI measurement at ``tti`` reads, until two later pins."""
+        self._pinned[tti] = (self._losses_at(tti), {
+            band: self.binder.band_allocations(tti - 1, band) for band in ("UL", "DL")})
         if len(self._pinned) > 2:
             del self._pinned[min(self._pinned)]
 
@@ -246,16 +250,17 @@ class ChannelModel:
         return out
 
     def wideband_cqi(self, tx_id: int, rx_id: int, *, tti: int,
-                     tx_power_dbm: float, direction: LinkDirection,
-                     entries: tuple[AllocationEntry, ...] | None = None) -> int:
+                     tx_power_dbm: float, direction: LinkDirection) -> int:
         """CQI a receiver would report from a full-band measurement at ``tti``.
 
         Interference is taken from the previous TTI's ledger, the most
-        recent one a measurement could have observed (or its ``entries``
-        in the band, kept by a caller that measures later).
+        recent one a measurement could have observed; if ``tti`` is
+        pinned, from the entries kept when it was pinned.
         """
         rbs = tuple(range(self.binder.num_rbs))
+        pinned = self._pinned.get(tti)
         sinrs = self.sinr_per_rb_db(
             tx_id, rx_id, tti=tti, ledger_tti=tti - 1, rbs=rbs,
-            tx_power_dbm=tx_power_dbm, direction=direction, entries=entries)
+            tx_power_dbm=tx_power_dbm, direction=direction,
+            entries=pinned[1][direction.band] if pinned else None)
         return self.table.sinr_to_cqi(mean_sinr_db(sinrs))

@@ -11,11 +11,12 @@ compare-modes`` runs the same scenario once per sidelink mode, and
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import dataclass, replace
 
 from .channel import ChannelParams, CqiTable, decode, path_loss_db
-from .config import ScenarioConfig, ScenarioError, load_scenario, validate
+from .config import POSITION_LIMIT_M, ScenarioConfig, ScenarioError, load_scenario, validate
 from .engine import run_scenario
 from .mode_selection import Mode
 from .stack import rbs_needed
@@ -42,7 +43,8 @@ def max_decode_distance(cqi: int, tx_power_dbm: float, params: ChannelParams,
 
     Found by bisection over the actual decode predicate rather than by
     inverting the loss formula, so it stays honest if the propagation
-    model changes.  Returns 0.0 when even the minimum distance fails.
+    model changes.  Returns 0.0 when even the minimum distance fails, and
+    infinity when it decodes as far apart as two nodes can be placed.
     """
     if params.shadowing_std_dev_db != 0.0:
         raise SweepRequiresDeterministicChannel(
@@ -56,8 +58,10 @@ def max_decode_distance(cqi: int, tx_power_dbm: float, params: ChannelParams,
     low = params.min_distance_m
     if not decodes(low):
         return 0.0
-    high = low
-    while decodes(high) and high < 1e8:
+    if decodes(math.hypot(2 * POSITION_LIMIT_M, 2 * POSITION_LIMIT_M)):
+        return math.inf
+    high = low  # decoding gets worse with distance, so this ends
+    while decodes(high):
         low, high = high, high * 2
     while high - low > tolerance_m:
         mid = (low + high) / 2

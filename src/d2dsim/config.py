@@ -32,6 +32,7 @@ from enum import Enum
 from typing import Callable, Iterable
 
 from .channel import ChannelParams
+from .mode_selection import policy_names
 
 RESERVED_SCOPES = frozenset({"sim", "channel", "flow", "multicast"})
 
@@ -294,15 +295,20 @@ _FLOW_KEYS: dict[str, tuple[str, Callable]] = {
 
 _REQUIRED_FLOW_KEYS = ("sourceNode", "destAddress", "packetBytes", "periodTtis")
 
+POSITION_LIMIT_M = 1e5  # nodes sit in the square of this half-width
+
 # Ranges of the bounded keys, closed but for pathLossExponent's lower end.
 # The float ranges keep every dB <-> mW conversion finite and nonzero;
-# numRbs and harqProcesses size per-block and per-process lists.
+# numRbs and harqProcesses size per-block and per-process lists, and
+# rbCapacityRe and packetBytes keep bit counts convertible to float.
 _RANGES: dict[str, tuple[float, float]] = {
     "numRbs": (1, 110), "harqProcesses": (1, 16),
+    "rbCapacityRe": (1, 10_000), "packetBytes": (1, 10_000_000),
     "pathLossExponent": (0, 10), "referenceLossDb": (0, 200),
     "shadowingStdDevDb": (0, 30), "noiseFigureDb": (0, 30),
     "thermalNoiseDbmPerRb": (-200, 0), "minDistanceM": (0.001, 1e5),
-    "positionX": (-1e5, 1e5), "positionY": (-1e5, 1e5),
+    "positionX": (-POSITION_LIMIT_M, POSITION_LIMIT_M),
+    "positionY": (-POSITION_LIMIT_M, POSITION_LIMIT_M),
     "ueTxPowerDbm": (-50, 50), "d2dTxPowerDbm": (-50, 50),
 }
 _OPEN_BELOW = frozenset({"pathLossExponent"})
@@ -524,21 +530,20 @@ def validate(config: ScenarioConfig) -> list[Diagnostic]:
     def unresolved(message: str, node: str | None = None, key: str | None = None):
         out.append(Diagnostic("UnresolvedNodeReference", message, node=node, key=key))
 
-    def bounded(key: str, value: float, node: str | None = None):
+    def bounded(key: str, value: float, node: str | None = None, where: str | None = None):
         low, high = _RANGES[key]
         open_below = key in _OPEN_BELOW
-        if not math.isfinite(value):
-            bad(f"{key} must be finite", node=node, key=key)
+        if isinstance(value, float) and not math.isfinite(value):
+            bad(f"{key} must be finite", node=node, key=where or key)
         elif not low <= value <= high or (open_below and value == low):
             bad(f"{key} must be in {'(' if open_below else '['}{low:g}, {high:g}]",
-                node=node, key=key)
+                node=node, key=where or key)
 
     sim = config.sim
     if sim.tti_count < 0:
         bad("ttiCount must be >= 0", key="ttiCount")
     bounded("numRbs", sim.num_rbs)
-    if sim.rb_capacity_re < 1:
-        bad("rbCapacityRe must be >= 1", key="rbCapacityRe")
+    bounded("rbCapacityRe", sim.rb_capacity_re)
     if sim.cqi_report_period_ttis < 1:
         bad("cqiReportPeriodTtis must be >= 1", key="cqiReportPeriodTtis")
     if sim.harq_max_retx < 0:
@@ -600,8 +605,7 @@ def validate(config: ScenarioConfig) -> list[Diagnostic]:
         if flow.flow_id in seen_flow_ids:
             bad("duplicate flow id", key=fid)
         seen_flow_ids.add(flow.flow_id)
-        if flow.packet_bytes < 1:
-            bad("packetBytes must be >= 1", key=fid)
+        bounded("packetBytes", flow.packet_bytes, where=fid)
         if flow.period_ttis < 1:
             bad("periodTtis must be >= 1", key=fid)
         if flow.start_tti < 0:
@@ -629,10 +633,12 @@ def validate(config: ScenarioConfig) -> list[Diagnostic]:
         if flow.dest_address == flow.source_node:
             bad("flow source and destination are the same node", key=fid)
 
-    if config.mode_selection.enabled and config.mode_selection.period_ttis < 1:
+    ms = config.mode_selection
+    if ms.enabled and ms.period_ttis < 1:
         bad("d2dModeSelectionPeriod must be >= 1", key="d2dModeSelectionPeriod")
-    if config.mode_selection.enabled and not config.mode_selection.policy_name:
-        bad("d2dModeSelectionType must not be empty", key="d2dModeSelectionType")
+    if ms.enabled and ms.policy_name not in policy_names():
+        bad(f"unknown d2dModeSelectionType {ms.policy_name!r} "
+            f"(known: {', '.join(policy_names())})", key="d2dModeSelectionType")
 
     return out
 

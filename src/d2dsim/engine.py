@@ -10,9 +10,10 @@ modeSwitchApply, transmit, receive and harqFeedback only handle
 events, each queued by ``schedule_event`` in a FIFO list for one later
 (TTI, phase); every delay is +1 TTI.
 
-A CQI report is counted when taken but measured when first read, as
-of its own TTI and against the ledger entries of the TTI before it,
-which it keeps; a report that nothing reads is never measured.
+CQI reports are taken every report period from TTI 0 and usable one
+TTI later.  Each is counted when taken but measured when first read,
+as of its own TTI against the ledger entries of the TTI before it,
+which the channel keeps; a report that nothing reads is never measured.
 
 Scheduling at TTI t produces transport blocks that hit the air at
 t+1, are evaluated against the t+1 interference ledger and received
@@ -34,15 +35,14 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from enum import Enum, IntEnum
-from functools import partial
 from typing import Iterable, Iterator
 
-from .binder import Binder, LinkDirection
+from .binder import Binder
 from .channel import ChannelModel, CqiTable
 from .config import (FlowConfig, NodeConfig, Role, ScenarioConfig, Transport,
                      resolve_pattern)
-from .mode_selection import (Mode, ModeSwitchCommand, PeeringTable,
-                             apply_mode_switch, do_mode_selection, get_policy)
+from .mode_selection import (Mode, ModeSwitchCommand, do_mode_selection,
+                             get_policy)
 from .stack import (Direction, HarqOutcome, HarqPool, PacketAssembler,
                     PacketDescriptor, RlcChunk, RlcTxQueue, ScheduleGrant,
                     ScheduleRequest, TransportBlock, harq_on_feedback,
@@ -131,11 +131,13 @@ class _Link:
 
     key: tuple  # (tx_id, direction, rx_id or group address)
     tx_power_dbm: float
-    cqi_key: tuple | None  # the link's CQI history, None for a fixed format
+    reported: bool  # its CQI comes from reports, else it is ``fixed_cqi``
     fixed_cqi: int = 0
     pool: HarqPool | None = None  # None on one-to-many links: no feedback
     # by final endpoint, in endpoint order; only a UE's uplink has several
     queues: dict[int | str, RlcTxQueue] = field(default_factory=dict)
+    mode: Mode | None = None  # a peering's current path, None on other links
+    cqi_memo: tuple[int, int] = (-1, 0)  # (report TTI, CQI) last measured
 
     def __post_init__(self) -> None:
         self.tx_id, self.direction, rx = self.key
@@ -179,11 +181,12 @@ class Engine:
         self.ue_ids = [r.node_id for r in self.binder.records if not r.is_enb]
 
         names = [node.name for node in config.nodes]
-        self.peering = PeeringTable()
-        for node_id, node in self.node_cfg.items():
-            for peer in node.d2d_peer_addresses:
-                self.peering.add_peering(node_id, self.binder.id_of(peer),
-                                         initial_mode or Mode.DM)
+        # each peering's starting mode, in node order and then in the order
+        # the node lists its peers, the order mode selection visits them in
+        peerings = dict.fromkeys(((node_id, self.binder.id_of(peer))
+                                  for node_id, node in self.node_cfg.items()
+                                  for peer in node.d2d_peer_addresses),
+                                 initial_mode or Mode.DM)
 
         for group in config.multicast_groups:
             self.binder.register_group(group.address)
@@ -216,19 +219,20 @@ class Engine:
             for ue_id in self.ue_ids}
         one_to_many = {(src_id, flow.dest_address)
                        for flow, src_id, dst_id, _ in self.flows if dst_id is None}
-        for direction, pairs in ((Direction.D2D, self.peering.peerings()),
+        for direction, pairs in ((Direction.D2D, peerings),
                                  (Direction.D2D_MULTI, one_to_many)):
             for tx_id, rx in sorted(pairs):
                 link = self._add_link(tx_id, direction, rx)
+                link.mode = peerings.get((tx_id, rx))  # None on one-to-many links
                 if tx_id in self._ue_links:  # the eNB has no sidelink to serve
                     sidelinks = self._ue_links[tx_id][2 if direction is Direction.D2D else 3]
                     sidelinks.append(link)
+        self._peerings = {(tx, rx): self._links[tx, Direction.D2D, rx] for tx, rx in peerings}
 
         # mutable run state; ``_active`` holds the UEs that may have queued
         # data or a pending retransmission
         self._active: set[int] = set()
         self.assemblers: dict[int, PacketAssembler] = {}
-        self.cqi_store: dict[tuple, list[list]] = {}  # [cqi or probe, usable_from]
         # open packet instances only: each is counted in ``totals`` as it closes
         self.instances: dict[tuple[int, int | None], PacketDescriptor] = {}
         self._events: dict[tuple[int, Phase], list] = {}  # FIFO per (tti, phase)
@@ -285,40 +289,33 @@ class Engine:
         key = (tx_id, direction, rx)
         cfg = self.node_cfg[tx_id]
         if direction is Direction.D2D_MULTI:  # fixed format, no feedback, no HARQ
-            link = _Link(key, cfg.d2d_tx_power_dbm, None, cfg.d2d_cqi or 0)
+            link = _Link(key, cfg.d2d_tx_power_dbm, False, cfg.d2d_cqi or 0)
         else:
             pool = self.pools[key] = HarqPool(self.config.sim.harq_processes)
-            if direction is Direction.D2D:
-                cqi_key = None if cfg.use_preconfigured_tx_params else ("SL", tx_id, rx)
-                link = _Link(key, cfg.d2d_tx_power_dbm, cqi_key, cfg.d2d_cqi or 0, pool)
+            if direction is Direction.D2D:  # a preconfigured sender is never sounded
+                fixed = cfg.use_preconfigured_tx_params
+                link = _Link(key, cfg.d2d_tx_power_dbm,
+                             cfg.enable_d2d_cqi_reporting and not fixed,
+                             (cfg.d2d_cqi or 0) if fixed else 0, pool)
             else:
-                ue_id = rx if direction is Direction.DL else tx_id
-                link = _Link(key, cfg.ue_tx_power_dbm, (direction.value, ue_id), pool=pool)
+                link = _Link(key, cfg.ue_tx_power_dbm, True, pool=pool)
         self._links[key] = link
         return link
 
-    def _assembler(self, rx_id: int) -> PacketAssembler:
-        if rx_id not in self.assemblers:
-            self.assemblers[rx_id] = PacketAssembler()
-        return self.assemblers[rx_id]
-
-    def _store_cqi(self, key: tuple, probe: partial) -> None:
-        # a report becomes usable one TTI after it is taken; the previous
-        # report stays in force until then
-        history = self.cqi_store.setdefault(key, [])
-        history.append([probe, self.now_tti + 1])
-        del history[:-2]
-
-    def _cqi_for(self, key: tuple, tti: int) -> int:
-        for report in reversed(self.cqi_store.get(key, ())):
-            if report[1] <= tti:
-                if type(report[0]) is not int:  # a probe, measured on first read
-                    report[0] = report[0]()
-                return report[0]
-        return 0
-
     def _link_cqi(self, link: _Link, tti: int) -> int:
-        return link.fixed_cqi if link.cqi_key is None else self._cqi_for(link.cqi_key, tti)
+        """The link's CQI at ``tti``: its fixed CQI, or the last report
+        usable by then, 0 before the first, measured on first read."""
+        if not link.reported:
+            return link.fixed_cqi
+        period = self.config.sim.cqi_report_period_ttis
+        taken = (tti - 1) // period * period  # usable one TTI after it is taken
+        if taken < 0:
+            return 0
+        if link.cqi_memo[0] != taken:
+            link.cqi_memo = (taken, self.channel.wideband_cqi(
+                link.tx_id, link.rx_id, tti=taken, tx_power_dbm=link.tx_power_dbm,
+                direction=link.direction.link))
+        return link.cqi_memo[1]
 
     # -- packet lifecycle ------------------------------------------------
 
@@ -363,7 +360,9 @@ class Engine:
         A chunk whose packet instance has already closed is dropped: the
         packet's fate is settled, and its bits would never be freed.
         """
-        assembler = self._assembler(rx_id)
+        assembler = self.assemblers.get(rx_id)
+        if assembler is None:
+            assembler = self.assemblers[rx_id] = PacketAssembler()
         instance_rx = rx_id if multicast else None
         for chunk in chunks:
             if (chunk.packet.packet_id, instance_rx) not in self.instances:
@@ -377,10 +376,11 @@ class Engine:
         is_mcast = packet.group_address is not None
         src_is_enb = at_node == self.enb_id
         dst_is_enb = packet.dst_id == self.enb_id
-        peer_mode = None
+        peer = None
         if not is_mcast and not src_is_enb and not dst_is_enb:
-            peer_mode = self.peering.mode_of(at_node, packet.dst_id)
-        direction = pdcp_classify(src_is_enb, dst_is_enb, is_mcast, peer_mode)
+            peer = self._peerings.get((at_node, packet.dst_id))
+        direction = pdcp_classify(src_is_enb, dst_is_enb, is_mcast,
+                                  peer.mode if peer is not None else None)
         endpoint = packet.group_address if is_mcast else packet.dst_id
         link = self._links[at_node, direction,
                            self.enb_id if direction is Direction.UL else endpoint]
@@ -409,27 +409,11 @@ class Engine:
     def _phase_cqi_report(self, tti: int) -> None:
         if tti % self.config.sim.cqi_report_period_ttis != 0:
             return
-        self.channel.pin(tti)  # the round's probes share its link losses
-        measure = partial(self.channel.wideband_cqi, tti=tti)
-        band = {link: self.binder.band_allocations(tti - 1, link.band)
-                for link in (LinkDirection.UL, LinkDirection.DL)}
-        for ue_id in self.ue_ids:
-            for link, tx_id, rx_id in ((LinkDirection.UL, ue_id, self.enb_id),
-                                       (LinkDirection.DL, self.enb_id, ue_id)):
-                self._store_cqi((link.value, ue_id), partial(
-                    measure, tx_id, rx_id, direction=link, entries=band[link],
-                    tx_power_dbm=self.node_cfg[tx_id].ue_tx_power_dbm))
-                self.counters[f"cqi_reports_{link.value.lower()}"] += 1
-        for src_id, dst_id in self.peering.peerings():
-            src_cfg = self.node_cfg[src_id]
-            if src_cfg.use_preconfigured_tx_params:
-                continue  # fixed transmit format, the pair is never sounded
-            if not src_cfg.enable_d2d_cqi_reporting:
-                continue
-            self._store_cqi(("SL", src_id, dst_id), partial(
-                measure, src_id, dst_id, direction=LinkDirection.SL,
-                entries=band[LinkDirection.UL], tx_power_dbm=src_cfg.d2d_tx_power_dbm))
-            self.counters["cqi_reports_sl"] += 1
+        self.channel.pin(tti)  # the round's reports are measured as of ``tti``
+        self.counters["cqi_reports_ul"] += len(self.ue_ids)
+        self.counters["cqi_reports_dl"] += len(self.ue_ids)
+        self.counters["cqi_reports_sl"] += sum(
+            link.reported for link in self._peerings.values())
 
     def _phase_mode_selection(self, tti: int) -> None:
         ms = self.config.mode_selection
@@ -437,20 +421,21 @@ class Engine:
             return
         policy = get_policy(ms.policy_name)
         commands = do_mode_selection(
-            self.peering, policy,
-            lambda s, d: (self._link_cqi(self._links[s, Direction.D2D, d], tti),
-                          self._cqi_for(("UL", s), tti)),
+            {pair: link.mode for pair, link in self._peerings.items()}, policy,
+            lambda s, d: (self._link_cqi(self._peerings[s, d], tti),
+                          self._link_cqi(self._ue_links[s][1], tti)
+                          if s in self._ue_links else 0),  # the eNB sends no uplink
             tti)
         for command in commands:
             self.schedule_event(command.apply_tti, Phase.MODE_SWITCH_APPLY, command)
 
     def _apply_switch(self, command: ModeSwitchCommand) -> None:
-        old = apply_mode_switch(self.peering, command)
-        self.counters["mode_switch_count"] += 1
         src, dst = command.src_id, command.dst_id
+        link = self._peerings[src, dst]
+        old, link.mode = link.mode, command.new_mode
+        self.counters["mode_switch_count"] += 1
         lost: list[int] = []
         if old is Mode.DM:
-            link = self._links[src, Direction.D2D, dst]
             for queue in link.queues.values():
                 lost.extend(p.packet_id for p in queue.flush())
             link.pool.epoch += 1  # feedback for in-flight blocks is now stale

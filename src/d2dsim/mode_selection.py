@@ -11,7 +11,7 @@ already committed to the old path is lost.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
 
@@ -31,33 +31,6 @@ class ModeSwitchCommand:
     dst_id: int
     new_mode: Mode
     apply_tti: int
-
-
-@dataclass
-class PeeringTable:
-    """Current mode of every (sender, receiver) D2D peering."""
-
-    _modes: dict[tuple[int, int], Mode] = field(default_factory=dict)
-
-    def add_peering(self, src_id: int, dst_id: int, mode: Mode = Mode.DM) -> None:
-        if src_id == dst_id:
-            raise ValueError("node cannot peer with itself")
-        self._modes[(src_id, dst_id)] = mode
-
-    def mode_of(self, src_id: int, dst_id: int) -> Mode | None:
-        return self._modes.get((src_id, dst_id))
-
-    def set_mode(self, src_id: int, dst_id: int, mode: Mode) -> Mode:
-        """Switch a peering's mode, returning the mode it had before."""
-        key = (src_id, dst_id)
-        if key not in self._modes:
-            raise KeyError(f"no peering {src_id}->{dst_id}")
-        old = self._modes[key]
-        self._modes[key] = mode
-        return old
-
-    def peerings(self) -> tuple[tuple[int, int], ...]:
-        return tuple(self._modes)
 
 
 # A policy maps the sidelink and uplink channel quality of one peering
@@ -95,25 +68,20 @@ def best_cqi_decide(sl_cqi: int, ul_cqi: int) -> Mode:
 SWITCH_DELAY_TTIS = 1
 
 
-def do_mode_selection(table: PeeringTable, policy: Policy,
+def do_mode_selection(modes: dict[tuple[int, int], Mode], policy: Policy,
                       cqi_lookup: Callable[[int, int], tuple[int, int]],
                       tti: int) -> list[ModeSwitchCommand]:
-    """Run one selection round over every peering.
+    """Run one selection round over every peering, in ``modes`` order.
 
+    ``modes`` maps each (sender, receiver) peering to its current mode;
     ``cqi_lookup(src, dst)`` supplies the (sidelink, uplink) CQI pair
     the eNB currently holds for that peering.  Only peerings whose
     desired mode differs from the current one produce a command.
     """
     commands: list[ModeSwitchCommand] = []
-    for src_id, dst_id in table.peerings():
-        sl_cqi, ul_cqi = cqi_lookup(src_id, dst_id)
-        desired = policy(sl_cqi, ul_cqi)
-        if desired is not table.mode_of(src_id, dst_id):
+    for (src_id, dst_id), mode in modes.items():
+        desired = policy(*cqi_lookup(src_id, dst_id))
+        if desired is not mode:
             commands.append(ModeSwitchCommand(src_id, dst_id, desired,
                                               tti + SWITCH_DELAY_TTIS))
     return commands
-
-
-def apply_mode_switch(table: PeeringTable, command: ModeSwitchCommand) -> Mode:
-    """Commit a switch command, returning the superseded mode."""
-    return table.set_mode(command.src_id, command.dst_id, command.new_mode)

@@ -339,12 +339,14 @@ def test_permuted_blocks_and_edge_interferers_match_reference(rbs, shadowing, pr
 def test_probe_on_kept_entries_matches_the_ledger_it_was_taken_from():
     binder, model = _model(shadowing=8.0)
     binder.record_allocation(4, 3, LinkDirection.SL, tuple(range(50)), 26.0)
-    kept = binder.band_allocations(4, "UL")
     kwargs = dict(tti=5, tx_power_dbm=26.0, direction=LinkDirection.UL)
     then = model.wideband_cqi(1, 0, **kwargs)
+    model.pin(5)
     binder.advance(9)  # the ledger drops TTI 4
     assert binder.band_allocations(4, "UL") == ()
-    assert model.wideband_cqi(1, 0, entries=kept, **kwargs) == then
+    assert model.wideband_cqi(1, 0, **kwargs) == then
+    model.pin(6)
+    model.pin(7)  # a third pin releases TTI 5
     assert model.wideband_cqi(1, 0, **kwargs) > then  # without them: noise only
 
 

@@ -1,5 +1,6 @@
 """Command-line interface and sweep/compare helpers."""
 
+import math
 from pathlib import Path
 
 import pytest
@@ -140,6 +141,21 @@ def test_max_decode_distance_zero_when_unreachable():
     assert max_decode_distance(15, -80.0, params, TABLE) == 0.0
 
 
+def test_sweep_reports_an_unbounded_range_as_inf(tmp_path, capsys):
+    # with a path loss this small every CQI decodes as far apart as two
+    # nodes can be placed, so no finite range is the answer
+    shipped = Path(__file__).resolve().parents[1] / "scenarios" / "one_to_one.ini"
+    path = tmp_path / "lossless.ini"
+    path.write_text(shipped.read_text() + "channel.pathLossExponent = 5e-324\n"
+                    "channel.referenceLossDb = 0\nchannel.thermalNoiseDbmPerRb = -200\n")
+    assert main(["sweep-cqi", str(path), "--cqis", "1,7,15"]) == 0
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert [row.split(",")[:2] for row in rows] == [["1", "inf"], ["7", "inf"], ["15", "inf"]]
+    params = ChannelParams(path_loss_exponent=5e-324, reference_loss_db=0.0,
+                           thermal_noise_dbm_per_rb=-200.0)
+    assert max_decode_distance(15, -50.0, params, TABLE) == math.inf
+
+
 def test_sweep_rows_cover_requested_cqis():
     rows = sweep_cqi_range([3, 7, 11, 15], 20.0, 1000, 168,
                            ChannelParams(), TABLE)
@@ -240,7 +256,11 @@ def test_non_finite_float_keys_exit_1_with_one_line(tmp_path, capsys, line, comm
     "channel.pathLossExponent = 1000", "channel.pathLossExponent = 0",
     "channel.referenceLossDb = 5000", "channel.thermalNoiseDbmPerRb = 4000",
     "channel.noiseFigureDb = -4000", "channel.minDistanceM = 0.0001",
-    "sim.numRbs = 111", "sim.harqProcesses = 17"])
+    "sim.numRbs = 111", "sim.harqProcesses = 17",
+    "sim.rbCapacityRe = 0", "sim.rbCapacityRe = 10001", "flow[2].packetBytes = 10000001",
+    pytest.param("sim.rbCapacityRe = 1" + "0" * 400, id="rbCapacityRe-1e400"),
+    pytest.param("flow[2].packetBytes = 1" + "0" * 400, id="packetBytes-1e400"),
+    pytest.param("sim.numRbs = 1" + "0" * 400, id="numRbs-1e400")])
 @pytest.mark.parametrize("command", [["validate"], ["run", "--ttis", "40"]])
 def test_out_of_range_keys_exit_1_with_one_line(tmp_path, capsys, line, command):
     shipped = Path(__file__).resolve().parents[1] / "scenarios" / "one_to_one.ini"
@@ -300,3 +320,16 @@ def test_scenarios_at_range_corners_run(tmp_path, capsys, corner):
     assert main(["validate", str(path)]) == 0
     assert main(["run", str(path), "--ttis", "40"]) == 0
     assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("command", [["validate"], ["run", "--ttis", "200"]])
+def test_unknown_mode_selection_policy_exits_1_with_one_line(tmp_path, capsys, command):
+    shipped = Path(__file__).resolve().parents[1] / "scenarios" / "one_to_one.ini"
+    bad = tmp_path / "bad.ini"
+    bad.write_text(shipped.read_text() + "eNodeB.d2dModeSelection = true\n"
+                   'eNodeB.d2dModeSelectionType = "NoSuchPolicy"\n')
+    assert main([command[0], str(bad), *command[1:]]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert "unknown d2dModeSelectionType 'NoSuchPolicy'" in captured.err

@@ -165,6 +165,13 @@ def test_unknown_peer():
         parse_scenario(bad)
 
 
+def test_self_peering_rejected():
+    bad = BASE.replace('ueD2DTx[0].d2dPeerAddresses = "ueD2DRx[0]"',
+                       'ueD2DTx[0].d2dPeerAddresses = "ueD2DRx[0] ueD2DTx[0]"')
+    with pytest.raises(ConstraintViolationError, match="lists itself as a peer"):
+        parse_scenario(bad)
+
+
 def test_unsection_header_rejected():
     with pytest.raises(ScenarioSyntaxError, match="\\[general\\]"):
         parse_scenario("[general]\nsim.ttiCount = 1\n")

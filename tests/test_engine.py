@@ -536,3 +536,26 @@ flow[1].periodTtis = 3
     result = run_scenario(config, initial_mode=Mode.IM)
     assert result.run_metrics["mode_switch_count"] == 3
     assert conservation_ok(result)
+
+
+def test_mode_selection_visits_peerings_in_the_order_they_are_listed():
+    # ueA hears the eNB well but lists two far peers, ueC before ueB;
+    # both switch to the infrastructure path in the same round
+    config = parse_scenario("""
+sim.ttiCount = 30
+sim.nodes = "eNodeB ueA ueB ueC"
+eNodeB.role = "eNB"
+eNodeB.amcMode = "D2D"
+eNodeB.d2dModeSelection = true
+eNodeB.d2dModeSelectionPeriod = 20
+**.d2dCapable = true
+ueA.positionX = 10.0
+ueB.positionX = 3000.0
+ueC.positionX = -3000.0
+ueA.d2dPeerAddresses = "ueC ueB"
+ueA.enableD2DCqiReporting = true
+""")
+    result = run_scenario(config, trace=True)
+    switches = [(row.tti, row.src, row.dst, row.direction)
+                for row in result.trace if row.event == "modeSwitch"]
+    assert switches == [(21, "ueA", "ueC", "IM"), (21, "ueA", "ueB", "IM")]

@@ -14,7 +14,7 @@ from pathlib import Path
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from d2dsim import ChannelModel, Engine, LinkDirection, parse_scenario
+from d2dsim import ChannelModel, Direction, Engine, parse_scenario
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 from workloads import scenario_text  # noqa: E402
@@ -115,44 +115,43 @@ def test_random_valid_scenarios_conserve_and_replay(text):
 
 
 def _eager_reads_checked(engine):
-    """Check every CQI the engine reads against the report measured eagerly.
+    """Check every reported CQI the engine reads against the report
+    measured eagerly.
 
     Right after each report round, while the previous TTI's ledger is
-    still there, every report of the round is measured from the ledger;
-    each later read must return the value of the report it reads.
-    Returns the list of keys read.
+    still there, every reported link is measured from the ledger; each
+    later read must return the value of the last report taken before
+    the read's TTI, or 0 before the first.  Returns the list of links read.
     """
-    eager: dict[tuple, int] = {}
+    eager: dict[tuple, dict[int, int]] = {}  # link key -> {report TTI: CQI}
     reads: list[tuple] = []
-    report, cqi_for = engine._phase_cqi_report, engine._cqi_for
-    enb = engine.enb_id
+    report, link_cqi = engine._phase_cqi_report, engine._link_cqi
 
-    def measured(key, tti):
-        if key[0] == "SL":
-            _, tx_id, rx_id = key
-            power = engine.node_cfg[tx_id].d2d_tx_power_dbm
-        else:
-            tx_id, rx_id = (key[1], enb) if key[0] == "UL" else (enb, key[1])
-            power = engine.node_cfg[tx_id].ue_tx_power_dbm
-        return engine.channel.wideband_cqi(tx_id, rx_id, tti=tti, tx_power_dbm=power,
-                                           direction=LinkDirection[key[0]])
+    def measured(link, tti):
+        cfg = engine.node_cfg[link.tx_id]
+        sidelink = link.direction is Direction.D2D
+        power = cfg.d2d_tx_power_dbm if sidelink else cfg.ue_tx_power_dbm
+        return engine.channel.wideband_cqi(link.tx_id, link.rx_id, tti=tti,
+                                           tx_power_dbm=power,
+                                           direction=link.direction.link)
 
     def eager_report(tti):
         report(tti)
-        for key, history in engine.cqi_store.items():
-            if history[-1][1] == tti + 1:  # taken this round
-                eager[key, tti + 1] = measured(key, tti)
+        if tti % engine.config.sim.cqi_report_period_ttis == 0:  # taken this round
+            for link in engine._links.values():
+                if link.reported:
+                    eager.setdefault(link.key, {})[tti] = measured(link, tti)
 
-    def checked(key, tti):
-        value = cqi_for(key, tti)
-        usable = [usable_from for _, usable_from in engine.cqi_store.get(key, ())
-                  if usable_from <= tti]
-        assert value == (eager[key, max(usable)] if usable else 0), (key, tti)
-        reads.append(key)
+    def checked(link, tti):
+        value = link_cqi(link, tti)
+        if link.reported:
+            taken = [when for when in eager.get(link.key, ()) if when < tti]
+            assert value == (eager[link.key][max(taken)] if taken else 0), (link.key, tti)
+            reads.append(link.key)
         return value
 
     engine._phase_cqi_report = eager_report
-    engine._cqi_for = checked
+    engine._link_cqi = checked
     return reads
 
 
@@ -189,8 +188,9 @@ def test_lazy_reports_draw_less_shadowing_on_the_shadowed_cell(monkeypatch):
 
     def measure_now(tti):
         report(tti)
-        for key in eager.cqi_store:
-            eager._cqi_for(key, tti + 1)
+        if tti % config.sim.cqi_report_period_ttis == 0:
+            for link in eager._links.values():
+                eager._link_cqi(link, tti + 1)
 
     eager._phase_cqi_report = measure_now
     eager_metrics, eager_draws = _shadowing_draws(monkeypatch, eager)

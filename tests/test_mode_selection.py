@@ -1,12 +1,12 @@
-"""Peering table, policy registry and switch commands."""
+"""Mode-selection policies, their registry and switch commands."""
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from d2dsim import (Mode, PeeringTable, UnknownPolicyError, apply_mode_switch,
-                    best_cqi_decide, do_mode_selection, get_policy,
-                    policy_names, register_policy)
+from d2dsim import (Mode, UnknownPolicyError, best_cqi_decide,
+                    do_mode_selection, get_policy, policy_names,
+                    register_policy)
 
 
 def test_best_cqi_prefers_stronger_link():
@@ -39,33 +39,10 @@ def test_register_custom_policy():
     assert get_policy("AlwaysInfrastructure") is always_im
 
 
-def test_peering_is_unidirectional():
-    table = PeeringTable()
-    table.add_peering(1, 2)
-    assert table.mode_of(1, 2) is Mode.DM
-    assert table.mode_of(2, 1) is None
-
-
-def test_self_peering_rejected():
-    with pytest.raises(ValueError):
-        PeeringTable().add_peering(3, 3)
-
-
-def test_set_mode_returns_previous():
-    table = PeeringTable()
-    table.add_peering(1, 2)
-    assert table.set_mode(1, 2, Mode.IM) is Mode.DM
-    assert table.mode_of(1, 2) is Mode.IM
-    with pytest.raises(KeyError):
-        table.set_mode(2, 1, Mode.DM)
-
-
 def test_do_mode_selection_emits_only_changes():
-    table = PeeringTable()
-    table.add_peering(1, 2, Mode.DM)
-    table.add_peering(3, 4, Mode.DM)
+    modes = {(1, 2): Mode.DM, (3, 4): Mode.DM}
     cqis = {(1, 2): (7, 12), (3, 4): (9, 3)}
-    commands = do_mode_selection(table, best_cqi_decide,
+    commands = do_mode_selection(modes, best_cqi_decide,
                                  lambda s, d: cqis[(s, d)], tti=100)
     assert len(commands) == 1
     command = commands[0]
@@ -75,17 +52,7 @@ def test_do_mode_selection_emits_only_changes():
 
 
 def test_do_mode_selection_noop_when_settled():
-    table = PeeringTable()
-    table.add_peering(1, 2, Mode.IM)
-    commands = do_mode_selection(table, best_cqi_decide,
+    commands = do_mode_selection({(1, 2): Mode.IM}, best_cqi_decide,
                                  lambda s, d: (3, 12), tti=50)
     assert commands == []
 
-
-def test_apply_mode_switch_commits_and_reports_old():
-    table = PeeringTable()
-    table.add_peering(1, 2, Mode.DM)
-    [command] = do_mode_selection(table, best_cqi_decide,
-                                  lambda s, d: (2, 9), tti=10)
-    assert apply_mode_switch(table, command) is Mode.DM
-    assert table.mode_of(1, 2) is Mode.IM
