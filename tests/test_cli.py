@@ -258,6 +258,7 @@ def test_non_finite_float_keys_exit_1_with_one_line(tmp_path, capsys, line, comm
     "channel.noiseFigureDb = -4000", "channel.minDistanceM = 0.0001",
     "sim.numRbs = 111", "sim.harqProcesses = 17",
     "sim.rbCapacityRe = 0", "sim.rbCapacityRe = 10001", "flow[2].packetBytes = 10000001",
+    "ueD2DTx[0].d2dCqi = 0", "ueD2DTx[0].d2dCqi = 16",
     pytest.param("sim.rbCapacityRe = 1" + "0" * 400, id="rbCapacityRe-1e400"),
     pytest.param("flow[2].packetBytes = 1" + "0" * 400, id="packetBytes-1e400"),
     pytest.param("sim.numRbs = 1" + "0" * 400, id="numRbs-1e400")])
@@ -272,6 +273,24 @@ def test_out_of_range_keys_exit_1_with_one_line(tmp_path, capsys, line, command)
     assert len(captured.err.splitlines()) == 1
     assert line.split(" = ")[0].split(".")[-1] in captured.err  # the key, maybe aliased
     assert "must be in" in captured.err
+
+
+@pytest.mark.parametrize("lines", [
+    ["sim.ttiCount = -1"], ["sim.cqiReportPeriodTtis = 0"], ["sim.harqMaxRetx = -1"],
+    ["flow[2].periodTtis = 0"], ["flow[2].startTti = -1"], ["flow[2].startJitterTtis = -1"],
+    ["eNodeB.d2dModeSelection = true", "eNodeB.d2dModeSelectionPeriod = 0"]],
+    ids=lambda lines: lines[-1])
+@pytest.mark.parametrize("command", [["validate"], ["run", "--ttis", "40"]])
+def test_below_one_sided_bounds_exit_1_with_one_line(tmp_path, capsys, lines, command):
+    shipped = Path(__file__).resolve().parents[1] / "scenarios" / "one_to_one.ini"
+    bad = tmp_path / "bad.ini"
+    bad.write_text(shipped.read_text() + "\n".join(lines) + "\n")
+    assert main([command[0], str(bad), *command[1:]]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert lines[-1].split(" = ")[0].split(".")[-1] in captured.err
+    assert "must be >=" in captured.err
 
 
 _NODES = ("eNodeB", "ueD2DTx[0]", "ueD2DRx[0]", "ueCell[0]")

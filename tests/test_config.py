@@ -1,5 +1,8 @@
 """Scenario grammar, validation and canonical serialization."""
 
+import hashlib
+from pathlib import Path
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -7,8 +10,10 @@ from hypothesis import strategies as st
 from d2dsim import (ConstraintViolationError, MalformedPatternError,
                     ScenarioSyntaxError, Transport, UnknownKeyError,
                     UnresolvedNodeReferenceError, is_multicast_address,
-                    parse_scenario, resolve_pattern, serialize_scenario,
-                    validate)
+                    load_scenario, parse_scenario, resolve_pattern,
+                    serialize_scenario, validate)
+
+SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
 BASE = """
 sim.ttiCount = 100
@@ -348,6 +353,23 @@ def test_serialize_is_canonical():
     config = parse_scenario(FULL)
     once = serialize_scenario(config)
     assert serialize_scenario(parse_scenario(once)) == once
+
+
+# the canonical text is what a run manifest hashes, so its line order and
+# value formats are part of the interface, not only its round trip
+@pytest.mark.parametrize("name, digest", [
+    ("one_to_one.ini", "78aa812554093081a47ab8fdb905c85ef70baafe69412d73c5007a8f73a03320"),
+    ("one_to_many.ini", "f3fee386fb933d0ecc9c5c2e3409cf1f72a2b70d92110c92c143c19732d4d127")])
+def test_canonical_text_of_shipped_scenarios_is_pinned(name, digest):
+    text = serialize_scenario(load_scenario(SCENARIOS / name))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_every_canonical_key_is_documented():
+    readme = (SCENARIOS.parent / "README.md").read_text()
+    keys = {line.split(" = ")[0].split(".")[-1]
+            for line in serialize_scenario(parse_scenario(BASE)).splitlines()}
+    assert sorted(key for key in keys if f"`{key}`" not in readme) == []
 
 
 def test_validate_returns_empty_for_sound_config():
