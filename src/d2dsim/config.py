@@ -27,9 +27,9 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple
 
 from .channel import ChannelParams
 from .mode_selection import policy_names
@@ -206,7 +206,16 @@ def resolve_pattern(pattern: str, names: Iterable[str]) -> set[str]:
 
 
 # ---------------------------------------------------------------------------
-# key registry: file key -> (attribute, converter)
+# key tables, one per scope: file key -> (attribute, converter, range or None)
+
+class _Range(NamedTuple):
+    """Range of a key's value, closed unless ``open_below``; a key with no
+    upper bound leaves ``high`` infinite and reads "must be >= low"."""
+
+    low: float
+    high: float = math.inf
+    open_below: bool = False
+
 
 def _to_bool(token: str) -> bool:
     if token == "true":
@@ -216,102 +225,81 @@ def _to_bool(token: str) -> bool:
     raise ValueError(f"expected true/false, got {token!r}")
 
 
-def _to_int(token: str) -> int:
-    return int(token, 10)
-
-
-def _to_float(token: str) -> float:
-    return float(token)
-
-
 def _to_name_list(token: str) -> tuple[str, ...]:
     return tuple(token.split())
 
 
-def _to_role(token: str) -> Role:
-    try:
-        return Role(token)
-    except ValueError:
-        raise ValueError(f"role must be eNB or UE, got {token!r}") from None
+def _to_enum(kind: type[Enum], key: str) -> Callable[[str], Enum]:
+    def convert(token: str) -> Enum:
+        try:
+            return kind(token)
+        except ValueError:
+            raise ValueError(f"{key} must be {' or '.join(m.value for m in kind)}, "
+                             f"got {token!r}") from None
+    return convert
 
 
-def _to_transport(token: str) -> Transport:
-    try:
-        return Transport(token)
-    except ValueError:
-        raise ValueError(
-            f"transport must be oneWay or requestResponse, got {token!r}") from None
+_Table = dict[str, tuple[str, Callable, _Range | None]]
 
+POSITION_LIMIT_M = 1e5  # nodes sit in the square of this half-width
 
-_SIM_KEYS: dict[str, tuple[str, Callable]] = {
-    "ttiCount": ("tti_count", _to_int),
-    "seed": ("seed", _to_int),
-    "numRbs": ("num_rbs", _to_int),
-    "rbCapacityRe": ("rb_capacity_re", _to_int),
-    "cqiReportPeriodTtis": ("cqi_report_period_ttis", _to_int),
-    "harqMaxRetx": ("harq_max_retx", _to_int),
-    "harqProcesses": ("harq_processes", _to_int),
-    "nodes": ("nodes", _to_name_list),
+# The float ranges keep every dB <-> mW conversion finite and nonzero;
+# numRbs and harqProcesses size per-block and per-process lists, and
+# rbCapacityRe and packetBytes keep bit counts convertible to float.
+# sim.nodes is read before the tables apply, since it names the nodes.
+_SIM_KEYS: _Table = {
+    "ttiCount": ("tti_count", int, _Range(0)),
+    "seed": ("seed", int, None),
+    "numRbs": ("num_rbs", int, _Range(1, 110)),
+    "rbCapacityRe": ("rb_capacity_re", int, _Range(1, 10_000)),
+    "cqiReportPeriodTtis": ("cqi_report_period_ttis", int, _Range(1)),
+    "harqMaxRetx": ("harq_max_retx", int, _Range(0)),
+    "harqProcesses": ("harq_processes", int, _Range(1, 16)),
 }
 
-_CHANNEL_KEYS: dict[str, tuple[str, Callable]] = {
-    "pathLossExponent": ("path_loss_exponent", _to_float),
-    "referenceLossDb": ("reference_loss_db", _to_float),
-    "shadowingStdDevDb": ("shadowing_std_dev_db", _to_float),
-    "noiseFigureDb": ("noise_figure_db", _to_float),
-    "thermalNoiseDbmPerRb": ("thermal_noise_dbm_per_rb", _to_float),
-    "minDistanceM": ("min_distance_m", _to_float),
+_CHANNEL_KEYS: _Table = {
+    "pathLossExponent": ("path_loss_exponent", float, _Range(0, 10, open_below=True)),
+    "referenceLossDb": ("reference_loss_db", float, _Range(0, 200)),
+    "shadowingStdDevDb": ("shadowing_std_dev_db", float, _Range(0, 30)),
+    "noiseFigureDb": ("noise_figure_db", float, _Range(0, 30)),
+    "thermalNoiseDbmPerRb": ("thermal_noise_dbm_per_rb", float, _Range(-200, 0)),
+    "minDistanceM": ("min_distance_m", float, _Range(0.001, 1e5)),
 }
 
-_NODE_KEYS: dict[str, tuple[str, Callable]] = {
-    "role": ("role", _to_role),
-    "positionX": ("position_x", _to_float),
-    "positionY": ("position_y", _to_float),
-    "d2dCapable": ("d2d_capable", _to_bool),
-    "d2dPeerAddresses": ("d2d_peer_addresses", _to_name_list),
-    "ueTxPowerDbm": ("ue_tx_power_dbm", _to_float),
-    "d2dTxPowerDbm": ("d2d_tx_power_dbm", _to_float),
-    "enableD2DCqiReporting": ("enable_d2d_cqi_reporting", _to_bool),
-    "usePreconfiguredTxParams": ("use_preconfigured_tx_params", _to_bool),
-    "d2dCqi": ("d2d_cqi", _to_int),
-    "amcMode": ("amc_mode", str),
-    # mode-selection knobs live on the eNB node, as in the source material
-    "d2dModeSelection": ("_ms_enabled", _to_bool),
-    "d2dModeSelectionType": ("_ms_policy", str),
-    "d2dModeSelectionPeriod": ("_ms_period", _to_int),
+_NODE_KEYS: _Table = {
+    "role": ("role", _to_enum(Role, "role"), None),
+    "positionX": ("position_x", float, _Range(-POSITION_LIMIT_M, POSITION_LIMIT_M)),
+    "positionY": ("position_y", float, _Range(-POSITION_LIMIT_M, POSITION_LIMIT_M)),
+    "d2dCapable": ("d2d_capable", _to_bool, None),
+    "d2dPeerAddresses": ("d2d_peer_addresses", _to_name_list, None),
+    "ueTxPowerDbm": ("ue_tx_power_dbm", float, _Range(-50, 50)),
+    "d2dTxPowerDbm": ("d2d_tx_power_dbm", float, _Range(-50, 50)),
+    "enableD2DCqiReporting": ("enable_d2d_cqi_reporting", _to_bool, None),
+    "usePreconfiguredTxParams": ("use_preconfigured_tx_params", _to_bool, None),
+    "d2dCqi": ("d2d_cqi", int, _Range(1, 15)),
+    "amcMode": ("amc_mode", str, None),
 }
 
 _NODE_KEY_ALIASES = {"ueTxPower": "ueTxPowerDbm", "d2dTxPower": "d2dTxPowerDbm"}
 
-_FLOW_KEYS: dict[str, tuple[str, Callable]] = {
-    "sourceNode": ("source_node", str),
-    "destAddress": ("dest_address", str),
-    "packetBytes": ("packet_bytes", _to_int),
-    "periodTtis": ("period_ttis", _to_int),
-    "startTti": ("start_tti", _to_int),
-    "transport": ("transport", _to_transport),
-    "startJitterTtis": ("start_jitter_ttis", _to_int),
+# mode-selection knobs live on the eNB node, as in the source material
+_MODE_SELECTION_KEYS: _Table = {
+    "d2dModeSelection": ("enabled", _to_bool, None),
+    "d2dModeSelectionType": ("policy_name", str, None),
+    "d2dModeSelectionPeriod": ("period_ttis", int, _Range(1)),
+}
+
+_FLOW_KEYS: _Table = {
+    "sourceNode": ("source_node", str, None),
+    "destAddress": ("dest_address", str, None),
+    "packetBytes": ("packet_bytes", int, _Range(1, 10_000_000)),
+    "periodTtis": ("period_ttis", int, _Range(1)),
+    "startTti": ("start_tti", int, _Range(0)),
+    "transport": ("transport", _to_enum(Transport, "transport"), None),
+    "startJitterTtis": ("start_jitter_ttis", int, _Range(0)),
 }
 
 _REQUIRED_FLOW_KEYS = ("sourceNode", "destAddress", "packetBytes", "periodTtis")
-
-POSITION_LIMIT_M = 1e5  # nodes sit in the square of this half-width
-
-# Ranges of the bounded keys, closed but for pathLossExponent's lower end.
-# The float ranges keep every dB <-> mW conversion finite and nonzero;
-# numRbs and harqProcesses size per-block and per-process lists, and
-# rbCapacityRe and packetBytes keep bit counts convertible to float.
-_RANGES: dict[str, tuple[float, float]] = {
-    "numRbs": (1, 110), "harqProcesses": (1, 16),
-    "rbCapacityRe": (1, 10_000), "packetBytes": (1, 10_000_000),
-    "pathLossExponent": (0, 10), "referenceLossDb": (0, 200),
-    "shadowingStdDevDb": (0, 30), "noiseFigureDb": (0, 30),
-    "thermalNoiseDbmPerRb": (-200, 0), "minDistanceM": (0.001, 1e5),
-    "positionX": (-POSITION_LIMIT_M, POSITION_LIMIT_M),
-    "positionY": (-POSITION_LIMIT_M, POSITION_LIMIT_M),
-    "ueTxPowerDbm": (-50, 50), "d2dTxPowerDbm": (-50, 50),
-}
-_OPEN_BELOW = frozenset({"pathLossExponent"})
 
 
 # ---------------------------------------------------------------------------
@@ -354,9 +342,10 @@ def _scan(text: str) -> tuple[list[_Assignment], list[_Assignment]]:
         if not stripped or stripped.startswith("#"):
             continue
         if stripped.startswith("["):
-            if stripped.rstrip() != "[multicast]":
+            header = stripped.split("#", 1)[0].rstrip()
+            if header != "[multicast]":
                 raise ScenarioSyntaxError(
-                    f"unknown section {stripped!r} (only [multicast] is supported)", lineno)
+                    f"unknown section {header!r} (only [multicast] is supported)", lineno)
             if in_multicast:
                 raise ScenarioSyntaxError("duplicate [multicast] section", lineno)
             in_multicast = True
@@ -386,14 +375,11 @@ def _node_pattern(scope: list[str]) -> str:
     return chain[0]
 
 
-def _convert(registry: dict[str, tuple[str, Callable]], assignment: _Assignment,
-             *, aliases: dict[str, str] | None = None) -> tuple[str, object]:
-    key = assignment.key
-    if aliases:
-        key = aliases.get(key, key)
+def _convert(registry: _Table, assignment: _Assignment) -> tuple[str, object]:
+    key = _NODE_KEY_ALIASES.get(assignment.key, assignment.key)
     if key not in registry:
         raise UnknownKeyError(f"unknown key {assignment.key!r}", assignment.line)
-    attr, conv = registry[key]
+    attr, conv, _ = registry[key]
     try:
         return attr, conv(assignment.value)
     except ValueError as exc:
@@ -416,14 +402,13 @@ def parse_scenario(text: str) -> ScenarioConfig:
 
     sim_values: dict[str, object] = {}
     channel_values: dict[str, object] = {}
-    node_values: dict[str, dict[str, object]] = {}
     flow_values: dict[int, dict[str, object]] = {}
     declared: tuple[str, ...] = ()
 
     # sim.nodes must be known before node-scoped lines can be expanded
     for assignment in main:
         if assignment.scope == ["sim"] and assignment.key == "nodes":
-            _, declared = _convert(_SIM_KEYS, assignment)
+            declared = _to_name_list(assignment.value)
     for name in declared:
         if not _NODE_NAME_RE.match(name):
             raise ConstraintViolationError(
@@ -434,19 +419,19 @@ def parse_scenario(text: str) -> ScenarioConfig:
     if len(set(declared)) != len(declared):
         raise ConstraintViolationError(
             [Diagnostic("ConstraintViolation", "duplicate node name in sim.nodes", key="nodes")])
-    node_values = {name: {} for name in declared}
+    node_values: dict[str, dict[str, object]] = {name: {} for name in declared}
+    ms_values: dict[str, dict[str, object]] = {name: {} for name in declared}
 
     for assignment in main:
         scope = assignment.scope
+        if scope == ["sim"] and assignment.key == "nodes":
+            continue  # read above
         if scope == ["sim"]:
-            attr, value = _convert(_SIM_KEYS, assignment)
-            sim_values[attr] = value
+            table, targets = _SIM_KEYS, [sim_values]
         elif scope == ["channel"]:
-            attr, value = _convert(_CHANNEL_KEYS, assignment)
-            channel_values[attr] = value
+            table, targets = _CHANNEL_KEYS, [channel_values]
         elif (m := _FLOW_SCOPE_RE.match(scope[0])) and len(scope) == 1:
-            attr, value = _convert(_FLOW_KEYS, assignment)
-            flow_values.setdefault(int(m.group(1)), {})[attr] = value
+            table, targets = _FLOW_KEYS, [flow_values.setdefault(int(m.group(1)), {})]
         else:
             pattern = _node_pattern(scope)
             try:
@@ -456,42 +441,28 @@ def parse_scenario(text: str) -> ScenarioConfig:
             if not matched and "*" not in pattern:
                 raise UnresolvedNodeReferenceError(
                     f"{pattern!r} does not name a declared node", assignment.line)
-            attr, value = _convert(_NODE_KEYS, assignment, aliases=_NODE_KEY_ALIASES)
-            for name in matched:
-                node_values[name][attr] = value
+            if assignment.key in _MODE_SELECTION_KEYS:
+                table, per_node = _MODE_SELECTION_KEYS, ms_values
+            else:
+                table, per_node = _NODE_KEYS, node_values
+            targets = [per_node[name] for name in matched]
+        attr, value = _convert(table, assignment)
+        for values in targets:
+            values[attr] = value
 
-    sim = SimParams(**{k: v for k, v in sim_values.items() if k != "nodes"})
+    sim = SimParams(**sim_values)
     channel = ChannelParams(**channel_values)
-
-    nodes = []
-    ms_values: dict[str, object] = {}
-    for name in declared:
-        values = node_values[name]
-        ms = {k: values.pop(k) for k in ("_ms_enabled", "_ms_policy", "_ms_period")
-              if k in values}
-        node = NodeConfig(name=name, **values)
-        if node.role is Role.ENB:
-            ms_values = ms
-        nodes.append(node)
+    nodes = tuple(NodeConfig(name=name, **node_values[name]) for name in declared)
     mode_selection = ModeSelectionConfig(
-        enabled=ms_values.get("_ms_enabled", False),
-        policy_name=ms_values.get("_ms_policy", "D2DModeSelectionBestCqi"),
-        period_ttis=ms_values.get("_ms_period", 100),
-    )
+        **next((ms_values[node.name] for node in nodes if node.role is Role.ENB), {}))
 
-    flows = []
-    missing: list[Diagnostic] = []
-    for flow_id in sorted(flow_values):
-        values = flow_values[flow_id]
-        for req in _REQUIRED_FLOW_KEYS:
-            attr = _FLOW_KEYS[req][0]
-            if attr not in values:
-                missing.append(Diagnostic(
-                    "ConstraintViolation", f"flow[{flow_id}] is missing {req}", key=req))
-        if not missing:
-            flows.append(FlowConfig(flow_id=flow_id, **values))
+    missing = [Diagnostic("ConstraintViolation", f"flow[{flow_id}] is missing {key}", key=key)
+               for flow_id, values in sorted(flow_values.items())
+               for key in _REQUIRED_FLOW_KEYS if _FLOW_KEYS[key][0] not in values]
     if missing:
         raise ConstraintViolationError(missing)
+    flows = tuple(FlowConfig(flow_id=flow_id, **values)
+                  for flow_id, values in sorted(flow_values.items()))
 
     groups: dict[str, MulticastGroup] = {}
     for assignment in multicast:
@@ -499,7 +470,7 @@ def parse_scenario(text: str) -> ScenarioConfig:
         groups[address] = MulticastGroup(address=address, member_pattern=assignment.value)
 
     config = ScenarioConfig(
-        sim=sim, nodes=tuple(nodes), flows=tuple(flows), channel=channel,
+        sim=sim, nodes=nodes, flows=flows, channel=channel,
         mode_selection=mode_selection, multicast_groups=tuple(groups.values()))
 
     diagnostics = validate(config)
@@ -530,29 +501,21 @@ def validate(config: ScenarioConfig) -> list[Diagnostic]:
     def unresolved(message: str, node: str | None = None, key: str | None = None):
         out.append(Diagnostic("UnresolvedNodeReference", message, node=node, key=key))
 
-    def bounded(key: str, value: float, node: str | None = None, where: str | None = None):
-        low, high = _RANGES[key]
-        open_below = key in _OPEN_BELOW
-        if isinstance(value, float) and not math.isfinite(value):
-            bad(f"{key} must be finite", node=node, key=where or key)
-        elif not low <= value <= high or (open_below and value == low):
-            bad(f"{key} must be in {'(' if open_below else '['}{low:g}, {high:g}]",
-                node=node, key=where or key)
+    def bounded(table: _Table, obj, node: str | None = None, where: str | None = None):
+        for key, (attr, _, bounds) in table.items():
+            value = getattr(obj, attr)
+            if bounds is None or value is None:
+                continue
+            low, high, open_below = bounds
+            if isinstance(value, float) and not math.isfinite(value):
+                bad(f"{key} must be finite", node=node, key=where or key)
+            elif not low <= value <= high or (open_below and value == low):
+                span = (f">= {low:g}" if high == math.inf else
+                        f"in {'(' if open_below else '['}{low:g}, {high:g}]")
+                bad(f"{key} must be {span}", node=node, key=where or key)
 
-    sim = config.sim
-    if sim.tti_count < 0:
-        bad("ttiCount must be >= 0", key="ttiCount")
-    bounded("numRbs", sim.num_rbs)
-    bounded("rbCapacityRe", sim.rb_capacity_re)
-    if sim.cqi_report_period_ttis < 1:
-        bad("cqiReportPeriodTtis must be >= 1", key="cqiReportPeriodTtis")
-    if sim.harq_max_retx < 0:
-        bad("harqMaxRetx must be >= 0", key="harqMaxRetx")
-    bounded("harqProcesses", sim.harq_processes)
-
-    ch = config.channel
-    for key, (attr, _) in _CHANNEL_KEYS.items():
-        bounded(key, getattr(ch, attr))
+    bounded(_SIM_KEYS, config.sim)
+    bounded(_CHANNEL_KEYS, config.channel)
 
     names = {node.name for node in config.nodes}
     enbs = [node for node in config.nodes if node.role is Role.ENB]
@@ -561,21 +524,23 @@ def validate(config: ScenarioConfig) -> list[Diagnostic]:
     enb = enbs[0] if enbs else None
 
     for node in config.nodes:
-        for key, (attr, convert) in _NODE_KEYS.items():
-            if convert is _to_float:
-                bounded(key, getattr(node, attr), node=node.name)
+        bounded(_NODE_KEYS, node, node=node.name)
         if node.d2d_peer_addresses and not node.d2d_capable:
             bad("d2dPeerAddresses set on a node that is not d2dCapable",
+                node=node.name, key="d2dPeerAddresses")
+        if node.d2d_peer_addresses and node.role is Role.ENB:
+            bad("the eNB lists D2D peers; peerings run UE to UE",
                 node=node.name, key="d2dPeerAddresses")
         for peer in node.d2d_peer_addresses:
             if peer not in names:
                 unresolved(f"unknown peer {peer!r}", node=node.name, key="d2dPeerAddresses")
             elif peer == node.name:
                 bad("node lists itself as a peer", node=node.name, key="d2dPeerAddresses")
+            elif any(peer == e.name for e in enbs):
+                bad(f"peer {peer!r} is the eNB; peerings run UE to UE",
+                    node=node.name, key="d2dPeerAddresses")
         if node.use_preconfigured_tx_params and node.role is Role.UE and node.d2d_cqi is None:
             bad("usePreconfiguredTxParams requires d2dCqi", node=node.name, key="d2dCqi")
-        if node.d2d_cqi is not None and not 1 <= node.d2d_cqi <= 15:
-            bad("d2dCqi must be in 1..15", node=node.name, key="d2dCqi")
         if node.d2d_peer_addresses and not (
                 node.use_preconfigured_tx_params or node.enable_d2d_cqi_reporting):
             bad("sidelink sender needs usePreconfiguredTxParams or enableD2DCqiReporting",
@@ -605,13 +570,7 @@ def validate(config: ScenarioConfig) -> list[Diagnostic]:
         if flow.flow_id in seen_flow_ids:
             bad("duplicate flow id", key=fid)
         seen_flow_ids.add(flow.flow_id)
-        bounded("packetBytes", flow.packet_bytes, where=fid)
-        if flow.period_ttis < 1:
-            bad("periodTtis must be >= 1", key=fid)
-        if flow.start_tti < 0:
-            bad("startTti must be >= 0", key=fid)
-        if flow.start_jitter_ttis < 0:
-            bad("startJitterTtis must be >= 0", key=fid)
+        bounded(_FLOW_KEYS, flow, where=fid)
         if flow.source_node not in names:
             unresolved(f"unknown source node {flow.source_node!r}", key=fid)
         dest_is_group = flow.dest_address in group_addresses
@@ -634,8 +593,8 @@ def validate(config: ScenarioConfig) -> list[Diagnostic]:
             bad("flow source and destination are the same node", key=fid)
 
     ms = config.mode_selection
-    if ms.enabled and ms.period_ttis < 1:
-        bad("d2dModeSelectionPeriod must be >= 1", key="d2dModeSelectionPeriod")
+    if ms.enabled:
+        bounded(_MODE_SELECTION_KEYS, ms)
     if ms.enabled and ms.policy_name not in policy_names():
         bad(f"unknown d2dModeSelectionType {ms.policy_name!r} "
             f"(known: {', '.join(policy_names())})", key="d2dModeSelectionType")
@@ -661,41 +620,22 @@ def _format_value(value) -> str:
 def serialize_scenario(config: ScenarioConfig) -> str:
     """Render a config in canonical form; re-parsing yields an equal config."""
     lines: list[str] = []
-    attr_to_key = lambda spec: {attr: key for key, (attr, _) in spec.items()}
 
-    sim_keys = attr_to_key(_SIM_KEYS)
-    for f in fields(SimParams):
-        lines.append(f"sim.{sim_keys[f.name]} = {_format_value(getattr(config.sim, f.name))}")
+    def assign(scope: str, table: _Table, obj) -> None:
+        for key, (attr, _, _) in table.items():
+            value = getattr(obj, attr)
+            if value is not None:
+                lines.append(f"{scope}.{key} = {_format_value(value)}")
+
+    assign("sim", _SIM_KEYS, config.sim)
     lines.append(f"sim.nodes = {_format_value(tuple(n.name for n in config.nodes))}")
-
-    channel_keys = attr_to_key(_CHANNEL_KEYS)
-    for f in fields(ChannelParams):
-        lines.append(
-            f"channel.{channel_keys[f.name]} = {_format_value(getattr(config.channel, f.name))}")
-
-    node_keys = attr_to_key(_NODE_KEYS)
+    assign("channel", _CHANNEL_KEYS, config.channel)
     for node in config.nodes:
-        for f in fields(NodeConfig):
-            if f.name == "name":
-                continue
-            value = getattr(node, f.name)
-            if value is None:
-                continue
-            lines.append(f"{node.name}.{node_keys[f.name]} = {_format_value(value)}")
+        assign(node.name, _NODE_KEYS, node)
         if node.role is Role.ENB:
-            ms = config.mode_selection
-            lines.append(f"{node.name}.d2dModeSelection = {_format_value(ms.enabled)}")
-            lines.append(f"{node.name}.d2dModeSelectionType = {_format_value(ms.policy_name)}")
-            lines.append(f"{node.name}.d2dModeSelectionPeriod = {_format_value(ms.period_ttis)}")
-
-    flow_keys = attr_to_key(_FLOW_KEYS)
+            assign(node.name, _MODE_SELECTION_KEYS, config.mode_selection)
     for flow in config.flows:
-        for f in fields(FlowConfig):
-            if f.name == "flow_id":
-                continue
-            lines.append(
-                f"flow[{flow.flow_id}].{flow_keys[f.name]} = "
-                f"{_format_value(getattr(flow, f.name))}")
+        assign(f"flow[{flow.flow_id}]", _FLOW_KEYS, flow)
 
     if config.multicast_groups:
         lines.append("[multicast]")

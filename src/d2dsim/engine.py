@@ -224,7 +224,7 @@ class Engine:
             for tx_id, rx in sorted(pairs):
                 link = self._add_link(tx_id, direction, rx)
                 link.mode = peerings.get((tx_id, rx))  # None on one-to-many links
-                if tx_id in self._ue_links:  # the eNB has no sidelink to serve
+                if tx_id in self._ue_links:  # false only for an unvalidated eNB multicast
                     sidelinks = self._ue_links[tx_id][2 if direction is Direction.D2D else 3]
                     sidelinks.append(link)
         self._peerings = {(tx, rx): self._links[tx, Direction.D2D, rx] for tx, rx in peerings}
@@ -376,9 +376,7 @@ class Engine:
         is_mcast = packet.group_address is not None
         src_is_enb = at_node == self.enb_id
         dst_is_enb = packet.dst_id == self.enb_id
-        peer = None
-        if not is_mcast and not src_is_enb and not dst_is_enb:
-            peer = self._peerings.get((at_node, packet.dst_id))
+        peer = self._peerings.get((at_node, packet.dst_id))  # peerings run UE to UE
         direction = pdcp_classify(src_is_enb, dst_is_enb, is_mcast,
                                   peer.mode if peer is not None else None)
         endpoint = packet.group_address if is_mcast else packet.dst_id
@@ -423,8 +421,7 @@ class Engine:
         commands = do_mode_selection(
             {pair: link.mode for pair, link in self._peerings.items()}, policy,
             lambda s, d: (self._link_cqi(self._peerings[s, d], tti),
-                          self._link_cqi(self._ue_links[s][1], tti)
-                          if s in self._ue_links else 0),  # the eNB sends no uplink
+                          self._link_cqi(self._ue_links[s][1], tti)),
             tti)
         for command in commands:
             self.schedule_event(command.apply_tti, Phase.MODE_SWITCH_APPLY, command)
@@ -442,9 +439,9 @@ class Engine:
             for process in link.pool.busy_processes():
                 lost.extend({c.packet.packet_id for c in process.chunks})
                 link.pool.release(process)
-        else:  # src's uplink and the eNB's relay leg; a peering with the eNB has neither
+        else:  # src's uplink and the eNB's relay leg
             for key in ((src, Direction.UL, self.enb_id), (self.enb_id, Direction.DL, dst)):
-                queue = self._links[key].queues.get(dst) if key in self._links else None
+                queue = self._links[key].queues.get(dst)
                 if queue is not None:  # every packet on src's uplink is from src
                     lost.extend(p.packet_id
                                 for p in queue.flush_where(lambda p: p.src_id == src))

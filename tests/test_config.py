@@ -1,6 +1,7 @@
 """Scenario grammar, validation and canonical serialization."""
 
 import hashlib
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -182,6 +183,20 @@ def test_unsection_header_rejected():
         parse_scenario("[general]\nsim.ttiCount = 1\n")
 
 
+@pytest.mark.parametrize("node, peers", [("ueD2DTx[0]", "ueD2DRx[0] eNodeB"),
+                                         ("eNodeB", "ueD2DTx[0]")],
+                         ids=["enb_as_peer", "peers_on_enb"])
+def test_peerings_with_the_enb_rejected(node, peers):
+    # D2D runs UE to UE: the eNB is neither a peer nor a node with peers
+    config = parse_scenario(BASE)
+    nodes = tuple(replace(n, d2d_peer_addresses=tuple(peers.split()),
+                          enable_d2d_cqi_reporting=True) if n.name == node else n
+                  for n in config.nodes)
+    diagnostics = validate(replace(config, nodes=nodes))
+    assert [(d.node, d.key) for d in diagnostics] == [(node, "d2dPeerAddresses")]
+    assert "UE to UE" in diagnostics[0].message
+
+
 def test_two_enbs_rejected():
     with pytest.raises(ConstraintViolationError, match="exactly one eNB"):
         parse_scenario(BASE + 'ueD2DRx[0].role = "eNB"\n')
@@ -341,6 +356,11 @@ flow[1].periodTtis = 4
 [multicast]
 224.0.0.10 = "ueD2DRx[*]"
 """
+
+
+def test_section_header_may_carry_a_comment():
+    text = FULL.replace("[multicast]", "[multicast]   # groups")
+    assert parse_scenario(text) == parse_scenario(FULL)
 
 
 def test_serialize_round_trip():

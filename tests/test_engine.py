@@ -507,37 +507,6 @@ flow[1].periodTtis = 1000
     assert grants == [(0, "224.0.0.10"), (1, "224.0.0.20")]
 
 
-def test_peerings_with_the_enb_switch_modes_without_error():
-    # validate accepts a peering to or from the eNB; neither has both an
-    # uplink and a relay leg, yet a switch to direct mode must still run
-    config = parse_scenario("""
-sim.ttiCount = 100
-sim.nodes = "eNodeB ueA ueB"
-eNodeB.role = "eNB"
-eNodeB.amcMode = "D2D"
-eNodeB.d2dModeSelection = true
-eNodeB.d2dModeSelectionPeriod = 20
-eNodeB.d2dPeerAddresses = "ueA"
-eNodeB.enableD2DCqiReporting = true
-**.d2dCapable = true
-ueA.positionX = 50.0
-ueB.positionX = 80.0
-ueA.d2dPeerAddresses = "eNodeB ueB"
-ueA.enableD2DCqiReporting = true
-flow[0].sourceNode = "ueA"
-flow[0].destAddress = "eNodeB"
-flow[0].packetBytes = 300
-flow[0].periodTtis = 3
-flow[1].sourceNode = "eNodeB"
-flow[1].destAddress = "ueA"
-flow[1].packetBytes = 300
-flow[1].periodTtis = 3
-""")
-    result = run_scenario(config, initial_mode=Mode.IM)
-    assert result.run_metrics["mode_switch_count"] == 3
-    assert conservation_ok(result)
-
-
 def test_mode_selection_visits_peerings_in_the_order_they_are_listed():
     # ueA hears the eNB well but lists two far peers, ueC before ueB;
     # both switch to the infrastructure path in the same round
