@@ -1,9 +1,9 @@
 """Deterministic system-level simulator of an LTE-A cell with D2D sidelinks."""
 
-from .binder import AllocationEntry, Binder, LinkDirection, NodeRecord, RbConflict
+from .binder import Binder, LinkDirection, NodeRecord, RbConflict
 from .channel import (ChannelModel, ChannelParams, CqiTable, decode,
                       mean_sinr_db, path_loss_db)
-from .config import (ConstraintViolationError, Diagnostic, FlowConfig,
+from .config import (AmcMode, ConstraintViolationError, Diagnostic, FlowConfig,
                      MalformedPatternError, ModeSelectionConfig, MulticastGroup,
                      NodeConfig, Role, ScenarioConfig, ScenarioError,
                      ScenarioSyntaxError, SimParams, Transport, UnknownKeyError,
@@ -17,7 +17,7 @@ from .mode_selection import (Mode, ModeSwitchCommand, UnknownPolicyError,
                              policy_names, register_policy)
 from .stack import (Direction, HarqOutcome, HarqPool, HarqProcess,
                     PacketAssembler, PacketDescriptor, RlcChunk, RlcTxQueue,
-                    ScheduleGrant, ScheduleRequest, TransportBlock, amc_tbs,
+                    ScheduleRequest, TransportBlock, amc_tbs,
                     harq_on_feedback, pdcp_classify, phy_receive, phy_send,
                     rbs_needed, schedule_band)
 

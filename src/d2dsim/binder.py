@@ -9,8 +9,8 @@ honest about resource usage without modelling signalling traffic.
 Spectrum layout is FDD: the downlink band is separate, while sidelink
 grants share the uplink band.  Reuse of the same block by an uplink
 and a sidelink transmission (or two sidelinks) is legal and shows up
-as interference; granting one block twice in the same direction is a
-bookkeeping bug and raises :class:`RbConflict`.
+as interference, though no scheduler here places such grants; booking
+one block twice in one direction is a bug and raises :class:`RbConflict`.
 """
 
 from __future__ import annotations
@@ -45,13 +45,12 @@ class NodeRecord:
     position: tuple[float, float]
 
 
-@dataclass(slots=True)
-class AllocationEntry:
-    tti: int
-    tx_node_id: int
-    direction: LinkDirection
-    rbs: tuple[int, ...]
-    tx_power_dbm: float
+class _Band(list):
+    """One TTI's entries in one band, in booking order, with bit masks of the
+    blocks any entry holds (``used``) and its UL or DL entries hold (``infra``)."""
+
+    used = infra = 0
+    overlap = False  # two entries share a block
 
 
 @dataclass
@@ -60,15 +59,14 @@ class Binder:
 
     The ledger is a sliding window: entries older than one TTI behind
     the last :meth:`advance` call are dropped, since receptions only
-    ever look one TTI back.
+    ever look one TTI back.  Entries are the PHY's transport blocks, or any
+    record with ``tti``, ``tx_id``, ``link_direction``, ``rbs`` and ``tx_power_dbm``.
     """
 
     num_rbs: int
     _records: list[NodeRecord] = field(default_factory=list)
     _ids: dict[str, int] = field(default_factory=dict)
-    _ledger: dict[int, list[AllocationEntry]] = field(default_factory=dict)
-    _by_band: dict[tuple[int, str], list[AllocationEntry]] = field(default_factory=dict)
-    _occupied: dict[tuple[int, LinkDirection], set[int]] = field(default_factory=dict)
+    _bands: dict[tuple[int, str], _Band] = field(default_factory=dict)
     _groups: dict[str, set[int]] = field(default_factory=dict)
     _conflict_count: int = 0
 
@@ -106,74 +104,82 @@ class Binder:
 
     # -- allocation ledger --------------------------------------------
 
-    def record_allocation(self, tti: int, tx_node_id: int, direction: LinkDirection,
-                          rbs: tuple[int, ...], tx_power_dbm: float) -> AllocationEntry:
-        """Book resource blocks for one transmission.
+    def _mask(self, rbs) -> int:
+        """Bit mask of a grant's blocks; each must lie in the band, once."""
+        if type(rbs) is range and rbs.step == 1 and 0 <= rbs.start <= rbs.stop <= self.num_rbs:
+            return (1 << rbs.stop) - (1 << rbs.start)  # a scheduled run: no scan
+        mask = 0
+        for rb in rbs:
+            if not 0 <= rb < self.num_rbs:
+                raise ValueError(f"rb index {rb} outside 0..{self.num_rbs - 1}")
+            mask |= 1 << rb
+        if mask.bit_count() != len(rbs):  # only once every block is in range
+            raise RbConflict(f"duplicate rb in grant {rbs}")
+        return mask
+
+    def record_allocation(self, entry):
+        """Book one transmission's blocks, keeping ``entry`` as its ledger entry.
 
         Raises :class:`RbConflict` if an infrastructure direction (UL
         or DL) books a block twice in one TTI.  Sidelink overlap, with
-        an uplink grant or another sidelink, is deliberate spatial
-        reuse and shows up as interference instead.
+        an uplink grant or another sidelink, is legal and shows up as
+        interference instead; no scheduler here places such a grant.
         """
-        if rbs and (min(rbs) < 0 or max(rbs) >= self.num_rbs):
-            rb = next(rb for rb in rbs if not 0 <= rb < self.num_rbs)
-            raise ValueError(f"rb index {rb} outside 0..{self.num_rbs - 1}")
-        if len(set(rbs)) != len(rbs):
-            raise RbConflict(f"duplicate rb in grant {rbs}")
+        direction = entry.link_direction
+        mask = self._mask(entry.rbs)
+        key = (entry.tti, direction.band)
+        band = self._bands.get(key) or self._bands.setdefault(key, _Band())
         if direction is not LinkDirection.SL:
-            occupied = self._occupied.setdefault((tti, direction), set())
-            clash = occupied.intersection(rbs)
+            clash = band.infra & mask
             if clash:
                 self._conflict_count += 1
-                raise RbConflict(
-                    f"tti {tti}: rb {sorted(clash)} already granted "
-                    f"in {direction.value}")
-            occupied.update(rbs)
-        entry = AllocationEntry(tti, tx_node_id, direction, tuple(rbs), tx_power_dbm)
-        self._ledger.setdefault(tti, []).append(entry)
-        self._by_band.setdefault((tti, direction.band), []).append(entry)
+                blocks = [rb for rb in range(self.num_rbs) if clash >> rb & 1]
+                raise RbConflict(f"tti {entry.tti}: rb {blocks} already granted in {direction.value}")
+            band.infra |= mask
+        band.overlap |= band.used & mask != 0
+        band.used |= mask
+        band.append(entry)
         return entry
 
-    def allocations(self, tti: int) -> tuple[AllocationEntry, ...]:
-        return tuple(self._ledger.get(tti, ()))
+    def allocations(self, tti: int) -> tuple:
+        """One TTI's entries: the UL band's, then the DL band's, each in booking order."""
+        return self.band_allocations(tti, "UL") + self.band_allocations(tti, "DL")
 
     def allocated_rbs(self, tti: int, direction: LinkDirection) -> set[int]:
-        return set(self._occupied.get((tti, direction), ()))
+        band = self._bands.get((tti, direction.band))
+        held = band.infra if band is not None and direction is not LinkDirection.SL else 0
+        return {rb for rb in range(self.num_rbs) if held >> rb & 1}  # none for SL
 
-    def band_allocations(self, tti: int, band: str) -> tuple[AllocationEntry, ...]:
+    def band_allocations(self, tti: int, band: str) -> tuple:
         """One TTI's entries in one band, in booking order."""
-        return tuple(self._by_band.get((tti, band), ()))
+        return tuple(self._bands.get((tti, band), ()))
 
-    def interferers(self, tti: int, rb: int, band: str,
-                    exclude_tx: int) -> Iterator[AllocationEntry]:
+    def band_overlaps(self, tti: int, band: str) -> bool:
+        """Whether any two of one TTI's bookings in ``band`` share a block."""
+        return getattr(self._bands.get((tti, band)), "overlap", False)
+
+    def interferers(self, tti: int, rb: int, band: str, exclude_tx: int) -> Iterator:
         """Entries occupying ``rb`` in ``band`` at ``tti``, minus the serving one."""
-        for entry in self._ledger.get(tti, ()):
-            if entry.tx_node_id == exclude_tx:
-                continue
-            if entry.direction.band == band and rb in entry.rbs:
+        for entry in self.band_allocations(tti, band):
+            if entry.tx_id != exclude_tx and rb in entry.rbs:
                 yield entry
 
     def advance(self, tti: int) -> None:
         """Drop ledger state older than ``tti - 1``."""
-        horizon = tti - 1
-        for old in [t for t in self._ledger if t < horizon]:
-            del self._ledger[old]
-        for key in [k for k in self._occupied if k[0] < horizon]:
-            del self._occupied[key]
-        for key in [k for k in self._by_band if k[0] < horizon]:
-            del self._by_band[key]
+        for key in [k for k in self._bands if k[0] < tti - 1]:
+            del self._bands[key]
 
     def check_conservation(self, tti: int) -> list[str]:
         """Independent audit of one TTI's bookings.
 
         Recounts the ledger from scratch, ignoring the incremental
-        occupancy sets: infrastructure directions must never book a
+        occupancy masks: infrastructure directions must never book a
         block twice, and every index must be inside the band.
         """
         problems: list[str] = []
         per_direction: dict[LinkDirection, list[int]] = {}
-        for entry in self._ledger.get(tti, ()):
-            per_direction.setdefault(entry.direction, []).extend(entry.rbs)
+        for entry in self.allocations(tti):
+            per_direction.setdefault(entry.link_direction, []).extend(entry.rbs)
         for direction, blocks in per_direction.items():
             if direction is not LinkDirection.SL and len(set(blocks)) != len(blocks):
                 problems.append(f"tti {tti}: duplicate grant in {direction.value}")

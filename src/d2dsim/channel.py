@@ -20,7 +20,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from importlib import resources
 
-from .binder import AllocationEntry, Binder, LinkDirection
+from .binder import Binder, LinkDirection
 
 
 @dataclass(frozen=True)
@@ -76,7 +76,8 @@ class CqiTable:
         if any(b <= a for a, b in zip(thresholds_db, thresholds_db[1:])):
             raise ValueError("thresholds must be strictly increasing")
         self._thresholds = list(thresholds_db)
-        self._efficiencies = list(efficiencies)
+        # indexed by CQI, unchecked; CQI 0 carries nothing
+        self.efficiencies = (0.0, *efficiencies)
 
     @classmethod
     def from_file(cls, path) -> "CqiTable":
@@ -118,7 +119,7 @@ class CqiTable:
     def efficiency(self, cqi: int) -> float:
         if not 1 <= cqi <= self.max_cqi:
             raise ValueError(f"cqi {cqi} outside 1..{self.max_cqi}")
-        return self._efficiencies[cqi - 1]
+        return self.efficiencies[cqi]
 
     def sinr_to_cqi(self, sinr_db: float) -> int:
         return bisect_right(self._thresholds, sinr_db)
@@ -152,8 +153,9 @@ class ChannelModel:
         self._path_loss: dict[tuple[int, int], float] = {}
         self._loss: dict[int, dict[tuple[int, int], float]] = {}
         # tti -> (its link losses, the previous TTI's entries per band)
-        self._pinned: dict[int, tuple[dict, dict[str, tuple[AllocationEntry, ...]]]] = {}
+        self._pinned: dict[int, tuple[dict, dict[str, tuple]]] = {}
         self._newest_tti = -math.inf
+        self._noise_mw = dbm_to_mw(params.thermal_noise_dbm_per_rb + params.noise_figure_db)
 
     def shadowing_db(self, tx_id: int, rx_id: int, tti: int) -> float:
         sigma = self.params.shadowing_std_dev_db
@@ -198,12 +200,18 @@ class ChannelModel:
         return tx_power_dbm - self.link_loss_db(tx_id, rx_id, tti)
 
     def noise_mw_per_rb(self) -> float:
-        return dbm_to_mw(self.params.thermal_noise_dbm_per_rb + self.params.noise_figure_db)
+        return self._noise_mw
+
+    def noise_limited_mean_db(self, tx_id: int, rx_id: int, tti: int,
+                              tx_power_dbm: float, num_rbs: int) -> float:
+        """Mean SINR of blocks nothing interferes with, as mean_sinr_db averages them."""
+        sinr = mw_to_dbm(dbm_to_mw(self.received_power_dbm(
+            tx_id, rx_id, tti, tx_power_dbm)) / self._noise_mw)
+        return mw_to_dbm(sum([dbm_to_mw(sinr)] * num_rbs) / num_rbs)
 
     def sinr_per_rb_db(self, tx_id: int, rx_id: int, *, tti: int, ledger_tti: int,
-                       rbs: tuple[int, ...], tx_power_dbm: float,
-                       direction: LinkDirection,
-                       entries: tuple[AllocationEntry, ...] | None = None) -> list[float]:
+                       rbs, tx_power_dbm: float, direction: LinkDirection,
+                       entries: tuple | None = None) -> list[float]:
         """Per-block SINR at the receiver against the booked interferers.
 
         ``tti`` keys the shadowing draw (the transmission instant);
@@ -214,40 +222,39 @@ class ChannelModel:
         A block's interference is the sum, in booking order, of the
         received powers of the other transmitters on it; the receiver's
         own transmissions are skipped, since a node cannot receive while
-        it transmits on the block.  Blocks covered by the same powers get
-        the same SINR, so it is computed once per distinct cover.
+        it transmits on the block.  Between two consecutive edges of the
+        interferers' runs of blocks the same powers cover every block, so
+        one SINR is computed per segment between the sorted edges.
         """
         signal_mw = dbm_to_mw(self.received_power_dbm(tx_id, rx_id, tti, tx_power_dbm))
-        noise_mw = self.noise_mw_per_rb()
+        noise_mw = self._noise_mw
         if entries is None:
             entries = self.binder.band_allocations(ledger_tti, direction.band)
-        wanted = set(rbs)
-        hits = []  # a plain loop: cheaper than a comprehension for a few entries
-        for entry in entries:
-            if (entry.tx_node_id != tx_id and entry.tx_node_id != rx_id
-                    and not wanted.isdisjoint(entry.rbs)):
-                hits.append(entry)
-        if not hits:  # noise + 0.0 == noise, so this is the general case's value
-            return [mw_to_dbm(signal_mw / noise_mw)] * len(rbs)
-        covers: dict[int, tuple[float, ...]] = {}  # rb -> interferer powers (mW)
-        for entry in hits:
-            power_mw = dbm_to_mw(self.received_power_dbm(
-                entry.tx_node_id, rx_id, tti, entry.tx_power_dbm))
-            for rb in wanted.intersection(entry.rbs):
-                covers[rb] = covers.get(rb, ()) + (power_mw,)
-        sinr_of: dict[tuple[float, ...], float] = {}
+        run = type(rbs) is range and rbs.step == 1 and len(rbs) > 0
+        low, high = (rbs.start, rbs.stop) if run else (min(rbs, default=0), max(rbs, default=-1) + 1)
+        spans = []  # (power, start, stop) of each run interfering in [low, high)
+        for entry in entries:  # in booking order
+            if entry.tx_id == tx_id or entry.tx_id == rx_id:
+                continue
+            held = entry.rbs  # one run, or blocks taken as runs of one
+            runs = ([(held.start, held.stop)] if type(held) is range and held.step == 1
+                    else [(rb, rb + 1) for rb in held])
+            runs = [(max(start, low), min(stop, high)) for start, stop in runs
+                    if start < high and low < stop]
+            if runs:
+                power_mw = dbm_to_mw(self.received_power_dbm(
+                    entry.tx_id, rx_id, tti, entry.tx_power_dbm))
+                spans += [(power_mw, start, stop) for start, stop in runs]
+        edges = sorted({low, high}.union(*(span[1:] for span in spans)))
+        segment = {edge: k for k, edge in enumerate(edges)}
+        interference_mw = [0.0] * (len(edges) - 1)  # per segment, in booking order
+        for power_mw, start, stop in spans:
+            for k in range(segment[start], segment[stop]):
+                interference_mw[k] += power_mw
         out: list[float] = []
-        for rb in rbs:
-            powers = covers.get(rb, ())
-            sinr = sinr_of.get(powers)
-            if sinr is None:
-                interference_mw = 0.0
-                for power_mw in powers:
-                    interference_mw += power_mw
-                sinr = sinr_of[powers] = mw_to_dbm(
-                    signal_mw / (noise_mw + interference_mw))
-            out.append(sinr)
-        return out
+        for k, mw in enumerate(interference_mw):
+            out += [mw_to_dbm(signal_mw / (noise_mw + mw))] * (edges[k + 1] - edges[k])
+        return out if run else [out[rb - low] for rb in rbs]
 
     def wideband_cqi(self, tx_id: int, rx_id: int, *, tti: int,
                      tx_power_dbm: float, direction: LinkDirection) -> int:
@@ -257,10 +264,9 @@ class ChannelModel:
         recent one a measurement could have observed; if ``tti`` is
         pinned, from the entries kept when it was pinned.
         """
-        rbs = tuple(range(self.binder.num_rbs))
         pinned = self._pinned.get(tti)
         sinrs = self.sinr_per_rb_db(
-            tx_id, rx_id, tti=tti, ledger_tti=tti - 1, rbs=rbs,
+            tx_id, rx_id, tti=tti, ledger_tti=tti - 1, rbs=range(self.binder.num_rbs),
             tx_power_dbm=tx_power_dbm, direction=direction,
             entries=pinned[1][direction.band] if pinned else None)
         return self.table.sinr_to_cqi(mean_sinr_db(sinrs))

@@ -104,6 +104,11 @@ class Transport(Enum):
     REQUEST_RESPONSE = "requestResponse"
 
 
+class AmcMode(Enum):
+    AUTO = "auto"
+    D2D = "D2D"  # sidelink-aware AMC, meaningful on the eNB only
+
+
 @dataclass(frozen=True)
 class SimParams:
     tti_count: int = 0
@@ -128,7 +133,7 @@ class NodeConfig:
     enable_d2d_cqi_reporting: bool = False
     use_preconfigured_tx_params: bool = False
     d2d_cqi: int | None = None
-    amc_mode: str = "auto"  # "D2D" enables sidelink-aware AMC at the eNB
+    amc_mode: AmcMode = AmcMode.AUTO
 
 
 @dataclass(frozen=True)
@@ -277,7 +282,7 @@ _NODE_KEYS: _Table = {
     "enableD2DCqiReporting": ("enable_d2d_cqi_reporting", _to_bool, None),
     "usePreconfiguredTxParams": ("use_preconfigured_tx_params", _to_bool, None),
     "d2dCqi": ("d2d_cqi", int, _Range(1, 15)),
-    "amcMode": ("amc_mode", str, None),
+    "amcMode": ("amc_mode", _to_enum(AmcMode, "amcMode"), None),
 }
 
 _NODE_KEY_ALIASES = {"ueTxPower": "ueTxPowerDbm", "d2dTxPower": "d2dTxPowerDbm"}
@@ -369,10 +374,8 @@ def _node_pattern(scope: list[str]) -> str:
     """Reduce a scope chain to its node pattern segment."""
     if "**" in scope:
         return "**"
-    chain = scope
-    if chain[0] == "*" and len(chain) > 1:
-        chain = chain[1:]  # leading '*' is the network wildcard
-    return chain[0]
+    # a leading '*' is the network wildcard
+    return scope[1] if scope[0] == "*" and len(scope) > 1 else scope[0]
 
 
 def _convert(registry: _Table, assignment: _Assignment) -> tuple[str, object]:
@@ -453,6 +456,11 @@ def parse_scenario(text: str) -> ScenarioConfig:
     sim = SimParams(**sim_values)
     channel = ChannelParams(**channel_values)
     nodes = tuple(NodeConfig(name=name, **node_values[name]) for name in declared)
+    for node in nodes:  # mode selection is read from the eNB alone
+        for key, (attr, _, _) in _MODE_SELECTION_KEYS.items():
+            if attr in ms_values[node.name] and node.role is not Role.ENB:
+                raise ConstraintViolationError([Diagnostic(
+                    "ConstraintViolation", f"{key} applies only to the eNB", node.name, key)])
     mode_selection = ModeSelectionConfig(
         **next((ms_values[node.name] for node in nodes if node.role is Role.ENB), {}))
 
@@ -464,10 +472,8 @@ def parse_scenario(text: str) -> ScenarioConfig:
     flows = tuple(FlowConfig(flow_id=flow_id, **values)
                   for flow_id, values in sorted(flow_values.items()))
 
-    groups: dict[str, MulticastGroup] = {}
-    for assignment in multicast:
-        address = assignment.key
-        groups[address] = MulticastGroup(address=address, member_pattern=assignment.value)
+    groups = {assignment.key: MulticastGroup(assignment.key, assignment.value)
+              for assignment in multicast}  # a repeated address keeps its place
 
     config = ScenarioConfig(
         sim=sim, nodes=nodes, flows=flows, channel=channel,
@@ -539,6 +545,8 @@ def validate(config: ScenarioConfig) -> list[Diagnostic]:
             elif any(peer == e.name for e in enbs):
                 bad(f"peer {peer!r} is the eNB; peerings run UE to UE",
                     node=node.name, key="d2dPeerAddresses")
+        if node.amc_mode is not AmcMode.AUTO and node.role is not Role.ENB:
+            bad("amcMode applies only to the eNB", node=node.name, key="amcMode")
         if node.use_preconfigured_tx_params and node.role is Role.UE and node.d2d_cqi is None:
             bad("usePreconfiguredTxParams requires d2dCqi", node=node.name, key="d2dCqi")
         if node.d2d_peer_addresses and not (
@@ -561,7 +569,7 @@ def validate(config: ScenarioConfig) -> list[Diagnostic]:
     if d2d_in_use and enb is not None:
         if not enb.d2d_capable:
             bad("D2D-capable UEs require a d2dCapable eNB", node=enb.name, key="d2dCapable")
-        if enb.amc_mode != "D2D":
+        if enb.amc_mode is not AmcMode.D2D:
             bad('D2D-capable UEs require eNB amcMode = "D2D"', node=enb.name, key="amcMode")
 
     seen_flow_ids = set()

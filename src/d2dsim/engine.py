@@ -44,9 +44,9 @@ from .config import (FlowConfig, NodeConfig, Role, ScenarioConfig, Transport,
 from .mode_selection import (Mode, ModeSwitchCommand, do_mode_selection,
                              get_policy)
 from .stack import (Direction, HarqOutcome, HarqPool, PacketAssembler,
-                    PacketDescriptor, RlcChunk, RlcTxQueue, ScheduleGrant,
-                    ScheduleRequest, TransportBlock, harq_on_feedback,
-                    pdcp_classify, phy_receive, phy_send, schedule_band)
+                    PacketDescriptor, RlcChunk, RlcTxQueue, ScheduleRequest,
+                    TransportBlock, harq_on_feedback, pdcp_classify, phy_receive,
+                    phy_send, schedule_band)
 
 
 class Phase(IntEnum):
@@ -58,6 +58,9 @@ class Phase(IntEnum):
     TRANSMIT = 5
     RECEIVE = 6
     HARQ_FEEDBACK = 7
+
+
+_PHASES = len(Phase)  # events queue under tti * _PHASES + phase
 
 
 class PastEvent(Exception):
@@ -136,19 +139,17 @@ class _Link:
     pool: HarqPool | None = None  # None on one-to-many links: no feedback
     # by final endpoint, in endpoint order; only a UE's uplink has several
     queues: dict[int | str, RlcTxQueue] = field(default_factory=dict)
+    backlog: int = 0  # bits left in the queues, kept as a running total
     mode: Mode | None = None  # a peering's current path, None on other links
     cqi_memo: tuple[int, int] = (-1, 0)  # (report TTI, CQI) last measured
 
     def __post_init__(self) -> None:
-        self.tx_id, self.direction, rx = self.key
-        self.rx_id = None if self.direction is Direction.D2D_MULTI else rx
-        self.group_address = rx if self.rx_id is None else None
-        self.node_id = rx if self.direction is Direction.DL else self.tx_id
-        self.link = self.direction.link.value.lower()  # as metric names spell it
+        self.tx_id, self.direction, self.rx = self.key
+        self.rx_id = None if self.direction is Direction.D2D_MULTI else self.rx
+        self.node_id = self.rx if self.direction is Direction.DL else self.tx_id
+        self.link_direction = self.direction.link
+        self.link = self.link_direction.value.lower()  # as metric names spell it
         self.granted_key = f"rbs_granted_{self.link}"
-
-    def backlog(self) -> int:
-        return sum(queue.backlog_bits for queue in self.queues.values())
 
 
 def rng_stream(seed: int, purpose: str, *extra) -> random.Random:
@@ -163,7 +164,7 @@ class Engine:
     def __init__(self, config: ScenarioConfig, *, trace: bool = False,
                  ledger_dump: bool = False, initial_mode: Mode | None = None):
         self.config = config
-        self.trace_enabled = trace
+        self.trace_enabled = trace  # tested before any trace call builds its arguments
         self.ledger_dump = ledger_dump
 
         sim = config.sim
@@ -202,10 +203,8 @@ class Engine:
             dst_id = (None if any(g.address == flow.dest_address
                                   for g in config.multicast_groups)
                       else self.binder.id_of(flow.dest_address))
-            jitter = 0
-            if flow.start_jitter_ttis > 0:
-                jitter = rng_stream(sim.seed, "jitter", flow.flow_id).randint(
-                    0, flow.start_jitter_ttis)
+            jitter = (rng_stream(sim.seed, "jitter", flow.flow_id).randint(
+                0, flow.start_jitter_ttis) if flow.start_jitter_ttis > 0 else 0)
             self.flows.append((flow, src_id, dst_id, flow.start_tti + jitter))
             self._flow_by_id.setdefault(flow.flow_id, flow)
 
@@ -224,9 +223,7 @@ class Engine:
             for tx_id, rx in sorted(pairs):
                 link = self._add_link(tx_id, direction, rx)
                 link.mode = peerings.get((tx_id, rx))  # None on one-to-many links
-                if tx_id in self._ue_links:  # false only for an unvalidated eNB multicast
-                    sidelinks = self._ue_links[tx_id][2 if direction is Direction.D2D else 3]
-                    sidelinks.append(link)
+                self._ue_links[tx_id][2 if direction is Direction.D2D else 3].append(link)
         self._peerings = {(tx, rx): self._links[tx, Direction.D2D, rx] for tx, rx in peerings}
 
         # mutable run state; ``_active`` holds the UEs that may have queued
@@ -235,7 +232,7 @@ class Engine:
         self.assemblers: dict[int, PacketAssembler] = {}
         # open packet instances only: each is counted in ``totals`` as it closes
         self.instances: dict[tuple[int, int | None], PacketDescriptor] = {}
-        self._events: dict[tuple[int, Phase], list] = {}  # FIFO per (tti, phase)
+        self._events: dict[int, list] = {}  # FIFO per (tti, phase)
 
         self.now_tti = -1
         self.now_phase = Phase.PACKET_ARRIVAL
@@ -268,22 +265,21 @@ class Engine:
                direction: Direction | Mode, rbs: int = 0,
                sinr_db: float | None = None, decoded: bool | None = None) -> None:
         """Record a trace row; ``dst`` is a node id or a group address."""
-        if self.trace_enabled:
-            dst_name = dst if isinstance(dst, str) else self._name(dst)
-            self.trace.append(TraceRow(self.now_tti, event, self._name(src_id), dst_name,
-                                       direction.value, rbs, sinr_db, decoded))
+        dst_name = dst if isinstance(dst, str) else self._name(dst)
+        self.trace.append(TraceRow(self.now_tti, event, self._name(src_id), dst_name,
+                                   direction.value, rbs, sinr_db, decoded))
 
     def schedule_event(self, fire_tti: int, phase: Phase, payload: object) -> None:
         """Queue ``payload`` for ``phase`` of ``fire_tti``, behind earlier ones."""
-        if (fire_tti, phase) <= (self.now_tti, self.now_phase):
+        if fire_tti <= self.now_tti and (fire_tti < self.now_tti or phase <= self.now_phase):
             raise PastEvent(f"cannot schedule at tti {fire_tti} phase {phase.name} "
                             f"from tti {self.now_tti} phase {self.now_phase.name}")
-        self._events.setdefault((fire_tti, phase), []).append(payload)
+        self._events.setdefault(fire_tti * _PHASES + phase, []).append(payload)
 
     def _enter(self, tti: int, phase: Phase) -> list:
         """Make ``phase`` current and take the events queued for it."""
         self.now_phase = phase
-        return self._events.pop((tti, phase), ())
+        return self._events.pop(tti * _PHASES + phase, ())
 
     def _add_link(self, tx_id: int, direction: Direction, rx: int | str) -> _Link:
         key = (tx_id, direction, rx)
@@ -314,7 +310,7 @@ class Engine:
         if link.cqi_memo[0] != taken:
             link.cqi_memo = (taken, self.channel.wideband_cqi(
                 link.tx_id, link.rx_id, tti=taken, tx_power_dbm=link.tx_power_dbm,
-                direction=link.direction.link))
+                direction=link.link_direction))
         return link.cqi_memo[1]
 
     # -- packet lifecycle ------------------------------------------------
@@ -385,13 +381,10 @@ class Engine:
         if endpoint not in link.queues:  # keep the queues in endpoint order
             link.queues = dict(sorted({**link.queues, endpoint: RlcTxQueue()}.items()))
         link.queues[endpoint].push(packet)
-        self._activate(endpoint if direction is Direction.DL else at_node)
-        self._trace("classify", at_node, endpoint, direction)
-
-    def _activate(self, ue_id: int) -> None:
-        """Have the scheduling pass visit ``ue_id``, its downlink included."""
-        if ue_id != self.enb_id:  # only UEs are served; an eNB multicast is invalid
-            self._active.add(ue_id)
+        link.backlog += packet.size_bits
+        self._active.add(link.node_id)  # the scheduling pass visits it
+        if self.trace_enabled:
+            self._trace("classify", at_node, endpoint, direction)
 
     # -- phases -----------------------------------------------------------
 
@@ -435,37 +428,40 @@ class Engine:
         if old is Mode.DM:
             for queue in link.queues.values():
                 lost.extend(p.packet_id for p in queue.flush())
+            link.backlog = 0
             link.pool.epoch += 1  # feedback for in-flight blocks is now stale
-            for process in link.pool.busy_processes():
+            for process in [p for p in link.pool.processes if p.busy]:
                 lost.extend({c.packet.packet_id for c in process.chunks})
                 link.pool.release(process)
         else:  # src's uplink and the eNB's relay leg
             for key in ((src, Direction.UL, self.enb_id), (self.enb_id, Direction.DL, dst)):
-                queue = self._links[key].queues.get(dst)
-                if queue is not None:  # every packet on src's uplink is from src
-                    lost.extend(p.packet_id
-                                for p in queue.flush_where(lambda p: p.src_id == src))
+                leg = self._links[key]
+                if dst in leg.queues:  # every packet on src's uplink is from src
+                    lost.extend(p.packet_id for p in
+                                leg.queues[dst].flush_where(lambda p: p.src_id == src))
+                    leg.backlog = sum(q.backlog_bits for q in leg.queues.values())
         for packet_id in lost:
             self._close_instance(packet_id, None, InstanceStatus.LOST_MODE_SWITCH)
-        self._trace("modeSwitch", src, dst, command.new_mode)
+        if self.trace_enabled:
+            self._trace("modeSwitch", src, dst, command.new_mode)
 
     # -- scheduling --------------------------------------------------------
 
     def _request(self, link: _Link, tti: int, bucket: list[ScheduleRequest]) -> bool:
         """Request a pending retransmission, else new data if the link has a
         usable CQI and an idle HARQ process; True if it holds either."""
-        retx = link.pool.pending_retx() if link.pool is not None else None
+        pool = link.pool
+        retx = pool.pending_retx() if pool is not None else None
         if retx is not None:
             bucket.append(ScheduleRequest(link.node_id, link.direction, retx.cqi,
-                                          retx_rbs=retx.num_rbs, link_key=link.key))
+                                          retx_rbs=retx.num_rbs, link=link))
             return True
-        backlog = link.backlog()
-        if backlog <= 0:
+        if link.backlog <= 0:
             return False
         cqi = self._link_cqi(link, tti)
-        if cqi >= 1 and (link.pool is None or link.pool.has_idle()):
+        if cqi >= 1 and (pool is None or pool.has_idle()):
             bucket.append(ScheduleRequest(link.node_id, link.direction, cqi,
-                                          backlog_bits=backlog, link_key=link.key))
+                                          backlog_bits=link.backlog, link=link))
         return True
 
     def _phase_schedule(self, tti: int) -> None:
@@ -481,61 +477,51 @@ class Engine:
             # one sidelink per TTI: a pending retransmission outranks new
             # data, then the first peer with queued data is served
             if peers:
-                peer = (next((link for link in peers
-                              if link.pool.pending_retx() is not None), None)
-                        or next((link for link in peers if link.backlog()), None))
+                peer = (next((link for link in peers if link.pool.waiting), None)
+                        or next((link for link in peers if link.backlog), None))
                 if peer is not None:
                     busy |= self._request(peer, tti, ul_requests)
             # likewise one group per TTI, the first with queued data
             if groups:
-                group = next((link for link in groups if link.backlog()), None)
+                group = next((link for link in groups if link.backlog), None)
                 if group is not None:
                     busy |= self._request(group, tti, ul_requests)
             if not busy:
                 self._active.discard(ue_id)
 
         for requests in (dl_requests, ul_requests):
-            for grant in schedule_band(requests, sim.num_rbs,
-                                       sim.rb_capacity_re, self.table):
-                self._issue_grant(grant, self._links[grant.request.link_key])
+            if requests:
+                for tb in schedule_band(requests, sim.num_rbs, sim.rb_capacity_re,
+                                        self.table):
+                    self._issue_grant(tb)
 
-    def _issue_grant(self, grant: ScheduleGrant, link: _Link) -> None:
-        request = grant.request
-        self.counters[link.granted_key] += grant.num_rbs
+    def _issue_grant(self, tb: TransportBlock) -> None:
+        request = tb.request
+        link, pool, num_rbs = request.link, request.link.pool, len(tb.rbs)
+        self.counters[link.granted_key] += num_rbs
         hist_key = (link.link, request.cqi)
         self.cqi_hist[hist_key] = self.cqi_hist.get(hist_key, 0) + 1
 
-        if grant.is_retx:
-            process = link.pool.pending_retx()
+        if request.retx_rbs:  # granted at exactly the process's size
+            process = pool.pending_retx()
             process.awaiting_retx = False
-            process.num_rbs = grant.num_rbs
             process.tx_count += 1
-            chunks = process.chunks
-            cqi = process.cqi
-            process_id = process.process_id
+            tb.chunks, tb.cqi = process.chunks, process.cqi
+            tb.harq_process_id, tb.harq_epoch = process.process_id, pool.epoch
         else:
-            chunks = self._fill_chunks(link, grant.tbs_bits)
+            chunks = self._fill_chunks(link, tb.tbs_bits)
             if not chunks:
                 return
-            cqi = request.cqi
-            process_id = None
-            if link.pool is not None:
-                process = link.pool.allocate()
-                process.chunks = tuple(chunks)
-                process.cqi = cqi
-                process.num_rbs = grant.num_rbs
-                process.tx_count = 1
-                process_id = process.process_id
-
-        tb = TransportBlock(
-            tx_id=link.tx_id, direction=link.direction, chunks=tuple(chunks),
-            cqi=cqi, rbs=grant.rbs, tx_power_dbm=link.tx_power_dbm,
-            tti=self.now_tti + 1, dst_id=link.rx_id,
-            group_address=link.group_address, harq_process_id=process_id,
-            harq_epoch=link.pool.epoch if link.pool is not None else 0)
-        self._trace("grant", link.tx_id,
-                    link.group_address if link.rx_id is None else link.rx_id,
-                    link.direction, grant.num_rbs)
+            tb.chunks, tb.cqi = tuple(chunks), request.cqi
+            if pool is not None:
+                process = pool.allocate()
+                process.chunks, process.cqi = tb.chunks, tb.cqi
+                process.num_rbs, process.tx_count = num_rbs, 1
+                tb.harq_process_id, tb.harq_epoch = process.process_id, pool.epoch
+        tb.tx_id, tb.link_direction = link.tx_id, link.link_direction
+        tb.tx_power_dbm, tb.tti = link.tx_power_dbm, self.now_tti + 1
+        if self.trace_enabled:
+            self._trace("grant", link.tx_id, link.rx, link.direction, num_rbs)
         self.schedule_event(self.now_tti + 1, Phase.TRANSMIT, tb)
 
     def _fill_chunks(self, link: _Link, capacity_bits: int) -> list[RlcChunk]:
@@ -550,56 +536,55 @@ class Engine:
             chunks.extend(taken)
             if chunks and not chunks[-1].last:
                 break  # the single fragment must end the block
+        link.backlog -= capacity_bits - capacity
         return chunks
 
     # -- air interface ------------------------------------------------------
 
     def _phase_transmit(self, tb: TransportBlock) -> None:
         phy_send(self.binder, tb)
-        self._trace("transmit", tb.tx_id,
-                    tb.group_address if tb.dst_id is None else tb.dst_id,
-                    tb.direction, len(tb.rbs))
+        if self.trace_enabled:
+            link = tb.request.link
+            self._trace("transmit", tb.tx_id, link.rx, link.direction, len(tb.rbs))
         if self.ledger_dump:
             self.ledger_rows.append(
-                (tb.tti, self._name(tb.tx_id), tb.direction.link.value,
+                (tb.tti, self._name(tb.tx_id), tb.link_direction.value,
                  " ".join(str(rb) for rb in tb.rbs), tb.tx_power_dbm))
         self.schedule_event(tb.tti + 1, Phase.RECEIVE, tb)
 
     def _phase_receive(self, tb: TransportBlock) -> None:
-        if tb.group_address is not None:
-            self._receive_multicast(tb)
+        link = tb.request.link
+        if link.rx_id is None:
+            self._receive_multicast(tb, link)
             return
-        result = phy_receive(self.channel, tb, tb.dst_id)
-        self._trace("receive", tb.tx_id, tb.dst_id, tb.direction,
-                    len(tb.rbs), result.mean_sinr_db, result.decoded)
+        result = phy_receive(self.channel, tb, link.rx_id)
+        if self.trace_enabled:
+            self._trace("receive", tb.tx_id, link.rx_id, link.direction,
+                        len(tb.rbs), result.mean_sinr_db, result.decoded)
         if result.decoded:
-            for packet in self._reassemble(tb.dst_id, tb.chunks, multicast=False):
-                self._deliver(packet, tb.dst_id)
+            for packet in self._reassemble(link.rx_id, tb.chunks, multicast=False):
+                self._deliver(packet, link.rx_id)
         if tb.harq_process_id is not None:
             self.schedule_event(self.now_tti + 1, Phase.HARQ_FEEDBACK,
                                 (tb, result.decoded))
 
-    def _receive_multicast(self, tb: TransportBlock) -> None:
-        group = tb.group_address
+    def _receive_multicast(self, tb: TransportBlock, link: _Link) -> None:
         for rx_id in self.ue_ids:
             if rx_id == tb.tx_id:
                 continue
-            if not self.binder.is_member(group, rx_id):
-                for packet_id in sorted({c.packet.packet_id for c in tb.chunks}):
-                    self._close_instance(packet_id, rx_id, InstanceStatus.FILTERED)
-                self._trace("receive", tb.tx_id, rx_id, tb.direction,
-                            len(tb.rbs), None, None)
-                continue
-            result = phy_receive(self.channel, tb, rx_id)
-            self._trace("receive", tb.tx_id, rx_id, tb.direction,
-                        len(tb.rbs), result.mean_sinr_db, result.decoded)
-            if result.decoded:
+            result = (phy_receive(self.channel, tb, rx_id)  # None: not a member
+                      if self.binder.is_member(link.rx, rx_id) else None)
+            if self.trace_enabled:
+                self._trace("receive", tb.tx_id, rx_id, link.direction, len(tb.rbs),
+                            result and result.mean_sinr_db, result and result.decoded)
+            if result is not None and result.decoded:
                 for packet in self._reassemble(rx_id, tb.chunks, multicast=True):
                     self._close_instance(packet.packet_id, rx_id,
                                          InstanceStatus.DELIVERED)
             else:
+                status = InstanceStatus.FILTERED if result is None else InstanceStatus.LOST_DECODE
                 for packet_id in sorted({c.packet.packet_id for c in tb.chunks}):
-                    self._close_instance(packet_id, rx_id, InstanceStatus.LOST_DECODE)
+                    self._close_instance(packet_id, rx_id, status)
 
     def _deliver(self, packet: PacketDescriptor, rx_id: int) -> None:
         if rx_id == self.enb_id and packet.dst_id != self.enb_id:
@@ -612,15 +597,15 @@ class Engine:
             self._classify_and_enqueue(response, rx_id)
 
     def _phase_harq_feedback(self, tb: TransportBlock, ack: bool) -> None:
-        pool = self._links[tb.tx_id, tb.direction, tb.dst_id].pool
+        link, pool = tb.request.link, tb.request.link.pool
         if tb.harq_epoch != pool.epoch:
             return  # the link was reset while this block was in flight
         process = pool.get(tb.harq_process_id)
         outcome = harq_on_feedback(process, ack, self.config.sim.harq_max_retx)
-        self._trace("feedback", tb.dst_id, tb.tx_id, tb.direction, 0,
-                    None, ack)
+        if self.trace_enabled:
+            self._trace("feedback", link.rx_id, link.tx_id, link.direction, 0, None, ack)
         if outcome is HarqOutcome.RETRANSMIT:
-            self._activate(tb.dst_id if tb.direction is Direction.DL else tb.tx_id)
+            self._active.add(link.node_id)
         elif outcome is HarqOutcome.RELEASED:
             pool.release(process)
         elif outcome is HarqOutcome.DROPPED:
@@ -650,8 +635,8 @@ class Engine:
                 self._phase_receive(tb)
             for tb, ack in self._enter(tti, Phase.HARQ_FEEDBACK):
                 self._phase_harq_feedback(tb, ack)
-            for problem in self.binder.check_conservation(tti):
-                self.counters["rb_conservation_violations"] += 1
+            self.counters["rb_conservation_violations"] += len(
+                self.binder.check_conservation(tti))
         return self._finalize()
 
     def _finalize(self) -> SimulationResult:
@@ -669,9 +654,8 @@ class Engine:
         for link in ("dl", "ul", "sl"):
             run_metrics[f"rb_utilization_{link}"] = (
                 run_metrics[f"rbs_granted_{link}"] / capacity if capacity else 0.0)
-        run_metrics["rbs_granted_total"] = (
-            run_metrics["rbs_granted_dl"] + run_metrics["rbs_granted_ul"]
-            + run_metrics["rbs_granted_sl"])
+        run_metrics["rbs_granted_total"] = sum(
+            run_metrics[f"rbs_granted_{link}"] for link in ("dl", "ul", "sl"))
         run_metrics["mode_switch_losses"] = sum(
             m["lost_mode_switch"] for m in flow_metrics.values())
         for (link, cqi), count in sorted(self.cqi_hist.items()):

@@ -17,7 +17,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .binder import AllocationEntry, Binder, LinkDirection
+from .binder import Binder, LinkDirection
 from .channel import ChannelModel, CqiTable, decode, mean_sinr_db
 from .mode_selection import Mode
 
@@ -32,11 +32,7 @@ class Direction(Enum):
 
     @property
     def link(self) -> LinkDirection:
-        if self is Direction.DL:
-            return LinkDirection.DL
-        if self is Direction.UL:
-            return LinkDirection.UL
-        return LinkDirection.SL
+        return LinkDirection.SL if self.value.startswith("D2D") else LinkDirection(self.value)
 
 
 @dataclass(frozen=True)
@@ -90,22 +86,20 @@ class RlcTxQueue:
     """
 
     _pending: deque = field(default_factory=deque)  # [descriptor, remaining_bits]
-    _backlog: int = 0  # running total of the remaining bits
 
     def push(self, packet: PacketDescriptor) -> None:
         self._pending.append([packet, packet.size_bits])
-        self._backlog += packet.size_bits
 
     @property
     def backlog_bits(self) -> int:
-        return self._backlog
+        """Bits left to send; the engine keeps each link's total running."""
+        return sum(remaining for _, remaining in self._pending)
 
     def __len__(self) -> int:
         return len(self._pending)
 
-    def fill(self, capacity_bits: int) -> list[RlcChunk]:
+    def fill(self, capacity: int) -> list[RlcChunk]:
         chunks: list[RlcChunk] = []
-        capacity = capacity_bits
         while self._pending and capacity >= 8:
             packet, remaining = self._pending[0]
             if remaining <= capacity:
@@ -118,14 +112,12 @@ class RlcTxQueue:
                 self._pending[0][1] = remaining - fragment
                 capacity -= fragment
                 break
-        self._backlog -= capacity_bits - capacity
         return chunks
 
     def flush(self) -> list[PacketDescriptor]:
         """Drop everything queued, returning one descriptor per packet."""
         dropped = [packet for packet, _ in self._pending]
         self._pending.clear()
-        self._backlog = 0
         return dropped
 
     def flush_where(self, predicate) -> list[PacketDescriptor]:
@@ -133,7 +125,6 @@ class RlcTxQueue:
         dropped = [packet for packet, _ in self._pending if predicate(packet)]
         self._pending = deque(item for item in self._pending
                               if not predicate(item[0]))
-        self._backlog = sum(remaining for _, remaining in self._pending)
         return dropped
 
 
@@ -160,11 +151,11 @@ class PacketAssembler:
 # ---------------------------------------------------------------------------
 # AMC
 
+# CQIs are not range-checked here: they come from the table or a validated config
+
 def amc_tbs(cqi: int, num_rbs: int, rb_capacity_re: int, table: CqiTable) -> int:
-    """Transport block size in bits for a grant of ``num_rbs`` blocks."""
-    if cqi == 0:
-        return 0
-    return math.floor(num_rbs * rb_capacity_re * table.efficiency(cqi))
+    """Transport block size in bits for a grant of ``num_rbs`` blocks; 0 at CQI 0."""
+    return math.floor(num_rbs * rb_capacity_re * table.efficiencies[cqi])
 
 
 def rbs_needed(bits: int, cqi: int, rb_capacity_re: int, table: CqiTable) -> int | None:
@@ -173,7 +164,7 @@ def rbs_needed(bits: int, cqi: int, rb_capacity_re: int, table: CqiTable) -> int
         return None
     if bits <= 0:
         return 0
-    per_rb = rb_capacity_re * table.efficiency(cqi)
+    per_rb = rb_capacity_re * table.efficiencies[cqi]
     n = max(1, math.ceil(bits / per_rb))
     while amc_tbs(cqi, n, rb_capacity_re, table) < bits:
         n += 1
@@ -190,16 +181,7 @@ class ScheduleRequest:
     cqi: int
     backlog_bits: int = 0
     retx_rbs: int = 0  # exact grant size of a pending retransmission
-    link_key: tuple = ()
-
-
-@dataclass(slots=True)
-class ScheduleGrant:
-    request: ScheduleRequest
-    num_rbs: int
-    rbs: tuple[int, ...]
-    tbs_bits: int
-    is_retx: bool
+    link: object = None  # the caller's handle on the requesting link
 
 
 _DIRECTION_RANK = {d: rank for rank, d in
@@ -207,7 +189,7 @@ _DIRECTION_RANK = {d: rank for rank, d in
 
 
 def schedule_band(requests: list[ScheduleRequest], num_rbs: int,
-                  rb_capacity_re: int, table: CqiTable) -> list[ScheduleGrant]:
+                  rb_capacity_re: int, table: CqiTable) -> list[TransportBlock]:
     """Share one band's blocks among this TTI's requests.
 
     Retransmissions come first, in node-id order, each all-or-nothing
@@ -215,23 +197,21 @@ def schedule_band(requests: list[ScheduleRequest], num_rbs: int,
     round-robin, one block per requester per round, so a node that
     needs few blocks finishes early and the rest keep absorbing the
     residue; when the last round cannot serve everyone, lower node ids
-    win.  Granted counts are then laid out contiguously from index 0.
+    win.  Granted counts are then laid out contiguously from index 0,
+    one transport block per grant.
     """
-    seen: set[tuple[int, Direction]] = set()
-    for request in requests:
-        key = (request.node_id, request.direction)
-        if key in seen:
-            raise ValueError(f"duplicate request for node {request.node_id} "
-                             f"{request.direction.value}")
-        seen.add(key)
+    keys = [(r.node_id, r.direction) for r in requests]
+    if len(set(keys)) != len(keys):
+        node_id, direction = next(key for i, key in enumerate(keys) if key in keys[:i])
+        raise ValueError(f"duplicate request for node {node_id} {direction.value}")
 
     by_node = lambda r: (r.node_id, _DIRECTION_RANK[r.direction])
     available = num_rbs
-    ordered: list[tuple[ScheduleRequest, int, bool]] = []  # (request, rb count, retx)
+    ordered: list[tuple[ScheduleRequest, int]] = []  # (request, rb count)
 
     for request in sorted((r for r in requests if r.retx_rbs > 0), key=by_node):
         if request.retx_rbs <= available:
-            ordered.append((request, request.retx_rbs, True))
+            ordered.append((request, request.retx_rbs))
             available -= request.retx_rbs
 
     fresh = sorted((r for r in requests
@@ -252,19 +232,15 @@ def schedule_band(requests: list[ScheduleRequest], num_rbs: int,
     counts = [min(n, level) for n in need]
     for i in active[:available]:
         counts[i] += 1
-    ordered.extend((request, count, False)
-                   for request, count in zip(fresh, counts) if count > 0)
+    ordered.extend((request, count) for request, count in zip(fresh, counts) if count > 0)
 
-    grants: list[ScheduleGrant] = []
-    next_rb = 0
-    for request, count, is_retx in ordered:
-        rbs = tuple(range(next_rb, next_rb + count))
+    blocks: list[TransportBlock] = []
+    next_rb = 0  # each grant's run starts where the previous one ended
+    for request, count in ordered:
+        blocks.append(TransportBlock(request, range(next_rb, next_rb + count),
+                                     amc_tbs(request.cqi, count, rb_capacity_re, table)))
         next_rb += count
-        grants.append(ScheduleGrant(
-            request=request, num_rbs=count, rbs=rbs,
-            tbs_bits=amc_tbs(request.cqi, count, rb_capacity_re, table),
-            is_retx=is_retx))
-    return grants
+    return blocks
 
 
 # ---------------------------------------------------------------------------
@@ -276,15 +252,25 @@ class HarqOutcome(Enum):
     DROPPED = "dropped"
 
 
-@dataclass
+@dataclass(slots=True, eq=False)
 class HarqProcess:
     process_id: int
+    pool: HarqPool = field(repr=False)  # counts the waiting processes
     busy: bool = False
     chunks: tuple[RlcChunk, ...] = ()
     cqi: int = 0
     num_rbs: int = 0
     tx_count: int = 0
-    awaiting_retx: bool = False
+    _awaiting_retx: bool = False
+
+    @property
+    def awaiting_retx(self) -> bool:
+        return self._awaiting_retx
+
+    @awaiting_retx.setter
+    def awaiting_retx(self, value: bool) -> None:
+        self.pool.waiting += value - self._awaiting_retx
+        self._awaiting_retx = value
 
 
 @dataclass
@@ -302,36 +288,36 @@ class HarqPool:
     num_processes: int
     processes: list[HarqProcess] = field(default_factory=list)
     epoch: int = 0
+    busy: int = 0  # processes busy, counted so that no question scans them
+    waiting: int = 0  # processes awaiting a retransmission, likewise
 
     def __post_init__(self) -> None:
         if not self.processes:
-            self.processes = [HarqProcess(i) for i in range(self.num_processes)]
+            self.processes = [HarqProcess(i, self) for i in range(self.num_processes)]
 
     def allocate(self) -> HarqProcess | None:
         """Claim the lowest-numbered idle process, or None if all busy."""
         for process in self.processes:
             if not process.busy:
                 process.busy = True
-                process.awaiting_retx = False
+                self.busy += 1
                 return process
         return None
 
     def has_idle(self) -> bool:
-        return any(not p.busy for p in self.processes)
+        return self.busy < self.num_processes
 
     def get(self, process_id: int) -> HarqProcess:
         return self.processes[process_id]
 
     def release(self, process: HarqProcess) -> None:
+        self.busy -= process.busy
         process.busy = False
         process.chunks = ()
         process.cqi = 0
         process.num_rbs = 0
         process.tx_count = 0
         process.awaiting_retx = False
-
-    def busy_processes(self) -> list[HarqProcess]:
-        return [p for p in self.processes if p.busy]
 
     def pending_retx(self) -> HarqProcess | None:
         """Lowest-numbered process waiting for a retransmission grant, if any.
@@ -340,9 +326,10 @@ class HarqPool:
         band while a later block of the link is NACKed; the lowest-numbered
         one is served first, even if another was NACKed before it.
         """
-        for process in self.processes:
-            if process.busy and process.awaiting_retx:
-                return process
+        if self.waiting:
+            for process in self.processes:
+                if process.busy and process.awaiting_retx:
+                    return process
         return None
 
 
@@ -369,17 +356,22 @@ def harq_on_feedback(process: HarqProcess, ack: bool, max_retx: int) -> HarqOutc
 
 @dataclass(slots=True)
 class TransportBlock:
-    """One over-the-air transmission and everything needed to receive it."""
+    """One grant, from the scheduler to HARQ feedback.
 
-    tx_id: int
-    direction: Direction
-    chunks: tuple[RlcChunk, ...]
-    cqi: int
-    rbs: tuple[int, ...]
-    tx_power_dbm: float
-    tti: int
-    dst_id: int | None = None
-    group_address: str | None = None
+    ``schedule_band`` sets the request, a contiguous run of blocks and
+    the bits it carries; the engine adds the payload and the air
+    interface's fields, and the binder books the block as its entry.
+    """
+
+    request: ScheduleRequest | None
+    rbs: range | tuple[int, ...]
+    tbs_bits: int = 0
+    tx_id: int = -1
+    link_direction: LinkDirection = LinkDirection.UL
+    tx_power_dbm: float = 0.0
+    tti: int = -1
+    cqi: int = 0
+    chunks: tuple[RlcChunk, ...] = ()
     harq_process_id: int | None = None  # None when the link has no HARQ
     harq_epoch: int = 0
 
@@ -390,22 +382,26 @@ class ReceptionResult:
     mean_sinr_db: float
 
 
-def phy_send(binder: Binder, tb: TransportBlock) -> AllocationEntry:
+def phy_send(binder: Binder, tb: TransportBlock) -> TransportBlock:
     """Put a transport block on the air by booking its blocks."""
-    return binder.record_allocation(
-        tb.tti, tb.tx_id, tb.direction.link, tb.rbs, tb.tx_power_dbm)
+    return binder.record_allocation(tb)
 
 
 def phy_receive(channel: ChannelModel, tb: TransportBlock,
                 rx_id: int) -> ReceptionResult:
-    """Attempt reception of a transport block at one receiver.
+    """Attempt reception of a transport block that :func:`phy_send` booked.
 
     Interference comes from whatever else the binder shows on the
-    block's TTI; decoding is all-or-nothing on the mean SINR.
+    block's TTI; when no two bookings in its band share a block, nothing
+    interferes and no per-block pass is needed.  Decoding is
+    all-or-nothing on the mean SINR.
     """
-    sinrs = channel.sinr_per_rb_db(
-        tb.tx_id, rx_id, tti=tb.tti, ledger_tti=tb.tti, rbs=tb.rbs,
-        tx_power_dbm=tb.tx_power_dbm, direction=tb.direction.link)
-    mean_db = mean_sinr_db(sinrs)
+    if channel.binder.band_overlaps(tb.tti, tb.link_direction.band):
+        mean_db = mean_sinr_db(channel.sinr_per_rb_db(
+            tb.tx_id, rx_id, tti=tb.tti, ledger_tti=tb.tti, rbs=tb.rbs,
+            tx_power_dbm=tb.tx_power_dbm, direction=tb.link_direction))
+    else:
+        mean_db = channel.noise_limited_mean_db(tb.tx_id, rx_id, tb.tti,
+                                                tb.tx_power_dbm, len(tb.rbs))
     ok = tb.cqi >= 1 and decode(mean_db, tb.cqi, channel.table)
     return ReceptionResult(decoded=ok, mean_sinr_db=mean_db)

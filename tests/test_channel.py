@@ -7,10 +7,17 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from d2dsim import (Binder, ChannelModel, ChannelParams, CqiTable,
-                    LinkDirection, decode, mean_sinr_db, path_loss_db)
+                    LinkDirection, TransportBlock, decode, mean_sinr_db, path_loss_db,
+                    phy_receive)
 from d2dsim.channel import dbm_to_mw, mw_to_dbm
 
 TABLE = CqiTable.default()
+
+
+def _book(binder, tti, tx_id, direction, rbs, power_dbm):
+    """Book one transmission as the PHY does: the transport block is the entry."""
+    return binder.record_allocation(TransportBlock(
+        None, rbs, tx_id=tx_id, link_direction=direction, tx_power_dbm=power_dbm, tti=tti))
 
 # official switching thresholds the packaged table must reproduce
 THRESHOLDS = [-6.7, -4.7, -2.3, 0.2, 2.4, 4.3, 5.9, 8.1,
@@ -129,9 +136,17 @@ def test_noise_limited_sinr_oracle():
     assert sinrs == pytest.approx([30.4, 30.4])
 
 
+def test_empty_queries_evaluate_no_blocks():
+    binder, model = _model()
+    _book(binder, 2, 3, LinkDirection.SL, range(0, 4), 26.0)
+    for rbs in ((), range(3, 3), range(3, 1)):
+        assert model.sinr_per_rb_db(1, 0, tti=3, ledger_tti=2, rbs=rbs,
+                                    tx_power_dbm=26.0, direction=LinkDirection.UL) == []
+
+
 def test_interference_lowers_sinr_only_on_shared_blocks():
     binder, model = _model()
-    binder.record_allocation(2, 3, LinkDirection.SL, (1,), 26.0)  # ueC transmits
+    _book(binder, 2, 3, LinkDirection.SL, (1,), 26.0)  # ueC transmits
     clean, hit = model.sinr_per_rb_db(1, 0, tti=3, ledger_tti=2, rbs=(0, 1),
                                       tx_power_dbm=26.0,
                                       direction=LinkDirection.UL)
@@ -146,7 +161,7 @@ def test_receiving_node_own_transmission_excluded():
     binder, model = _model()
     # the receiver itself occupies the block in the same band; a node
     # cannot interfere with its own reception
-    binder.record_allocation(2, 0, LinkDirection.DL, (0,), 46.0)
+    _book(binder, 2, 0, LinkDirection.DL, (0,), 46.0)
     sinrs = model.sinr_per_rb_db(1, 0, tti=3, ledger_tti=2, rbs=(0,),
                                  tx_power_dbm=26.0, direction=LinkDirection.UL)
     assert sinrs == pytest.approx([30.4])
@@ -211,8 +226,8 @@ def _reference_sinrs(model, tx_id, rx_id, *, tti, ledger_tti, rbs, tx_power_dbm,
     for rb in rbs:
         interference_mw = 0.0
         for entry in model.binder.interferers(ledger_tti, rb, direction.band, tx_id):
-            if entry.tx_node_id != rx_id:
-                interference_mw += received_mw(entry.tx_node_id, entry.tx_power_dbm)
+            if entry.tx_id != rx_id:
+                interference_mw += received_mw(entry.tx_id, entry.tx_power_dbm)
         out.append(mw_to_dbm(signal_mw / (noise_mw + interference_mw)))
     return out
 
@@ -254,7 +269,7 @@ def test_sinr_per_rb_matches_per_block_reference(case, shadowing):
         if direction is not LinkDirection.SL:
             blocks -= binder.allocated_rbs(tti, direction)
         if blocks:
-            binder.record_allocation(tti, tx_id, direction, tuple(sorted(blocks)),
+            _book(binder, tti, tx_id, direction, tuple(sorted(blocks)),
                                      power)
     model = ChannelModel(binder, ChannelParams(shadowing_std_dev_db=shadowing),
                          TABLE, seed=5)
@@ -268,6 +283,42 @@ def test_sinr_per_rb_matches_per_block_reference(case, shadowing):
                 == _reference_sinrs(model, tx_id, rx_id, **kwargs))
 
 
+@given(_ledger_and_queries(), st.sampled_from([0.0, 8.0]), st.booleans())
+def test_reception_of_a_booked_block_matches_per_block_reference(case, shadowing, runs):
+    """Whether or not the band holds overlapping bookings, a reception's mean
+    SINR and decision equal those of the per-block reference."""
+    positions, bookings, _ = case
+    binder = Binder(num_rbs=NUM_RBS)
+    for i, position in enumerate(positions):
+        binder.register_node(f"n{i}", is_enb=i == 0, position=position)
+    booked = []
+    for tti, tx_id, direction, blocks, power in bookings:
+        if direction is not LinkDirection.SL:
+            blocks -= binder.allocated_rbs(tti, direction)
+        if not blocks:
+            continue
+        rbs = tuple(sorted(blocks))
+        if runs:  # a scheduled grant: the run of these blocks from the first one
+            stop = rbs[0]
+            while stop in blocks:
+                stop += 1
+            rbs = range(rbs[0], stop)
+        booked.append(_book(binder, tti, tx_id, direction, rbs, power))
+    model = ChannelModel(binder, ChannelParams(shadowing_std_dev_db=shadowing),
+                         TABLE, seed=5)
+    for tb in booked:
+        tb.cqi = 7
+        for rx_id in range(len(positions)):
+            if rx_id == tb.tx_id:
+                continue
+            expected = mean_sinr_db(_reference_sinrs(
+                model, tb.tx_id, rx_id, tti=tb.tti, ledger_tti=tb.tti, rbs=tb.rbs,
+                tx_power_dbm=tb.tx_power_dbm, direction=tb.link_direction))
+            result = phy_receive(model, tb, rx_id)
+            assert result.mean_sinr_db == expected
+            assert result.decoded == decode(expected, 7, TABLE)
+
+
 def test_interference_adds_up_in_booking_order():
     # three sidelink grants on block 0 at powers where the float sum
     # depends on the order of addition
@@ -276,7 +327,7 @@ def test_interference_adds_up_in_booking_order():
     binder.register_node("ue", position=(100.0, 0.0))
     for i, (y, power) in enumerate([(180.0, 10.0), (110.0, 10.0), (40.0, 11.0)]):
         binder.register_node(f"sl{i}", position=(0.0, y))
-        binder.record_allocation(2, 2 + i, LinkDirection.SL, (0,), power)
+        _book(binder, 2, 2 + i, LinkDirection.SL, (0,), power)
     model = ChannelModel(binder, ChannelParams(), TABLE, 1)
     kwargs = dict(tti=2, ledger_tti=2, rbs=(0, 1), tx_power_dbm=26.0,
                   direction=LinkDirection.UL)
@@ -322,9 +373,9 @@ def test_permuted_blocks_and_edge_interferers_match_reference(rbs, shadowing, pr
     binder.register_node("slB", position=(60.0, 60.0))
     binder.register_node("slC", position=(-80.0, 20.0))
     # each interferer touches only one edge of the query's range, or none
-    binder.record_allocation(4, 2, LinkDirection.SL, (7,), 20.0)
-    binder.record_allocation(4, 3, LinkDirection.SL, (2, 1, 0), 23.0)
-    binder.record_allocation(4, 4, LinkDirection.SL, (9, 8), 23.0)
+    _book(binder, 4, 2, LinkDirection.SL, (7,), 20.0)
+    _book(binder, 4, 3, LinkDirection.SL, (2, 1, 0), 23.0)
+    _book(binder, 4, 4, LinkDirection.SL, (9, 8), 23.0)
     model = ChannelModel(binder, ChannelParams(shadowing_std_dev_db=shadowing),
                          TABLE, seed=3)
     kwargs = dict(tti=5 if probe else 4, ledger_tti=4, rbs=tuple(rbs),
@@ -338,7 +389,7 @@ def test_permuted_blocks_and_edge_interferers_match_reference(rbs, shadowing, pr
 
 def test_probe_on_kept_entries_matches_the_ledger_it_was_taken_from():
     binder, model = _model(shadowing=8.0)
-    binder.record_allocation(4, 3, LinkDirection.SL, tuple(range(50)), 26.0)
+    _book(binder, 4, 3, LinkDirection.SL, tuple(range(50)), 26.0)
     kwargs = dict(tti=5, tx_power_dbm=26.0, direction=LinkDirection.UL)
     then = model.wideband_cqi(1, 0, **kwargs)
     model.pin(5)

@@ -293,6 +293,28 @@ def test_below_one_sided_bounds_exit_1_with_one_line(tmp_path, capsys, lines, co
     assert "must be >=" in captured.err
 
 
+@pytest.mark.parametrize("lines, message", [
+    pytest.param(["ueD2DTx[0].d2dModeSelection = true", "ueD2DTx[0].d2dModeSelectionPeriod = 0"],
+                 "node=ueD2DTx[0] key=d2dModeSelection d2dModeSelection applies only to the eNB",
+                 id="mode-selection-on-a-ue"),
+    pytest.param(['ueD2DTx[0].amcMode = "x"'], "amcMode must be auto or D2D, got 'x'",
+                 id="amcMode-not-a-mode"),
+    pytest.param(['ueCell[0].amcMode = "D2D"'],
+                 "node=ueCell[0] key=amcMode amcMode applies only to the eNB",
+                 id="amcMode-on-a-ue")])
+@pytest.mark.parametrize("command", [["validate"], ["run", "--ttis", "40"]])
+def test_enb_only_keys_on_a_ue_exit_1_with_one_line(tmp_path, capsys, lines, message, command):
+    # mode selection and amcMode mean something only on the eNB
+    shipped = Path(__file__).resolve().parents[1] / "scenarios" / "one_to_one.ini"
+    bad = tmp_path / "bad.ini"
+    bad.write_text(shipped.read_text() + "\n".join(lines) + "\n")
+    assert main([command[0], str(bad), *command[1:]]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert message in captured.err
+
+
 _NODES = ("eNodeB", "ueD2DTx[0]", "ueD2DRx[0]", "ueCell[0]")
 
 

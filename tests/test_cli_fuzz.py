@@ -29,7 +29,7 @@ NUMBERS = ("nan", "-nan", "inf", "-inf", "1e400", "-1e400", "-0", "0", "-0.0", "
 TEXTS = ('""', '" "', '"', "", "true", "false", '"eNB"', '"UE"', '"D2D"', '"oneWay"',
          '"requestResponse"', '"**"', '"*"', '"ue*"', '"ue[*]"', '"*.*"', '"[a"',
          '"ueD2DTx[0]"', '"eNodeB"', '"224.0.0.10"', '"224.0.0.99"',
-         '"ueD2DTx[0] ueD2DTx[0]"', '"eNodeB ueD2D[0]"', '"NoSuchPolicy"')
+         '"ueD2DTx[0] ueD2DTx[0]"', '"eNodeB ueD2D[0]"', '"NoSuchPolicy"', '"auto"')
 TOKENS = st.sampled_from(NUMBERS) | st.sampled_from(TEXTS)
 KEYS = ("sim.ttiCount", "sim.seed", "sim.numRbs", "sim.rbCapacityRe",
         "sim.cqiReportPeriodTtis", "sim.harqMaxRetx", "sim.harqProcesses", "sim.nodes",
@@ -43,7 +43,10 @@ KEYS = ("sim.ttiCount", "sim.seed", "sim.numRbs", "sim.rbCapacityRe",
         "eNodeB.d2dModeSelectionPeriod", "flow[0].sourceNode", "flow[0].destAddress",
         "flow[0].packetBytes", "flow[0].periodTtis", "flow[0].startTti",
         "flow[0].transport", "flow[0].startJitterTtis", "flow[5].packetBytes",
-        "224.0.0.10", "sim.mysteryKnob")
+        "224.0.0.10", "sim.mysteryKnob",
+        # keys in the wrong scope: mode selection and amcMode belong to the eNB
+        "ueD2DTx[0].d2dModeSelection", "ue*.d2dModeSelectionPeriod",
+        "**.d2dModeSelectionType", "ueCell[0].amcMode", "**.amcMode")
 HEADERS = ("[multicast]", "[general]", "[", "]", "[multicast", "[]")
 COMMANDS = (["validate"], ["run", "--ttis", "40"], ["sweep-cqi"],
             ["compare-modes", "--ttis", "40"])
@@ -81,12 +84,16 @@ def _one_to_one_with(*extra):
 @settings(max_examples=300, deadline=None)
 @given(mutated_scenarios())
 # crash classes found before: integers too large for a float, and a
-# policy name that validation let through
+# policy name that validation let through; then two silent acceptances:
+# mode selection on a UE, and an amcMode that is not a mode
 @example(_one_to_one_with("sim.rbCapacityRe = 1" + "0" * 400))
 @example(_one_to_one_with("flow[2].packetBytes = 1" + "0" * 400))
 @example(_one_to_one_with("sim.numRbs = 1" + "0" * 400))
 @example(_one_to_one_with("eNodeB.d2dModeSelection = true",
                           'eNodeB.d2dModeSelectionType = "NoSuchPolicy"'))
+@example(_one_to_one_with("ueD2DTx[0].d2dModeSelection = true",
+                          "ueD2DTx[0].d2dModeSelectionPeriod = 0"))
+@example(_one_to_one_with('ueD2DTx[0].amcMode = "x"'))
 def test_mutated_scenarios_exit_cleanly_from_every_command(text):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "mutated.ini"

@@ -424,27 +424,6 @@ flow[0].startTti = 100
     assert result.flow_metrics[0]["max_latency_ttis"] == 5
 
 
-def test_unvalidated_enb_multicast_never_reaches_the_scheduler():
-    # validate rejects this flow; an engine built around it queues the
-    # packets at the eNB, which the scheduler never serves
-    config = scenario("""
-flow[1].sourceNode = "ueTx[0]"
-flow[1].destAddress = "224.0.0.1"
-flow[1].packetBytes = 100
-flow[1].periodTtis = 5
-[multicast]
-224.0.0.1 = "ue*"
-""", tti_count=200)
-    flows = (config.flows[0],
-             dataclasses.replace(config.flows[1], source_node="eNodeB"))
-    engine = Engine(dataclasses.replace(config, flows=flows))
-    result = engine.run()
-    metrics = result.flow_metrics[1]
-    assert metrics["offered_packets"] == metrics["queued_end"] == 80  # 40 x 2 UEs
-    assert engine._active <= set(engine.ue_ids)
-    assert conservation_ok(result)
-
-
 def _sidelink_grants(text):
     result = run_scenario(parse_scenario(text), trace=True)
     return [(row.tti, row.dst) for row in result.trace

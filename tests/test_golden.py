@@ -39,7 +39,8 @@ def test_shipped_scenario_outputs_are_byte_identical(rel):
 
 # mixed_7ue instance 0 at seed 42 is the criterion-1 scenario (cut to
 # the workload's TTI count); cell_40ue_shadowed is the one workload
-# with shadowing, overlapping sidelink grants and mode switches;
+# with shadowing, HARQ drops and mode switches, and its CQI probes see
+# other transmitters (no workload places overlapping grants);
 # saturated_cell keeps its uplink queues growing all run.
 @pytest.mark.parametrize("workload", ["mixed_7ue", "cell_40ue_shadowed",
                                       "saturated_cell"])

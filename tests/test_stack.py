@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from d2dsim import (CqiTable, Direction, HarqOutcome, HarqPool, LinkDirection,
                     Mode, PacketAssembler, PacketDescriptor, RlcTxQueue,
-                    ScheduleGrant, ScheduleRequest, amc_tbs, harq_on_feedback,
+                    ScheduleRequest, TransportBlock, amc_tbs, harq_on_feedback,
                     pdcp_classify, rbs_needed, schedule_band)
 
 TABLE = CqiTable.default()
@@ -193,34 +193,34 @@ def test_rbs_needed_is_minimal(bits, cqi):
 def _req(node, direction=Direction.UL, cqi=7, backlog=0, retx=0):
     return ScheduleRequest(node_id=node, direction=direction, cqi=cqi,
                            backlog_bits=backlog, retx_rbs=retx,
-                           link_key=(node, direction))
+                           link=(node, direction))
 
 
 def test_single_request_gets_what_it_needs():
     grants = schedule_band([_req(1, backlog=4000)], 50, 168, TABLE)
     assert len(grants) == 1
-    assert grants[0].num_rbs == 17
-    assert grants[0].rbs == tuple(range(17))
+    assert len(grants[0].rbs) == 17
+    assert tuple(grants[0].rbs) == tuple(range(17))
     assert grants[0].tbs_bits == 4217
 
 
 def test_round_robin_splits_scarce_blocks():
     grants = schedule_band([_req(1, backlog=50_000), _req(2, backlog=50_000)],
                            50, 168, TABLE)
-    assert {g.request.node_id: g.num_rbs for g in grants} == {1: 25, 2: 25}
+    assert {g.request.node_id: len(g.rbs) for g in grants} == {1: 25, 2: 25}
 
 
 def test_odd_remainder_goes_to_lower_node_id():
     grants = schedule_band([_req(1, backlog=50_000), _req(2, backlog=50_000)],
                            51, 168, TABLE)
-    assert {g.request.node_id: g.num_rbs for g in grants} == {1: 26, 2: 25}
+    assert {g.request.node_id: len(g.rbs) for g in grants} == {1: 26, 2: 25}
 
 
 def test_satisfied_requester_leaves_the_round_robin():
     # node 1 needs 2 blocks; node 2 absorbs everything left over
     grants = schedule_band([_req(1, backlog=300), _req(2, backlog=100_000)],
                            50, 168, TABLE)
-    assert {g.request.node_id: g.num_rbs for g in grants} == {1: 2, 2: 48}
+    assert {g.request.node_id: len(g.rbs) for g in grants} == {1: 2, 2: 48}
 
 
 def test_grants_are_contiguous_and_disjoint():
@@ -228,7 +228,7 @@ def test_grants_are_contiguous_and_disjoint():
                             _req(3, backlog=900)], 50, 168, TABLE)
     seen: list[int] = []
     for grant in grants:
-        assert grant.rbs == tuple(range(grant.rbs[0], grant.rbs[0] + grant.num_rbs))
+        assert tuple(grant.rbs) == tuple(range(grant.rbs[0], grant.rbs[0] + len(grant.rbs)))
         seen.extend(grant.rbs)
     assert len(seen) == len(set(seen))
 
@@ -237,15 +237,15 @@ def test_retx_is_served_first_and_exactly():
     grants = schedule_band([_req(1, backlog=100_000), _req(2, retx=12)],
                            50, 168, TABLE)
     by_node = {g.request.node_id: g for g in grants}
-    assert by_node[2].is_retx and by_node[2].num_rbs == 12
-    assert by_node[2].rbs == tuple(range(12))  # placed before new data
-    assert by_node[1].num_rbs == 38
+    assert by_node[2].request.retx_rbs and len(by_node[2].rbs) == 12
+    assert tuple(by_node[2].rbs) == tuple(range(12))  # placed before new data
+    assert len(by_node[1].rbs) == 38
 
 
 def test_retx_is_all_or_nothing():
     grants = schedule_band([_req(1, retx=30), _req(2, retx=30)], 50, 168, TABLE)
     assert [g.request.node_id for g in grants] == [1]
-    assert grants[0].num_rbs == 30
+    assert len(grants[0].rbs) == 30
 
 
 def test_cqi_zero_is_unschedulable():
@@ -284,8 +284,8 @@ def test_scheduler_never_overallocates(mix, num_rbs):
     assert len(used) <= num_rbs
     assert all(0 <= rb < num_rbs for rb in used)
     for grant in grants:
-        if grant.is_retx:
-            assert grant.num_rbs == grant.request.retx_rbs
+        if grant.request.retx_rbs:
+            assert len(grant.rbs) == grant.request.retx_rbs
 
 
 def _reference_schedule_band(requests, num_rbs, rb_capacity_re, table):
@@ -328,12 +328,12 @@ def _reference_schedule_band(requests, num_rbs, rb_capacity_re, table):
     grants = []
     next_rb = 0
     for request, count, is_retx in ordered:
-        rbs = tuple(range(next_rb, next_rb + count))
+        assert is_retx == (request.retx_rbs > 0)
+        rbs = range(next_rb, next_rb + count)
         next_rb += count
-        grants.append(ScheduleGrant(
-            request=request, num_rbs=count, rbs=rbs,
-            tbs_bits=amc_tbs(request.cqi, count, rb_capacity_re, table),
-            is_retx=is_retx))
+        grants.append(TransportBlock(
+            request=request, rbs=rbs,
+            tbs_bits=amc_tbs(request.cqi, count, rb_capacity_re, table)))
     return grants
 
 
@@ -440,3 +440,35 @@ def test_max_retx_zero_drops_on_first_nack():
     process = pool.allocate()
     process.tx_count = 1
     assert harq_on_feedback(process, False, 0) is HarqOutcome.DROPPED
+
+
+@given(st.integers(1, 4), st.lists(st.tuples(
+    st.sampled_from(["allocate", "ack", "nack", "retransmit", "clear", "switch"]),
+    st.integers(0, 3)), max_size=40))
+def test_pool_counts_answer_as_a_scan_of_its_processes(size, ops):
+    """After any mix of allocations, feedback, retransmissions, direct flag
+    writes and mode-switch releases, the counted answers equal a scan."""
+    pool = HarqPool(size)
+    for op, pick in ops:
+        busy = [p for p in pool.processes if p.busy]
+        process = busy[pick % len(busy)] if busy else None
+        if op == "allocate":
+            pool.allocate()
+        elif op == "ack" and process is not None:
+            pool.release(process)
+        elif op == "nack" and process is not None:
+            process.tx_count += 1
+            if harq_on_feedback(process, False, 2) is HarqOutcome.DROPPED:
+                pool.release(process)
+        elif op == "retransmit" and pool.pending_retx() is not None:
+            pool.pending_retx().awaiting_retx = False  # as the engine grants one
+        elif op == "clear" and process is not None:
+            process.awaiting_retx = False
+        elif op == "switch":  # a mode switch releases every busy process
+            for process in busy:
+                pool.release(process)
+        assert pool.pending_retx() is next(
+            (p for p in pool.processes if p.busy and p.awaiting_retx), None)
+        assert pool.has_idle() == any(not p.busy for p in pool.processes)
+        assert pool.waiting == sum(p.awaiting_retx for p in pool.processes)
+        assert pool.busy == sum(p.busy for p in pool.processes)
