@@ -15,9 +15,8 @@ one block twice in one direction is a bug and raises :class:`RbConflict`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 
 class LinkDirection(Enum):
@@ -37,8 +36,7 @@ class RbConflict(Exception):
     """Same resource block granted twice in one direction and TTI."""
 
 
-@dataclass(frozen=True)
-class NodeRecord:
+class NodeRecord(NamedTuple):
     node_id: int
     name: str
     is_enb: bool
@@ -53,7 +51,6 @@ class _Band(list):
     overlap = False  # two entries share a block
 
 
-@dataclass
 class Binder:
     """Node registry, per-TTI allocation ledger and group membership.
 
@@ -63,12 +60,14 @@ class Binder:
     record with ``tti``, ``tx_id``, ``link_direction``, ``rbs`` and ``tx_power_dbm``.
     """
 
-    num_rbs: int
-    _records: list[NodeRecord] = field(default_factory=list)
-    _ids: dict[str, int] = field(default_factory=dict)
-    _bands: dict[tuple[int, str], _Band] = field(default_factory=dict)
-    _groups: dict[str, set[int]] = field(default_factory=dict)
-    _conflict_count: int = 0
+    __slots__ = ("num_rbs", "_records", "_ids", "_bands", "_groups", "_conflict_count")
+
+    def __init__(self, num_rbs: int) -> None:
+        self.num_rbs, self._conflict_count = num_rbs, 0
+        self._records: list[NodeRecord] = []
+        self._ids: dict[str, int] = {}
+        self._bands: dict[tuple[int, str], _Band] = {}
+        self._groups: dict[str, set[int]] = {}
 
     # -- node registry ------------------------------------------------
 

@@ -17,14 +17,13 @@ from __future__ import annotations
 import math
 import random
 from bisect import bisect_right
-from dataclasses import dataclass
 from importlib import resources
+from typing import NamedTuple
 
 from .binder import Binder, LinkDirection
 
 
-@dataclass(frozen=True)
-class ChannelParams:
+class ChannelParams(NamedTuple):
     path_loss_exponent: float = 3.5
     reference_loss_db: float = 40.0
     shadowing_std_dev_db: float = 0.0
@@ -116,11 +115,6 @@ class CqiTable:
             raise ValueError(f"cqi {cqi} outside 1..{self.max_cqi}")
         return self._thresholds[cqi - 1]
 
-    def efficiency(self, cqi: int) -> float:
-        if not 1 <= cqi <= self.max_cqi:
-            raise ValueError(f"cqi {cqi} outside 1..{self.max_cqi}")
-        return self.efficiencies[cqi]
-
     def sinr_to_cqi(self, sinr_db: float) -> int:
         return bisect_right(self._thresholds, sinr_db)
 
@@ -156,13 +150,23 @@ class ChannelModel:
         self._pinned: dict[int, tuple[dict, dict[str, tuple]]] = {}
         self._newest_tti = -math.inf
         self._noise_mw = dbm_to_mw(params.thermal_noise_dbm_per_rb + params.noise_figure_db)
+        self._rng = random.Random()
 
     def shadowing_db(self, tx_id: int, rx_id: int, tti: int) -> float:
+        """One draw of N(0, sigma) from a generator seeded by the draw's key.
+
+        The draw is the first value ``random.Random(key).gauss(0.0, sigma)``
+        returns, spelled out so that it rests only on ``seed`` with a string
+        and ``random()``, which the standard library keeps reproducible
+        across versions, and not on ``gauss``, which it does not.
+        """
         sigma = self.params.shadowing_std_dev_db
         if sigma == 0.0:
             return 0.0
-        rng = random.Random(f"{self.seed}:shadowing:{tx_id}:{rx_id}:{tti}")
-        return rng.gauss(0.0, sigma)
+        rng = self._rng
+        rng.seed(f"{self.seed}:shadowing:{tx_id}:{rx_id}:{tti}")
+        angle = rng.random() * math.tau
+        return 0.0 + math.cos(angle) * math.sqrt(-2.0 * math.log(1.0 - rng.random())) * sigma
 
     def _losses_at(self, tti: int) -> dict[tuple[int, int], float]:
         """Loss memo of one TTI; pruned to two TTIs whenever time advances."""

@@ -13,7 +13,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 from .channel import ChannelParams, CqiTable, decode, path_loss_db
 from .config import POSITION_LIMIT_M, ScenarioConfig, ScenarioError, load_scenario, validate
@@ -30,8 +30,7 @@ class UsageError(Exception):
     """A command-line option has a value the command cannot use."""
 
 
-@dataclass(frozen=True)
-class SweepRow:
+class SweepRow(NamedTuple):
     cqi: int
     max_distance_m: float
     rbs_per_packet: int | None
@@ -76,19 +75,14 @@ def sweep_cqi_range(cqis: list[int], tx_power_dbm: float, packet_bytes: int,
                     rb_capacity_re: int, params: ChannelParams,
                     table: CqiTable) -> list[SweepRow]:
     """Reachable distance and per-packet cost of each fixed CQI."""
-    rows = []
-    for cqi in cqis:
-        rows.append(SweepRow(
-            cqi=cqi,
-            max_distance_m=max_decode_distance(cqi, tx_power_dbm, params, table),
-            rbs_per_packet=rbs_needed(packet_bytes * 8, cqi, rb_capacity_re, table)))
-    return rows
+    return [SweepRow(cqi, max_decode_distance(cqi, tx_power_dbm, params, table),
+                     rbs_needed(packet_bytes * 8, cqi, rb_capacity_re, table))
+            for cqi in cqis]
 
 
 def compare_modes(config: ScenarioConfig) -> dict[str, "SimulationResult"]:
     """Run a scenario once per sidelink mode with selection pinned off."""
-    pinned = replace(config,
-                     mode_selection=replace(config.mode_selection, enabled=False))
+    pinned = config._replace(mode_selection=config.mode_selection._replace(enabled=False))
     return {mode.value: run_scenario(pinned, initial_mode=mode)
             for mode in (Mode.DM, Mode.IM)}
 
@@ -118,7 +112,7 @@ def _load(args: argparse.Namespace) -> ScenarioConfig:
     if getattr(args, "ttis", None) is not None:
         overrides["tti_count"] = args.ttis
     if overrides:
-        config = replace(config, sim=replace(config.sim, **overrides))
+        config = config._replace(sim=config.sim._replace(**overrides))
         problems = validate(config)
         if problems:
             raise UsageError("invalid override: "

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Iterable, NamedTuple
 
@@ -76,8 +75,7 @@ class ConstraintViolationError(ScenarioError):
         super().__init__(f"invalid scenario: {summary}", line)
 
 
-@dataclass(frozen=True)
-class Diagnostic:
+class Diagnostic(NamedTuple):
     """One validation finding, naming the offending key and node."""
 
     kind: str  # "ConstraintViolation" or "UnresolvedNodeReference"
@@ -109,8 +107,7 @@ class AmcMode(Enum):
     D2D = "D2D"  # sidelink-aware AMC, meaningful on the eNB only
 
 
-@dataclass(frozen=True)
-class SimParams:
+class SimParams(NamedTuple):
     tti_count: int = 0
     seed: int = 1
     num_rbs: int = 50
@@ -120,8 +117,7 @@ class SimParams:
     harq_processes: int = 8
 
 
-@dataclass(frozen=True)
-class NodeConfig:
+class NodeConfig(NamedTuple):
     name: str
     role: Role = Role.UE
     position_x: float = 0.0
@@ -136,8 +132,7 @@ class NodeConfig:
     amc_mode: AmcMode = AmcMode.AUTO
 
 
-@dataclass(frozen=True)
-class FlowConfig:
+class FlowConfig(NamedTuple):
     flow_id: int
     source_node: str
     dest_address: str  # node name or multicast literal
@@ -148,26 +143,23 @@ class FlowConfig:
     start_jitter_ttis: int = 0
 
 
-@dataclass(frozen=True)
-class MulticastGroup:
+class MulticastGroup(NamedTuple):
     address: str
     member_pattern: str
 
 
-@dataclass(frozen=True)
-class ModeSelectionConfig:
+class ModeSelectionConfig(NamedTuple):
     enabled: bool = False
     policy_name: str = "D2DModeSelectionBestCqi"
     period_ttis: int = 100
 
 
-@dataclass(frozen=True)
-class ScenarioConfig:
-    sim: SimParams = field(default_factory=SimParams)
+class ScenarioConfig(NamedTuple):
+    sim: SimParams = SimParams()
     nodes: tuple[NodeConfig, ...] = ()
     flows: tuple[FlowConfig, ...] = ()
-    channel: ChannelParams = field(default_factory=ChannelParams)
-    mode_selection: ModeSelectionConfig = field(default_factory=ModeSelectionConfig)
+    channel: ChannelParams = ChannelParams()
+    mode_selection: ModeSelectionConfig = ModeSelectionConfig()
     multicast_groups: tuple[MulticastGroup, ...] = ()
 
     def node_by_name(self, name: str) -> NodeConfig:
@@ -310,8 +302,7 @@ _REQUIRED_FLOW_KEYS = ("sourceNode", "destAddress", "packetBytes", "periodTtis")
 # ---------------------------------------------------------------------------
 # parsing
 
-@dataclass
-class _Assignment:
+class _Assignment(NamedTuple):
     line: int
     scope: list[str]
     key: str
@@ -424,6 +415,7 @@ def parse_scenario(text: str) -> ScenarioConfig:
             [Diagnostic("ConstraintViolation", "duplicate node name in sim.nodes", key="nodes")])
     node_values: dict[str, dict[str, object]] = {name: {} for name in declared}
     ms_values: dict[str, dict[str, object]] = {name: {} for name in declared}
+    ms_lines: dict[tuple[str, str], int] = {}  # (node, key) -> line of its last assignment
 
     for assignment in main:
         scope = assignment.scope
@@ -446,6 +438,7 @@ def parse_scenario(text: str) -> ScenarioConfig:
                     f"{pattern!r} does not name a declared node", assignment.line)
             if assignment.key in _MODE_SELECTION_KEYS:
                 table, per_node = _MODE_SELECTION_KEYS, ms_values
+                ms_lines.update(((name, assignment.key), assignment.line) for name in matched)
             else:
                 table, per_node = _NODE_KEYS, node_values
             targets = [per_node[name] for name in matched]
@@ -457,10 +450,11 @@ def parse_scenario(text: str) -> ScenarioConfig:
     channel = ChannelParams(**channel_values)
     nodes = tuple(NodeConfig(name=name, **node_values[name]) for name in declared)
     for node in nodes:  # mode selection is read from the eNB alone
-        for key, (attr, _, _) in _MODE_SELECTION_KEYS.items():
-            if attr in ms_values[node.name] and node.role is not Role.ENB:
+        for key in _MODE_SELECTION_KEYS:
+            if (node.name, key) in ms_lines and node.role is not Role.ENB:
                 raise ConstraintViolationError([Diagnostic(
-                    "ConstraintViolation", f"{key} applies only to the eNB", node.name, key)])
+                    "ConstraintViolation", f"{key} applies only to the eNB", node.name, key)],
+                    ms_lines[node.name, key])
     mode_selection = ModeSelectionConfig(
         **next((ms_values[node.name] for node in nodes if node.role is Role.ENB), {}))
 

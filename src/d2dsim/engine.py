@@ -33,9 +33,8 @@ buckets; the run audits the resource ledger every TTI the same way.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from enum import Enum, IntEnum
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .binder import Binder
 from .channel import ChannelModel, CqiTable
@@ -77,8 +76,7 @@ class InstanceStatus(Enum):
     LOST_DECODE = "lost_decode_failed"
 
 
-@dataclass(frozen=True)
-class TraceRow:
+class TraceRow(NamedTuple):
     tti: int
     event: str
     src: str
@@ -89,8 +87,7 @@ class TraceRow:
     decoded: bool | None = None
 
 
-@dataclass
-class SimulationResult:
+class SimulationResult(NamedTuple):
     run_metrics: dict[str, float]
     flow_metrics: dict[int, dict[str, float]]
     trace: list[TraceRow]
@@ -128,23 +125,25 @@ def _fmt(value: float) -> str:
     return str(value)
 
 
-@dataclass
 class _Link:
     """One radio link: its RLC queues, its HARQ pool and how it is served."""
 
-    key: tuple  # (tx_id, direction, rx_id or group address)
-    tx_power_dbm: float
-    reported: bool  # its CQI comes from reports, else it is ``fixed_cqi``
-    fixed_cqi: int = 0
-    pool: HarqPool | None = None  # None on one-to-many links: no feedback
-    # by final endpoint, in endpoint order; only a UE's uplink has several
-    queues: dict[int | str, RlcTxQueue] = field(default_factory=dict)
-    backlog: int = 0  # bits left in the queues, kept as a running total
-    mode: Mode | None = None  # a peering's current path, None on other links
-    cqi_memo: tuple[int, int] = (-1, 0)  # (report TTI, CQI) last measured
+    __slots__ = ("key", "tx_power_dbm", "reported", "fixed_cqi", "pool", "queues",
+                 "backlog", "mode", "cqi_memo", "tx_id", "direction", "rx", "rx_id",
+                 "node_id", "link_direction", "link", "granted_key")
 
-    def __post_init__(self) -> None:
-        self.tx_id, self.direction, self.rx = self.key
+    def __init__(self, key: tuple, tx_power_dbm: float, reported: bool,
+                 fixed_cqi: int = 0, pool: HarqPool | None = None) -> None:
+        self.key = key  # (tx_id, direction, rx_id or group address)
+        self.tx_id, self.direction, self.rx = key
+        self.tx_power_dbm, self.fixed_cqi = tx_power_dbm, fixed_cqi
+        self.reported = reported  # its CQI comes from reports, else it is ``fixed_cqi``
+        self.pool = pool  # None on one-to-many links: no feedback
+        # by final endpoint, in endpoint order; only a UE's uplink has several
+        self.queues: dict[int | str, RlcTxQueue] = {}
+        self.backlog = 0  # bits left in the queues, kept as a running total
+        self.mode: Mode | None = None  # a peering's current path, None on other links
+        self.cqi_memo = (-1, 0)  # (report TTI, CQI) last measured
         self.rx_id = None if self.direction is Direction.D2D_MULTI else self.rx
         self.node_id = self.rx if self.direction is Direction.DL else self.tx_id
         self.link_direction = self.direction.link

@@ -11,9 +11,8 @@ already committed to the old path is lost.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
-from typing import Callable
+from typing import Callable, NamedTuple
 
 
 class Mode(Enum):
@@ -25,8 +24,7 @@ class UnknownPolicyError(Exception):
     """Requested mode-selection policy was never registered."""
 
 
-@dataclass(frozen=True)
-class ModeSwitchCommand:
+class ModeSwitchCommand(NamedTuple):
     src_id: int
     dst_id: int
     new_mode: Mode

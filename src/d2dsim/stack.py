@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, field
 from enum import Enum
 
 from .binder import Binder, LinkDirection
@@ -35,18 +34,18 @@ class Direction(Enum):
         return LinkDirection.SL if self.value.startswith("D2D") else LinkDirection(self.value)
 
 
-@dataclass(frozen=True)
 class PacketDescriptor:
     """Identity of one application packet, fixed at creation."""
 
-    packet_id: int
-    flow_id: int
-    src_id: int
-    dst_id: int | None  # None for multicast
-    group_address: str | None
-    size_bits: int
-    created_tti: int
-    is_request: bool = False
+    __slots__ = ("packet_id", "flow_id", "src_id", "dst_id", "group_address",
+                 "size_bits", "created_tti", "is_request")
+
+    def __init__(self, packet_id: int, flow_id: int, src_id: int,
+                 dst_id: int | None, group_address: str | None, size_bits: int,
+                 created_tti: int, is_request: bool = False) -> None:
+        self.packet_id, self.flow_id, self.src_id = packet_id, flow_id, src_id
+        self.dst_id, self.group_address = dst_id, group_address  # dst None for multicast
+        self.size_bits, self.created_tti, self.is_request = size_bits, created_tti, is_request
 
 
 def pdcp_classify(src_is_enb: bool, dst_is_enb: bool, is_multicast: bool,
@@ -69,14 +68,13 @@ def pdcp_classify(src_is_enb: bool, dst_is_enb: bool, is_multicast: bool,
 # ---------------------------------------------------------------------------
 # RLC (unacknowledged mode, byte-granular segmentation)
 
-@dataclass(slots=True)
 class RlcChunk:
-    packet: PacketDescriptor
-    bits: int
-    last: bool
+    __slots__ = ("packet", "bits", "last")
+
+    def __init__(self, packet: PacketDescriptor, bits: int, last: bool) -> None:
+        self.packet, self.bits, self.last = packet, bits, last
 
 
-@dataclass
 class RlcTxQueue:
     """FIFO of packets awaiting transmission on one (link, direction).
 
@@ -85,7 +83,10 @@ class RlcTxQueue:
     fragmented packet's remainder stays at the head of the queue.
     """
 
-    _pending: deque = field(default_factory=deque)  # [descriptor, remaining_bits]
+    __slots__ = ("_pending",)
+
+    def __init__(self) -> None:
+        self._pending: deque = deque()  # [descriptor, remaining_bits]
 
     def push(self, packet: PacketDescriptor) -> None:
         self._pending.append([packet, packet.size_bits])
@@ -128,11 +129,13 @@ class RlcTxQueue:
         return dropped
 
 
-@dataclass
 class PacketAssembler:
     """Receiver-side reassembly: a packet completes when all bits arrive."""
 
-    _received_bits: dict[int, int] = field(default_factory=dict)
+    __slots__ = ("_received_bits",)
+
+    def __init__(self) -> None:
+        self._received_bits: dict[int, int] = {}
 
     def add(self, chunk: RlcChunk) -> PacketDescriptor | None:
         pid = chunk.packet.packet_id
@@ -174,18 +177,23 @@ def rbs_needed(bits: int, cqi: int, rb_capacity_re: int, table: CqiTable) -> int
 # ---------------------------------------------------------------------------
 # MAC scheduler
 
-@dataclass(slots=True)
 class ScheduleRequest:
-    node_id: int
-    direction: Direction
-    cqi: int
-    backlog_bits: int = 0
-    retx_rbs: int = 0  # exact grant size of a pending retransmission
-    link: object = None  # the caller's handle on the requesting link
+    __slots__ = ("node_id", "direction", "cqi", "backlog_bits", "retx_rbs", "link")
+
+    def __init__(self, node_id: int, direction: Direction, cqi: int,
+                 backlog_bits: int = 0, retx_rbs: int = 0, link: object = None) -> None:
+        self.node_id, self.direction, self.cqi = node_id, direction, cqi
+        self.backlog_bits = backlog_bits
+        self.retx_rbs = retx_rbs  # exact grant size of a pending retransmission
+        self.link = link  # the caller's handle on the requesting link
 
 
 _DIRECTION_RANK = {d: rank for rank, d in
                    enumerate(sorted(Direction, key=lambda d: d.value))}
+
+
+def _by_node(request: ScheduleRequest) -> tuple[int, int]:
+    return request.node_id, _DIRECTION_RANK[request.direction]
 
 
 def schedule_band(requests: list[ScheduleRequest], num_rbs: int,
@@ -200,23 +208,28 @@ def schedule_band(requests: list[ScheduleRequest], num_rbs: int,
     win.  Granted counts are then laid out contiguously from index 0,
     one transport block per grant.
     """
-    keys = [(r.node_id, r.direction) for r in requests]
-    if len(set(keys)) != len(keys):
+    if len({(r.node_id, r.direction) for r in requests}) != len(requests):
+        keys = [(r.node_id, r.direction) for r in requests]
         node_id, direction = next(key for i, key in enumerate(keys) if key in keys[:i])
         raise ValueError(f"duplicate request for node {node_id} {direction.value}")
 
-    by_node = lambda r: (r.node_id, _DIRECTION_RANK[r.direction])
+    retx, fresh = [], []  # retransmissions; new data a block could carry
+    for r in requests:
+        if r.retx_rbs > 0:
+            retx.append(r)
+        elif r.retx_rbs == 0 and r.backlog_bits > 0 and r.cqi >= 1:
+            fresh.append(r)
+    for group in (retx, fresh):
+        if len(group) > 1:
+            group.sort(key=_by_node)
+
     available = num_rbs
     ordered: list[tuple[ScheduleRequest, int]] = []  # (request, rb count)
-
-    for request in sorted((r for r in requests if r.retx_rbs > 0), key=by_node):
+    for request in retx:
         if request.retx_rbs <= available:
             ordered.append((request, request.retx_rbs))
             available -= request.retx_rbs
 
-    fresh = sorted((r for r in requests
-                    if r.retx_rbs == 0 and r.backlog_bits > 0 and r.cqi >= 1),
-                   key=by_node)
     # whole rounds up to the smallest open need, then one block each
     need = [rbs_needed(r.backlog_bits, r.cqi, rb_capacity_re, table) for r in fresh]
     active = list(range(len(fresh)))  # requesters short of their need
@@ -252,16 +265,15 @@ class HarqOutcome(Enum):
     DROPPED = "dropped"
 
 
-@dataclass(slots=True, eq=False)
 class HarqProcess:
-    process_id: int
-    pool: HarqPool = field(repr=False)  # counts the waiting processes
-    busy: bool = False
-    chunks: tuple[RlcChunk, ...] = ()
-    cqi: int = 0
-    num_rbs: int = 0
-    tx_count: int = 0
-    _awaiting_retx: bool = False
+    __slots__ = ("process_id", "pool", "busy", "chunks", "cqi", "num_rbs",
+                 "tx_count", "_awaiting_retx")
+
+    def __init__(self, process_id: int, pool: HarqPool) -> None:
+        self.process_id, self.pool = process_id, pool  # the pool counts waiting processes
+        self.busy = self._awaiting_retx = False
+        self.chunks: tuple[RlcChunk, ...] = ()
+        self.cqi = self.num_rbs = self.tx_count = 0
 
     @property
     def awaiting_retx(self) -> bool:
@@ -273,7 +285,6 @@ class HarqProcess:
         self._awaiting_retx = value
 
 
-@dataclass
 class HarqPool:
     """Per-link set of stop-and-wait processes.
 
@@ -285,15 +296,14 @@ class HarqPool:
     to a transmission that no longer exists and must be ignored.
     """
 
-    num_processes: int
-    processes: list[HarqProcess] = field(default_factory=list)
-    epoch: int = 0
-    busy: int = 0  # processes busy, counted so that no question scans them
-    waiting: int = 0  # processes awaiting a retransmission, likewise
+    __slots__ = ("num_processes", "processes", "epoch", "busy", "waiting")
 
-    def __post_init__(self) -> None:
-        if not self.processes:
-            self.processes = [HarqProcess(i, self) for i in range(self.num_processes)]
+    def __init__(self, num_processes: int) -> None:
+        self.num_processes = num_processes
+        self.processes = [HarqProcess(i, self) for i in range(num_processes)]
+        # ``busy`` and ``waiting`` (for a retransmission) count processes,
+        # so that no question scans them
+        self.epoch = self.busy = self.waiting = 0
 
     def allocate(self) -> HarqProcess | None:
         """Claim the lowest-numbered idle process, or None if all busy."""
@@ -314,9 +324,7 @@ class HarqPool:
         self.busy -= process.busy
         process.busy = False
         process.chunks = ()
-        process.cqi = 0
-        process.num_rbs = 0
-        process.tx_count = 0
+        process.cqi = process.num_rbs = process.tx_count = 0
         process.awaiting_retx = False
 
     def pending_retx(self) -> HarqProcess | None:
@@ -354,7 +362,6 @@ def harq_on_feedback(process: HarqProcess, ack: bool, max_retx: int) -> HarqOutc
 # ---------------------------------------------------------------------------
 # PHY
 
-@dataclass(slots=True)
 class TransportBlock:
     """One grant, from the scheduler to HARQ feedback.
 
@@ -363,23 +370,25 @@ class TransportBlock:
     interface's fields, and the binder books the block as its entry.
     """
 
-    request: ScheduleRequest | None
-    rbs: range | tuple[int, ...]
-    tbs_bits: int = 0
-    tx_id: int = -1
-    link_direction: LinkDirection = LinkDirection.UL
-    tx_power_dbm: float = 0.0
-    tti: int = -1
-    cqi: int = 0
-    chunks: tuple[RlcChunk, ...] = ()
-    harq_process_id: int | None = None  # None when the link has no HARQ
-    harq_epoch: int = 0
+    __slots__ = ("request", "rbs", "tbs_bits", "tx_id", "link_direction",
+                 "tx_power_dbm", "tti", "cqi", "chunks", "harq_process_id", "harq_epoch")
+
+    def __init__(self, request: ScheduleRequest | None, rbs: range | tuple[int, ...],
+                 tbs_bits: int = 0, tx_id: int = -1, link_direction: LinkDirection = LinkDirection.UL,
+                 tx_power_dbm: float = 0.0, tti: int = -1) -> None:
+        self.request, self.rbs, self.tbs_bits = request, rbs, tbs_bits
+        self.tx_id, self.link_direction = tx_id, link_direction
+        self.tx_power_dbm, self.tti = tx_power_dbm, tti
+        self.cqi = self.harq_epoch = 0
+        self.chunks: tuple[RlcChunk, ...] = ()
+        self.harq_process_id: int | None = None  # None when the link has no HARQ
 
 
-@dataclass(slots=True)
 class ReceptionResult:
-    decoded: bool
-    mean_sinr_db: float
+    __slots__ = ("decoded", "mean_sinr_db")
+
+    def __init__(self, decoded: bool, mean_sinr_db: float) -> None:
+        self.decoded, self.mean_sinr_db = decoded, mean_sinr_db
 
 
 def phy_send(binder: Binder, tb: TransportBlock) -> TransportBlock:

@@ -315,6 +315,22 @@ def test_enb_only_keys_on_a_ue_exit_1_with_one_line(tmp_path, capsys, lines, mes
     assert message in captured.err
 
 
+@pytest.mark.parametrize("lines", [
+    ["ueD2DTx[0].d2dModeSelection = true"],
+    ["ueD2DTx[0].d2dModeSelectionPeriod = 50", "# then a comment", "ueD2DRx[0].positionX = 10"],
+    ["**.d2dModeSelection = true"]], ids=["one-key", "later-lines", "every-node"])
+def test_mode_selection_on_a_ue_names_the_line(tmp_path, capsys, lines):
+    # like every other per-line error, the first assignment to a UE is named
+    shipped = Path(__file__).resolve().parents[1] / "scenarios" / "one_to_one.ini"
+    bad = tmp_path / "bad.ini"
+    bad.write_text(shipped.read_text() + "\n".join(lines) + "\n")
+    line = len(shipped.read_text().splitlines()) + 1
+    assert main(["validate", str(bad)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: line {line}: ")
+    assert "applies only to the eNB" in captured.err
+
+
 _NODES = ("eNodeB", "ueD2DTx[0]", "ueD2DRx[0]", "ueCell[0]")
 
 

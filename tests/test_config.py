@@ -1,7 +1,6 @@
 """Scenario grammar, validation and canonical serialization."""
 
 import hashlib
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -189,10 +188,10 @@ def test_unsection_header_rejected():
 def test_peerings_with_the_enb_rejected(node, peers):
     # D2D runs UE to UE: the eNB is neither a peer nor a node with peers
     config = parse_scenario(BASE)
-    nodes = tuple(replace(n, d2d_peer_addresses=tuple(peers.split()),
-                          enable_d2d_cqi_reporting=True) if n.name == node else n
+    nodes = tuple(n._replace(d2d_peer_addresses=tuple(peers.split()),
+                             enable_d2d_cqi_reporting=True) if n.name == node else n
                   for n in config.nodes)
-    diagnostics = validate(replace(config, nodes=nodes))
+    diagnostics = validate(config._replace(nodes=nodes))
     assert [(d.node, d.key) for d in diagnostics] == [(node, "d2dPeerAddresses")]
     assert "UE to UE" in diagnostics[0].message
 

@@ -1,6 +1,5 @@
 """End-to-end engine behavior on small scenarios."""
 
-import dataclasses
 import random
 from pathlib import Path
 
@@ -98,13 +97,11 @@ def test_preconfigured_cqi_suppresses_sidelink_reports():
 
 def test_reported_sidelink_cqi_used_without_preconfigured():
     config = scenario()
-    tx = dataclasses.replace(
-        config.node_by_name("ueTx[0]"),
+    tx = config.node_by_name("ueTx[0]")._replace(
         use_preconfigured_tx_params=False, d2d_cqi=None,
         enable_d2d_cqi_reporting=True)
-    config = dataclasses.replace(
-        config, nodes=tuple(tx if n.name == "ueTx[0]" else n
-                            for n in config.nodes))
+    config = config._replace(nodes=tuple(tx if n.name == "ueTx[0]" else n
+                                         for n in config.nodes))
     result = run_scenario(config)
     assert result.run_metrics["cqi_reports_sl"] > 0
     # 4 m apart: the measured link is far better than CQI 7
@@ -123,8 +120,7 @@ def test_out_of_range_link_exhausts_harq():
 
 def test_harq_transmissions_capped_at_initial_plus_max_retx():
     config = scenario(tti_count=30, d2d_distance=400.0)
-    config = dataclasses.replace(
-        config, flows=(dataclasses.replace(config.flows[0], period_ttis=1000),))
+    config = config._replace(flows=(config.flows[0]._replace(period_ttis=1000),))
     result = run_scenario(config, trace=True)
     transmits = [row for row in result.trace if row.event == "transmit"]
     assert len(transmits) == 1 + config.sim.harq_max_retx
@@ -271,8 +267,7 @@ def test_same_seed_runs_are_byte_identical():
 def test_seed_changes_stochastic_outcomes():
     config = scenario("channel.shadowingStdDevDb = 8.0\n", tti_count=200,
                       d2d_distance=300.0)
-    other = dataclasses.replace(
-        config, sim=dataclasses.replace(config.sim, seed=4242))
+    other = config._replace(sim=config.sim._replace(seed=4242))
     assert (run_scenario(config).metrics_csv()
             != run_scenario(other).metrics_csv())
 
@@ -391,8 +386,7 @@ def test_nacked_link_with_empty_queue_gets_its_retransmission_next_tti():
     # one packet on a link that never decodes: after each NACK the queue
     # is empty and only the waiting HARQ process can bring the UE back
     config = scenario(tti_count=30, d2d_distance=400.0)
-    config = dataclasses.replace(
-        config, flows=(dataclasses.replace(config.flows[0], period_ttis=1000),))
+    config = config._replace(flows=(config.flows[0]._replace(period_ttis=1000),))
     engine = Engine(config, trace=True)
     result = engine.run()
     grants = [row for row in result.trace if row.event == "grant"]

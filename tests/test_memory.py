@@ -1,6 +1,5 @@
 """Memory of a run follows its queued data, not its length."""
 
-import dataclasses
 import gc
 import tracemalloc
 from pathlib import Path
@@ -16,7 +15,7 @@ def _retained_bytes(path, ttis):
     """Bytes that building and running ``path`` for ``ttis`` TTIs allocated
     and still holds, measured while the engine and its result are alive."""
     config = load_scenario(path)
-    config = dataclasses.replace(config, sim=dataclasses.replace(config.sim, tti_count=ttis))
+    config = config._replace(sim=config.sim._replace(tti_count=ttis))
     gc.collect()
     tracemalloc.start()
     try:

@@ -1,0 +1,28 @@
+"""Importing d2dsim generates no code at import time.
+
+``dataclasses`` writes each decorated class's methods as source and
+compiles it, and pulls in ``inspect`` with it; the records are
+NamedTuples or slot classes instead.  The import runs in a fresh
+interpreter without ``site``, so nothing else has loaded either module.
+"""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+SCRIPT = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+import d2dsim
+print(json.dumps(sorted({"dataclasses", "inspect"} & set(sys.modules))))
+"""
+
+
+def test_import_loads_neither_dataclasses_nor_inspect():
+    done = subprocess.run([sys.executable, "-S", "-c", SCRIPT, str(SRC)],
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == []
