@@ -57,13 +57,14 @@ class Binder:
     The ledger is a sliding window: entries older than one TTI behind
     the last :meth:`advance` call are dropped, since receptions only
     ever look one TTI back.  Entries are the PHY's transport blocks, or any
-    record with ``tti``, ``tx_id``, ``link_direction``, ``rbs`` and ``tx_power_dbm``.
+    record with ``tti``, ``tx_id``, ``link_direction``, ``tx_power_dbm`` and
+    ``rbs``, a ``range`` of consecutive blocks: an SC-FDMA grant is one run.
     """
 
-    __slots__ = ("num_rbs", "_records", "_ids", "_bands", "_groups", "_conflict_count")
+    __slots__ = ("num_rbs", "_records", "_ids", "_bands", "_groups")
 
     def __init__(self, num_rbs: int) -> None:
-        self.num_rbs, self._conflict_count = num_rbs, 0
+        self.num_rbs = num_rbs
         self._records: list[NodeRecord] = []
         self._ids: dict[str, int] = {}
         self._bands: dict[tuple[int, str], _Band] = {}
@@ -88,10 +89,6 @@ class Binder:
         return self._ids[name]
 
     @property
-    def node_count(self) -> int:
-        return len(self._records)
-
-    @property
     def records(self) -> tuple[NodeRecord, ...]:
         return tuple(self._records)
 
@@ -103,35 +100,29 @@ class Binder:
 
     # -- allocation ledger --------------------------------------------
 
-    def _mask(self, rbs) -> int:
-        """Bit mask of a grant's blocks; each must lie in the band, once."""
-        if type(rbs) is range and rbs.step == 1 and 0 <= rbs.start <= rbs.stop <= self.num_rbs:
-            return (1 << rbs.stop) - (1 << rbs.start)  # a scheduled run: no scan
-        mask = 0
-        for rb in rbs:
-            if not 0 <= rb < self.num_rbs:
-                raise ValueError(f"rb index {rb} outside 0..{self.num_rbs - 1}")
-            mask |= 1 << rb
-        if mask.bit_count() != len(rbs):  # only once every block is in range
-            raise RbConflict(f"duplicate rb in grant {rbs}")
-        return mask
+    def _mask(self, rbs, band: str) -> int:
+        """Bit mask of a grant's blocks: a non-empty run of them in the band."""
+        if type(rbs) is not range or rbs.step != 1 or not 0 <= rbs.start < rbs.stop <= self.num_rbs:
+            raise ValueError(f"grant {rbs!r} is not a run of blocks in {band} 0..{self.num_rbs - 1}")
+        return (1 << rbs.stop) - (1 << rbs.start)
 
     def record_allocation(self, entry):
         """Book one transmission's blocks, keeping ``entry`` as its ledger entry.
 
-        Raises :class:`RbConflict` if an infrastructure direction (UL
-        or DL) books a block twice in one TTI.  Sidelink overlap, with
-        an uplink grant or another sidelink, is legal and shows up as
-        interference instead; no scheduler here places such a grant.
+        ``entry.rbs`` must be a non-empty step-1 ``range`` inside the band,
+        or ``ValueError`` is raised and nothing booked; :class:`RbConflict`
+        if an infrastructure direction (UL or DL) books a block twice in
+        one TTI.  Sidelink overlap, with an uplink grant or another
+        sidelink, is legal and shows up as interference instead; no
+        scheduler here places such a grant.
         """
         direction = entry.link_direction
-        mask = self._mask(entry.rbs)
+        mask = self._mask(entry.rbs, direction.band)
         key = (entry.tti, direction.band)
         band = self._bands.get(key) or self._bands.setdefault(key, _Band())
         if direction is not LinkDirection.SL:
             clash = band.infra & mask
             if clash:
-                self._conflict_count += 1
                 blocks = [rb for rb in range(self.num_rbs) if clash >> rb & 1]
                 raise RbConflict(f"tti {entry.tti}: rb {blocks} already granted in {direction.value}")
             band.infra |= mask
@@ -143,11 +134,6 @@ class Binder:
     def allocations(self, tti: int) -> tuple:
         """One TTI's entries: the UL band's, then the DL band's, each in booking order."""
         return self.band_allocations(tti, "UL") + self.band_allocations(tti, "DL")
-
-    def allocated_rbs(self, tti: int, direction: LinkDirection) -> set[int]:
-        band = self._bands.get((tti, direction.band))
-        held = band.infra if band is not None and direction is not LinkDirection.SL else 0
-        return {rb for rb in range(self.num_rbs) if held >> rb & 1}  # none for SL
 
     def band_allocations(self, tti: int, band: str) -> tuple:
         """One TTI's entries in one band, in booking order."""
@@ -186,14 +172,7 @@ class Binder:
                 problems.append(f"tti {tti}: {direction.value} rb index out of range")
         return problems
 
-    @property
-    def conflict_count(self) -> int:
-        return self._conflict_count
-
     # -- multicast membership -----------------------------------------
-
-    def register_group(self, address: str) -> None:
-        self._groups.setdefault(address, set())
 
     def add_member(self, address: str, node_id: int) -> None:
         self._groups.setdefault(address, set()).add(node_id)

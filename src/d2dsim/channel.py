@@ -15,9 +15,11 @@ it was encoded with.
 from __future__ import annotations
 
 import math
+import operator
+import os
 import random
 from bisect import bisect_right
-from importlib import resources
+from functools import reduce
 from typing import NamedTuple
 
 from .binder import Binder, LinkDirection
@@ -47,16 +49,17 @@ def path_loss_db(distance_m: float, params: ChannelParams) -> float:
 
 
 def mean_sinr_db(sinr_values_db: list[float]) -> float:
-    """Average per-block SINRs in the linear domain, back to dB."""
+    """Average per-block SINRs in the linear domain, back to dB, adding from the
+    left (``sum`` compensates float rounding from Python 3.12 on)."""
     if not sinr_values_db:
         raise ValueError("no SINR samples")
     # blocks often share a value: convert each distinct one once, but
-    # still sum every block in order
+    # still add every block in order
     first, n = sinr_values_db[0], len(sinr_values_db)
     if sinr_values_db.count(first) == n:
-        return mw_to_dbm(sum([dbm_to_mw(first)] * n) / n)
+        return mw_to_dbm(reduce(operator.add, [dbm_to_mw(first)] * n) / n)
     linear = {v: dbm_to_mw(v) for v in set(sinr_values_db)}
-    return mw_to_dbm(sum([linear[v] for v in sinr_values_db]) / n)
+    return mw_to_dbm(reduce(operator.add, [linear[v] for v in sinr_values_db]) / n)
 
 
 class CqiTable:
@@ -102,9 +105,7 @@ class CqiTable:
 
     @classmethod
     def default(cls) -> "CqiTable":
-        source = resources.files("d2dsim").joinpath("data/cqi_table.txt")
-        with resources.as_file(source) as path:
-            return cls.from_file(path)
+        return cls.from_file(os.path.join(os.path.dirname(__file__), "data", "cqi_table.txt"))
 
     @property
     def max_cqi(self) -> int:
@@ -203,25 +204,24 @@ class ChannelModel:
                            tx_power_dbm: float) -> float:
         return tx_power_dbm - self.link_loss_db(tx_id, rx_id, tti)
 
-    def noise_mw_per_rb(self) -> float:
-        return self._noise_mw
-
     def noise_limited_mean_db(self, tx_id: int, rx_id: int, tti: int,
                               tx_power_dbm: float, num_rbs: int) -> float:
         """Mean SINR of blocks nothing interferes with, as mean_sinr_db averages them."""
         sinr = mw_to_dbm(dbm_to_mw(self.received_power_dbm(
             tx_id, rx_id, tti, tx_power_dbm)) / self._noise_mw)
-        return mw_to_dbm(sum([dbm_to_mw(sinr)] * num_rbs) / num_rbs)
+        return mw_to_dbm(reduce(operator.add, [dbm_to_mw(sinr)] * num_rbs) / num_rbs)
 
     def sinr_per_rb_db(self, tx_id: int, rx_id: int, *, tti: int, ledger_tti: int,
-                       rbs, tx_power_dbm: float, direction: LinkDirection,
+                       rbs: range, tx_power_dbm: float, direction: LinkDirection,
                        entries: tuple | None = None) -> list[float]:
         """Per-block SINR at the receiver against the booked interferers.
 
-        ``tti`` keys the shadowing draw (the transmission instant);
-        ``ledger_tti`` selects which TTI's allocations interfere, which
-        differs from ``tti`` only for channel-quality probes; ``entries``,
-        if given, are that TTI's entries in the band, kept by the caller.
+        ``rbs`` is a run of blocks (a step-1 ``range``, empty gives ``[]``),
+        as is every entry's.  ``tti`` keys the shadowing draw (the
+        transmission instant); ``ledger_tti`` selects which TTI's
+        allocations interfere, which differs from ``tti`` only for
+        channel-quality probes; ``entries``, if given, are that TTI's
+        entries in the band, kept by the caller.
 
         A block's interference is the sum, in booking order, of the
         received powers of the other transmitters on it; the receiver's
@@ -234,21 +234,16 @@ class ChannelModel:
         noise_mw = self._noise_mw
         if entries is None:
             entries = self.binder.band_allocations(ledger_tti, direction.band)
-        run = type(rbs) is range and rbs.step == 1 and len(rbs) > 0
-        low, high = (rbs.start, rbs.stop) if run else (min(rbs, default=0), max(rbs, default=-1) + 1)
+        low, high = rbs.start, max(rbs.start, rbs.stop)  # range(3, 1) holds no block
         spans = []  # (power, start, stop) of each run interfering in [low, high)
         for entry in entries:  # in booking order
             if entry.tx_id == tx_id or entry.tx_id == rx_id:
                 continue
-            held = entry.rbs  # one run, or blocks taken as runs of one
-            runs = ([(held.start, held.stop)] if type(held) is range and held.step == 1
-                    else [(rb, rb + 1) for rb in held])
-            runs = [(max(start, low), min(stop, high)) for start, stop in runs
-                    if start < high and low < stop]
-            if runs:
+            start, stop = max(entry.rbs.start, low), min(entry.rbs.stop, high)
+            if start < stop:
                 power_mw = dbm_to_mw(self.received_power_dbm(
                     entry.tx_id, rx_id, tti, entry.tx_power_dbm))
-                spans += [(power_mw, start, stop) for start, stop in runs]
+                spans.append((power_mw, start, stop))
         edges = sorted({low, high}.union(*(span[1:] for span in spans)))
         segment = {edge: k for k, edge in enumerate(edges)}
         interference_mw = [0.0] * (len(edges) - 1)  # per segment, in booking order
@@ -258,7 +253,7 @@ class ChannelModel:
         out: list[float] = []
         for k, mw in enumerate(interference_mw):
             out += [mw_to_dbm(signal_mw / (noise_mw + mw))] * (edges[k + 1] - edges[k])
-        return out if run else [out[rb - low] for rb in rbs]
+        return out
 
     def wideband_cqi(self, tx_id: int, rx_id: int, *, tti: int,
                      tx_power_dbm: float, direction: LinkDirection) -> int:

@@ -168,13 +168,6 @@ class ScenarioConfig(NamedTuple):
                 return node
         raise KeyError(name)
 
-    @property
-    def enb(self) -> NodeConfig:
-        for node in self.nodes:
-            if node.role is Role.ENB:
-                return node
-        raise LookupError("no eNB declared")
-
 
 def is_multicast_address(value: str) -> bool:
     """True for a dotted-quad literal whose first octet is in 224..239."""

@@ -189,7 +189,6 @@ class Engine:
                                  initial_mode or Mode.DM)
 
         for group in config.multicast_groups:
-            self.binder.register_group(group.address)
             for member in sorted(resolve_pattern(group.member_pattern, names)):
                 member_id = self.binder.id_of(member)
                 if not self.node_cfg[member_id].role is Role.ENB:

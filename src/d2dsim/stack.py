@@ -373,7 +373,7 @@ class TransportBlock:
     __slots__ = ("request", "rbs", "tbs_bits", "tx_id", "link_direction",
                  "tx_power_dbm", "tti", "cqi", "chunks", "harq_process_id", "harq_epoch")
 
-    def __init__(self, request: ScheduleRequest | None, rbs: range | tuple[int, ...],
+    def __init__(self, request: ScheduleRequest | None, rbs: range,
                  tbs_bits: int = 0, tx_id: int = -1, link_direction: LinkDirection = LinkDirection.UL,
                  tx_power_dbm: float = 0.0, tti: int = -1) -> None:
         self.request, self.rbs, self.tbs_bits = request, rbs, tbs_bits

@@ -1,7 +1,7 @@
 """Node registry, allocation ledger and membership oracle."""
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from d2dsim import Binder, LinkDirection, RbConflict, TransportBlock
@@ -22,12 +22,18 @@ def _book(binder, tti, tx_id, direction, rbs, power_dbm):
         None, rbs, tx_id=tx_id, link_direction=direction, tx_power_dbm=power_dbm, tti=tti))
 
 
+def _allocated_rbs(binder, tti, direction):
+    """Blocks the grants of one direction hold in one TTI."""
+    return {rb for entry in binder.band_allocations(tti, direction.band)
+            if entry.link_direction is direction for rb in entry.rbs}
+
+
 def test_dense_ids_in_registration_order(binder):
     assert [r.node_id for r in binder.records] == [0, 1, 2]
     assert binder.id_of("ueB") == 2
     assert binder.record(1).position == (10.0, 0.0)
     assert binder.enb_id() == 0
-    assert binder.node_count == 3
+    assert len(binder.records) == 3
 
 
 def test_duplicate_name_rejected(binder):
@@ -36,109 +42,93 @@ def test_duplicate_name_rejected(binder):
 
 
 def test_allocation_recorded_and_queryable(binder):
-    entry = _book(binder, 5, 1, LinkDirection.UL, (0, 1, 2), 26.0)
-    assert entry.rbs == (0, 1, 2)
+    entry = _book(binder, 5, 1, LinkDirection.UL, range(0, 3), 26.0)
+    assert entry.rbs == range(0, 3)
     assert binder.allocations(5) == (entry,)
     assert binder.allocations(6) == ()
-    assert binder.allocated_rbs(5, LinkDirection.UL) == {0, 1, 2}
+    assert _allocated_rbs(binder, 5, LinkDirection.UL) == {0, 1, 2}
 
 
 def test_same_direction_double_booking_raises(binder):
-    _book(binder, 5, 1, LinkDirection.UL, (0, 1, 2), 26.0)
+    _book(binder, 5, 1, LinkDirection.UL, range(0, 3), 26.0)
     with pytest.raises(RbConflict, match="rb \\[2\\]"):
-        _book(binder, 5, 2, LinkDirection.UL, (2, 3), 26.0)
-    assert binder.conflict_count == 1
+        _book(binder, 5, 2, LinkDirection.UL, range(2, 4), 26.0)
 
 
 def test_sidelink_may_reuse_uplink_blocks(binder):
     # SL shares the UL band; overlapping grants are reuse, not conflict
-    _book(binder, 5, 1, LinkDirection.UL, (0, 1), 26.0)
-    _book(binder, 5, 2, LinkDirection.SL, (0, 1), 20.0)
+    _book(binder, 5, 1, LinkDirection.UL, range(0, 2), 26.0)
+    _book(binder, 5, 2, LinkDirection.SL, range(0, 2), 20.0)
     assert len(binder.allocations(5)) == 2
 
 
 def test_two_sidelinks_may_share_blocks(binder):
-    _book(binder, 5, 1, LinkDirection.SL, (4,), 20.0)
-    _book(binder, 5, 2, LinkDirection.SL, (4,), 20.0)
+    _book(binder, 5, 1, LinkDirection.SL, range(4, 5), 20.0)
+    _book(binder, 5, 2, LinkDirection.SL, range(4, 5), 20.0)
     assert len(binder.allocations(5)) == 2
 
 
 def test_downlink_band_is_separate(binder):
     # the same index in DL and UL is two different physical blocks
-    _book(binder, 5, 0, LinkDirection.DL, (7,), 46.0)
-    _book(binder, 5, 1, LinkDirection.UL, (7,), 26.0)
+    _book(binder, 5, 0, LinkDirection.DL, range(7, 8), 46.0)
+    _book(binder, 5, 1, LinkDirection.UL, range(7, 8), 26.0)
     with pytest.raises(RbConflict):
-        _book(binder, 5, 0, LinkDirection.DL, (7,), 46.0)
+        _book(binder, 5, 0, LinkDirection.DL, range(7, 8), 46.0)
 
 
 def test_rb_index_bounds(binder):
-    with pytest.raises(ValueError, match="outside"):
-        _book(binder, 0, 1, LinkDirection.UL, (50,), 26.0)
-    with pytest.raises(ValueError, match="outside"):
-        _book(binder, 0, 1, LinkDirection.UL, (-1,), 26.0)
+    with pytest.raises(ValueError, match=r"grant range\(50, 51\) is not a run of blocks in UL 0\.\.49"):
+        _book(binder, 0, 1, LinkDirection.UL, range(50, 51), 26.0)
+    with pytest.raises(ValueError, match=r"grant range\(-1, 0\) is not a run of blocks in DL"):
+        _book(binder, 0, 1, LinkDirection.DL, range(-1, 0), 26.0)
 
 
-def test_duplicate_rb_within_grant(binder):
-    with pytest.raises(RbConflict, match="duplicate"):
-        _book(binder, 0, 1, LinkDirection.UL, (3, 3), 26.0)
+_grant_shapes = st.one_of(
+    st.builds(range, st.integers(-2, 9), st.integers(-2, 9)),
+    st.builds(range, st.integers(-2, 9), st.integers(-2, 9), st.sampled_from([-1, 2, 3])),
+    st.lists(st.integers(-2, 9), max_size=4).map(tuple),
+    st.lists(st.integers(-2, 9), max_size=4))
 
 
-def test_out_of_range_block_named_in_grant_order(binder):
-    with pytest.raises(ValueError, match=r"rb index 50 outside 0\.\.49"):
-        _book(binder, 0, 1, LinkDirection.UL, (3, 50, -1), 26.0)
-    with pytest.raises(ValueError, match=r"rb index -2 outside 0\.\.49"):
-        _book(binder, 0, 1, LinkDirection.SL, (5, -2, 60), 20.0)
-    # range is checked before duplicates
-    with pytest.raises(ValueError, match="rb index 50 outside"):
-        _book(binder, 0, 1, LinkDirection.UL, (50, 50), 26.0)
-    assert binder.allocations(0) == ()
-    assert binder.allocated_rbs(0, LinkDirection.UL) == set()
+@given(st.lists(st.tuples(st.sampled_from(list(LinkDirection)), _grant_shapes),
+                max_size=10))
+@example([(LinkDirection.UL, (0, 1, 2)), (LinkDirection.UL, [3, 4]),
+          (LinkDirection.SL, range(0, 6, 2)), (LinkDirection.DL, range(3, 3)),
+          (LinkDirection.DL, range(3, 1)), (LinkDirection.UL, range(5, 9)),
+          (LinkDirection.SL, range(-1, 2)), (LinkDirection.UL, range(0, 8))])
+def test_a_grant_books_exactly_when_it_is_one_run_in_the_band(bookings):
+    """Any other shape raises ValueError naming the grant and band and books
+    nothing; a run clashing with its direction's blocks raises RbConflict."""
+    binder = Binder(num_rbs=8)
 
+    def ledger():
+        return [(binder.band_allocations(0, band), binder.band_overlaps(0, band))
+                for band in ("UL", "DL")]
 
-def test_unsorted_non_contiguous_grants(binder):
-    entry = _book(binder, 0, 1, LinkDirection.UL, (9, 2, 30), 26.0)
-    assert entry.rbs == (9, 2, 30)
-    assert binder.allocated_rbs(0, LinkDirection.UL) == {2, 9, 30}
-    with pytest.raises(RbConflict, match="duplicate rb in grant \\(7, 2, 7\\)"):
-        _book(binder, 0, 2, LinkDirection.UL, (7, 2, 7), 26.0)
-    with pytest.raises(RbConflict, match="rb \\[30\\] already granted in UL"):
-        _book(binder, 0, 2, LinkDirection.UL, (31, 30, 0), 26.0)
-    assert _book(binder, 0, 2, LinkDirection.UL, (31, 0, 29), 26.0)
-    assert binder.check_conservation(0) == []
-
-
-def _record_allocation_reference(binder, rbs):
-    """The per-block loop the range and duplicate checks replace."""
-    for rb in rbs:
-        if not 0 <= rb < binder.num_rbs:
-            raise ValueError(f"rb index {rb} outside 0..{binder.num_rbs - 1}")
-    if len(set(rbs)) != len(rbs):
-        raise RbConflict(f"duplicate rb in grant {rbs}")
-
-
-@given(st.lists(st.integers(-3, 8), max_size=6), st.booleans())
-def test_grant_checks_match_per_block_loop(blocks, run):
-    # a scheduled grant is a run: the same blocks' count from the first one
-    rbs = range(blocks[0], blocks[0] + len(blocks)) if run and blocks else tuple(blocks)
-
-    def outcome(call):
-        try:
-            call()
-        except (ValueError, RbConflict) as exc:
-            return type(exc), str(exc)
-        return None
-
-    reference = Binder(num_rbs=6)
-    expected = outcome(lambda: _record_allocation_reference(reference, rbs))
-    binder = Binder(num_rbs=6)
-    assert outcome(lambda: _book(binder, 0, 1, LinkDirection.SL, rbs, 20.0)) == expected
-    assert len(binder.allocations(0)) == (expected is None)
+    for tx_id, (direction, rbs) in enumerate(bookings):
+        before = ledger()
+        run = type(rbs) is range and rbs.step == 1 and len(rbs) > 0 and set(rbs) <= set(range(8))
+        clash = (direction is not LinkDirection.SL
+                 and set(rbs) & _allocated_rbs(binder, 0, direction))
+        if not run:
+            with pytest.raises(ValueError) as refused:
+                _book(binder, 0, tx_id, direction, rbs, 20.0)
+            assert f"grant {rbs!r} " in str(refused.value)
+            assert f" in {direction.band} " in str(refused.value)
+        elif clash:
+            with pytest.raises(RbConflict):
+                _book(binder, 0, tx_id, direction, rbs, 20.0)
+        else:
+            entry = _book(binder, 0, tx_id, direction, rbs, 20.0)
+            assert binder.band_allocations(0, direction.band)[-1] is entry
+            continue
+        assert ledger() == before
 
 
 def test_interferers_filter_band_and_serving_node(binder):
-    _book(binder, 5, 1, LinkDirection.UL, (0, 1), 26.0)
-    _book(binder, 5, 2, LinkDirection.SL, (1, 2), 20.0)
-    _book(binder, 5, 0, LinkDirection.DL, (1,), 46.0)
+    _book(binder, 5, 1, LinkDirection.UL, range(0, 2), 26.0)
+    _book(binder, 5, 2, LinkDirection.SL, range(1, 3), 20.0)
+    _book(binder, 5, 0, LinkDirection.DL, range(1, 2), 46.0)
     hit = list(binder.interferers(5, 1, "UL", exclude_tx=1))
     assert [e.tx_id for e in hit] == [2]
     assert list(binder.interferers(5, 1, "DL", exclude_tx=9)) == [
@@ -147,28 +137,27 @@ def test_interferers_filter_band_and_serving_node(binder):
 
 
 def test_sliding_window_drops_old_entries(binder):
-    _book(binder, 5, 1, LinkDirection.UL, (0,), 26.0)
-    _book(binder, 6, 1, LinkDirection.UL, (0,), 26.0)
+    _book(binder, 5, 1, LinkDirection.UL, range(0, 1), 26.0)
+    _book(binder, 6, 1, LinkDirection.UL, range(0, 1), 26.0)
     binder.advance(7)
     assert binder.allocations(5) == ()
     assert len(binder.allocations(6)) == 1  # one TTI back is still visible
 
 
 def test_advance_keeps_occupancy_of_previous_tti(binder):
-    _book(binder, 6, 1, LinkDirection.UL, (0,), 26.0)
+    _book(binder, 6, 1, LinkDirection.UL, range(0, 1), 26.0)
     binder.advance(7)
     with pytest.raises(RbConflict):
-        _book(binder, 6, 2, LinkDirection.UL, (0,), 26.0)
+        _book(binder, 6, 2, LinkDirection.UL, range(0, 1), 26.0)
 
 
 def test_conservation_audit_clean(binder):
-    _book(binder, 5, 1, LinkDirection.UL, tuple(range(50)), 26.0)
-    _book(binder, 5, 2, LinkDirection.SL, tuple(range(50)), 20.0)
+    _book(binder, 5, 1, LinkDirection.UL, range(50), 26.0)
+    _book(binder, 5, 2, LinkDirection.SL, range(50), 20.0)
     assert binder.check_conservation(5) == []
 
 
 def test_group_membership(binder):
-    binder.register_group("224.0.0.10")
     binder.add_member("224.0.0.10", 1)
     assert binder.is_member("224.0.0.10", 1)
     assert not binder.is_member("224.0.0.10", 2)
@@ -190,22 +179,20 @@ def test_disjoint_grants_never_conflict(grants):
         if start + width > 200:
             continue
         cursor[direction] = start + width
-        _book(binder, 3, 1, direction,
-                                 tuple(range(start, start + width)), 20.0)
+        _book(binder, 3, 1, direction, range(start, start + width), 20.0)
     assert binder.check_conservation(3) == []
-    assert binder.conflict_count == 0
 
 
 _bookings = st.lists(st.tuples(
-    st.integers(0, 1), st.sampled_from(list(LinkDirection)), st.booleans(),
-    st.lists(st.integers(-1, 8), max_size=5)), max_size=10)
+    st.integers(0, 1), st.sampled_from(list(LinkDirection)),
+    st.integers(-1, 8), st.integers(0, 5)), max_size=10)
 
 
 @given(_bookings)
 def test_overlap_mark_is_set_exactly_when_two_bookings_in_a_band_share_a_block(bookings):
     binder = Binder(num_rbs=8)
-    for tti, direction, run, blocks in bookings:
-        rbs = range(blocks[0], blocks[0] + len(blocks)) if run and blocks else tuple(blocks)
+    for tti, direction, start, width in bookings:
+        rbs = range(start, start + width)
         try:
             _book(binder, tti, 1, direction, rbs, 20.0)
         except (ValueError, RbConflict):

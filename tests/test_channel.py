@@ -1,17 +1,21 @@
 """Propagation, SINR arithmetic and CQI mapping."""
 
+import hashlib
+import json
 import math
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from d2dsim import (Binder, ChannelModel, ChannelParams, CqiTable,
-                    LinkDirection, TransportBlock, decode, mean_sinr_db, path_loss_db,
-                    phy_receive)
+from d2dsim import (Binder, ChannelModel, ChannelParams, CqiTable, Engine,
+                    LinkDirection, TransportBlock, decode, mean_sinr_db, parse_scenario,
+                    path_loss_db, phy_receive)
 from d2dsim.channel import dbm_to_mw, mw_to_dbm
 
+ROOT = Path(__file__).resolve().parents[1]
 TABLE = CqiTable.default()
 
 
@@ -109,6 +113,27 @@ def test_path_loss_monotone_in_distance(d1, d2):
     assert path_loss_db(d1, params) <= path_loss_db(d2, params)
 
 
+def _sequential_mean_db(values_db):
+    """The definition: the linear values added one by one from the left."""
+    total = 0.0
+    for value in values_db:
+        total += dbm_to_mw(value)
+    return mw_to_dbm(total / len(values_db))
+
+
+def _compensated_sum(values, start=0):
+    """Neumaier summation, which builtin ``sum`` uses for floats from Python 3.12."""
+    total, compensation = float(start), 0.0
+    for value in values:
+        t = total + value
+        if abs(total) >= abs(value):
+            compensation += (total - t) + value
+        else:
+            compensation += (value - t) + total
+        total = t
+    return total + compensation
+
+
 def test_mean_sinr_is_linear_domain():
     # mean of 0 dB and 10 dB is (1 + 10)/2 = 5.5 in linear terms
     assert mean_sinr_db([0.0, 10.0]) == pytest.approx(10 * math.log10(5.5))
@@ -130,7 +155,7 @@ def _model(shadowing=0.0, seed=1):
 def test_noise_limited_sinr_oracle():
     binder, model = _model()
     # ueA -> eNodeB at 26 dBm over 100 m: 26 - 110 - (-121.4 + 7) = 30.4 dB
-    sinrs = model.sinr_per_rb_db(1, 0, tti=3, ledger_tti=2, rbs=(0, 1),
+    sinrs = model.sinr_per_rb_db(1, 0, tti=3, ledger_tti=2, rbs=range(0, 2),
                                  tx_power_dbm=26.0, direction=LinkDirection.UL)
     assert sinrs == pytest.approx([30.4, 30.4])
 
@@ -138,15 +163,15 @@ def test_noise_limited_sinr_oracle():
 def test_empty_queries_evaluate_no_blocks():
     binder, model = _model()
     _book(binder, 2, 3, LinkDirection.SL, range(0, 4), 26.0)
-    for rbs in ((), range(3, 3), range(3, 1)):
+    for rbs in (range(0, 0), range(3, 3), range(3, 1)):
         assert model.sinr_per_rb_db(1, 0, tti=3, ledger_tti=2, rbs=rbs,
                                     tx_power_dbm=26.0, direction=LinkDirection.UL) == []
 
 
 def test_interference_lowers_sinr_only_on_shared_blocks():
     binder, model = _model()
-    _book(binder, 2, 3, LinkDirection.SL, (1,), 26.0)  # ueC transmits
-    clean, hit = model.sinr_per_rb_db(1, 0, tti=3, ledger_tti=2, rbs=(0, 1),
+    _book(binder, 2, 3, LinkDirection.SL, range(1, 2), 26.0)  # ueC transmits
+    clean, hit = model.sinr_per_rb_db(1, 0, tti=3, ledger_tti=2, rbs=range(0, 2),
                                       tx_power_dbm=26.0,
                                       direction=LinkDirection.UL)
     assert clean == pytest.approx(30.4)
@@ -160,8 +185,8 @@ def test_receiving_node_own_transmission_excluded():
     binder, model = _model()
     # the receiver itself occupies the block in the same band; a node
     # cannot interfere with its own reception
-    _book(binder, 2, 0, LinkDirection.DL, (0,), 46.0)
-    sinrs = model.sinr_per_rb_db(1, 0, tti=3, ledger_tti=2, rbs=(0,),
+    _book(binder, 2, 0, LinkDirection.DL, range(0, 1), 46.0)
+    sinrs = model.sinr_per_rb_db(1, 0, tti=3, ledger_tti=2, rbs=range(0, 1),
                                  tx_power_dbm=26.0, direction=LinkDirection.UL)
     assert sinrs == pytest.approx([30.4])
 
@@ -208,6 +233,10 @@ def test_wideband_cqi_degrades_with_distance():
     assert far == 0
 
 
+def _noise_mw(params):
+    return dbm_to_mw(params.thermal_noise_dbm_per_rb + params.noise_figure_db)
+
+
 def _reference_sinrs(model, tx_id, rx_id, *, tti, ledger_tti, rbs, tx_power_dbm,
                      direction):
     """The definition: scan the ledger per block, recompute every loss."""
@@ -220,7 +249,7 @@ def _reference_sinrs(model, tx_id, rx_id, *, tti, ledger_tti, rbs, tx_power_dbm,
         return dbm_to_mw(power_dbm - loss)
 
     signal_mw = received_mw(tx_id, tx_power_dbm)
-    noise_mw = model.noise_mw_per_rb()
+    noise_mw = _noise_mw(model.params)
     out = []
     for rb in rbs:
         interference_mw = 0.0
@@ -234,26 +263,42 @@ def _reference_sinrs(model, tx_id, rx_id, *, tti, ledger_tti, rbs, tx_power_dbm,
 NUM_RBS = 6  # few blocks, so that grants pile up on the same ones
 DIRECTIONS = [LinkDirection.DL, LinkDirection.UL, LinkDirection.SL]
 _coordinate = st.floats(-300.0, 300.0, allow_nan=False)
-_block_sets = st.sets(st.integers(0, NUM_RBS - 1), min_size=1, max_size=NUM_RBS)
+_runs = st.integers(0, NUM_RBS - 1).flatmap(
+    lambda start: st.integers(start + 1, NUM_RBS).map(lambda stop: range(start, stop)))
+
+
+def _free_run(binder, tti, direction, rbs):
+    """The first run of ``rbs`` that no grant of an infrastructure direction
+    holds yet, or ``rbs`` itself on the sidelink."""
+    if direction is LinkDirection.SL:
+        return rbs
+    held = {rb for entry in binder.band_allocations(tti, direction.band)
+            if entry.link_direction is direction for rb in entry.rbs}
+    free = [rb for rb in rbs if rb not in held]
+    if not free:
+        return range(0)
+    stop = free[0] + 1
+    while stop in free:
+        stop += 1
+    return range(free[0], stop)
 
 
 @st.composite
 def _ledger_and_queries(draw):
     """Random nodes, a random two-TTI ledger and queries against it.
 
-    Sidelink grants overlap freely; UL and DL grants keep to free blocks,
-    as the binder demands.  Any node may book, the receiver included.
+    Every grant is a run of blocks.  Sidelink grants overlap freely; UL
+    and DL grants keep to free blocks, as the binder demands.  Any node
+    may book, the receiver included.
     """
     positions = draw(st.lists(st.tuples(_coordinate, _coordinate),
                               min_size=2, max_size=6))
     nodes = st.integers(0, len(positions) - 1)
     bookings = draw(st.lists(st.tuples(st.integers(0, 1), nodes,
-                                       st.sampled_from(DIRECTIONS), _block_sets,
+                                       st.sampled_from(DIRECTIONS), _runs,
                                        st.floats(-10.0, 46.0)), max_size=12))
     queries = draw(st.lists(st.tuples(
-        nodes, nodes, st.integers(0, 3), st.booleans(),
-        st.lists(st.integers(0, NUM_RBS - 1), min_size=1, max_size=NUM_RBS,
-                 unique=True),
+        nodes, nodes, st.integers(0, 3), st.booleans(), _runs,
         st.floats(-10.0, 46.0), st.sampled_from(DIRECTIONS)), min_size=1, max_size=6))
     return positions, bookings, queries
 
@@ -264,12 +309,10 @@ def test_sinr_per_rb_matches_per_block_reference(case, shadowing):
     binder = Binder(num_rbs=NUM_RBS)
     for i, position in enumerate(positions):
         binder.register_node(f"n{i}", is_enb=i == 0, position=position)
-    for tti, tx_id, direction, blocks, power in bookings:
-        if direction is not LinkDirection.SL:
-            blocks -= binder.allocated_rbs(tti, direction)
-        if blocks:
-            _book(binder, tti, tx_id, direction, tuple(sorted(blocks)),
-                                     power)
+    for tti, tx_id, direction, rbs, power in bookings:
+        rbs = _free_run(binder, tti, direction, rbs)
+        if rbs:
+            _book(binder, tti, tx_id, direction, rbs, power)
     model = ChannelModel(binder, ChannelParams(shadowing_std_dev_db=shadowing),
                          TABLE, seed=5)
     for tx_id, rx_id, tti, probe, rbs, power, direction in queries:
@@ -277,13 +320,13 @@ def test_sinr_per_rb_matches_per_block_reference(case, shadowing):
             continue
         # a reception reads its own TTI's ledger, a probe the one before
         kwargs = dict(tti=tti, ledger_tti=tti - 1 if probe else tti,
-                      rbs=tuple(rbs), tx_power_dbm=power, direction=direction)
+                      rbs=rbs, tx_power_dbm=power, direction=direction)
         assert (model.sinr_per_rb_db(tx_id, rx_id, **kwargs)
                 == _reference_sinrs(model, tx_id, rx_id, **kwargs))
 
 
-@given(_ledger_and_queries(), st.sampled_from([0.0, 8.0]), st.booleans())
-def test_reception_of_a_booked_block_matches_per_block_reference(case, shadowing, runs):
+@given(_ledger_and_queries(), st.sampled_from([0.0, 8.0]))
+def test_reception_of_a_booked_block_matches_per_block_reference(case, shadowing):
     """Whether or not the band holds overlapping bookings, a reception's mean
     SINR and decision equal those of the per-block reference."""
     positions, bookings, _ = case
@@ -291,18 +334,10 @@ def test_reception_of_a_booked_block_matches_per_block_reference(case, shadowing
     for i, position in enumerate(positions):
         binder.register_node(f"n{i}", is_enb=i == 0, position=position)
     booked = []
-    for tti, tx_id, direction, blocks, power in bookings:
-        if direction is not LinkDirection.SL:
-            blocks -= binder.allocated_rbs(tti, direction)
-        if not blocks:
-            continue
-        rbs = tuple(sorted(blocks))
-        if runs:  # a scheduled grant: the run of these blocks from the first one
-            stop = rbs[0]
-            while stop in blocks:
-                stop += 1
-            rbs = range(rbs[0], stop)
-        booked.append(_book(binder, tti, tx_id, direction, rbs, power))
+    for tti, tx_id, direction, rbs, power in bookings:
+        rbs = _free_run(binder, tti, direction, rbs)
+        if rbs:
+            booked.append(_book(binder, tti, tx_id, direction, rbs, power))
     model = ChannelModel(binder, ChannelParams(shadowing_std_dev_db=shadowing),
                          TABLE, seed=5)
     for tb in booked:
@@ -326,9 +361,9 @@ def test_interference_adds_up_in_booking_order():
     binder.register_node("ue", position=(100.0, 0.0))
     for i, (y, power) in enumerate([(180.0, 10.0), (110.0, 10.0), (40.0, 11.0)]):
         binder.register_node(f"sl{i}", position=(0.0, y))
-        _book(binder, 2, 2 + i, LinkDirection.SL, (0,), power)
+        _book(binder, 2, 2 + i, LinkDirection.SL, range(0, 1), power)
     model = ChannelModel(binder, ChannelParams(), TABLE, 1)
-    kwargs = dict(tti=2, ledger_tti=2, rbs=(0, 1), tx_power_dbm=26.0,
+    kwargs = dict(tti=2, ledger_tti=2, rbs=range(0, 2), tx_power_dbm=26.0,
                   direction=LinkDirection.UL)
     expected = _reference_sinrs(model, 1, 0, **kwargs)
     assert model.sinr_per_rb_db(1, 0, **kwargs) == expected
@@ -339,7 +374,7 @@ def test_interference_adds_up_in_booking_order():
     reversed_mw = 0.0
     for power_mw in reversed(powers):
         reversed_mw += power_mw
-    assert mw_to_dbm(signal_mw / (model.noise_mw_per_rb() + reversed_mw)) != expected[0]
+    assert mw_to_dbm(signal_mw / (_noise_mw(model.params) + reversed_mw)) != expected[0]
 
 
 def test_link_losses_are_kept_for_two_ttis_only():
@@ -353,42 +388,63 @@ def test_link_losses_are_kept_for_two_ttis_only():
     assert first == model.link_loss_db(1, 0, 3)
 
 
+def test_means_add_from_the_left_whatever_sum_does(monkeypatch):
+    monkeypatch.setattr("d2dsim.channel.sum", _compensated_sum, raising=False)
+    rng = random.Random(0)
+    for _ in range(200):
+        values = [rng.uniform(-10.0, 40.0) for _ in range(rng.randint(1, 50))]
+        assert mean_sinr_db(values) == _sequential_mean_db(values)
+        equal = values[:1] * len(values)
+        assert mean_sinr_db(equal) == _sequential_mean_db(equal)
+    _, model = _model()
+    for n in range(1, 51):
+        sinrs = model.sinr_per_rb_db(1, 0, tti=3, ledger_tti=2, rbs=range(n),
+                                     tx_power_dbm=26.0, direction=LinkDirection.UL)
+        assert model.noise_limited_mean_db(1, 0, 3, 26.0, n) == _sequential_mean_db(sinrs)
+    golden = json.loads((ROOT / "perfbench" / "golden.json").read_text())["scenarios"]
+    for rel, digests in sorted(golden.items()):
+        metrics = Engine(parse_scenario((ROOT / rel).read_text())).run().metrics_csv()
+        assert hashlib.sha256(metrics.encode()).hexdigest() == digests["metrics_sha256"], rel
+
+
 @given(st.floats(-40.0, 60.0), st.integers(1, 100))
 def test_mean_of_equal_values_is_bit_identical_to_general_formula(value, n):
-    general = mw_to_dbm(sum([dbm_to_mw(v) for v in [value] * n]) / n)
-    assert mean_sinr_db([value] * n) == general
+    assert mean_sinr_db([value] * n) == _sequential_mean_db([value] * n)
     # one differing block takes the general path
     mixed = [value] * n + [value + 1.0]
-    assert mean_sinr_db(mixed) == mw_to_dbm(
-        sum([dbm_to_mw(v) for v in mixed]) / len(mixed))
+    assert mean_sinr_db(mixed) == _sequential_mean_db(mixed)
 
 
-@given(st.permutations(range(2, 8)), st.sampled_from([0.0, 8.0]), st.booleans())
-def test_permuted_blocks_and_edge_interferers_match_reference(rbs, shadowing, probe):
+# (transmitter, run, power) of interferers that each touch only one edge
+# of the query's run of blocks 2..7, or none
+_EDGE_INTERFERERS = [(2, range(7, 8), 20.0), (3, range(0, 3), 23.0), (4, range(8, 10), 23.0)]
+
+
+@given(st.permutations(_EDGE_INTERFERERS), st.sampled_from([0.0, 8.0]), st.booleans())
+def test_permuted_blocks_and_edge_interferers_match_reference(bookings, shadowing, probe):
+    """The interferers' blocks are booked in any order."""
     binder = Binder(num_rbs=10)
     binder.register_node("eNodeB", is_enb=True, position=(0.0, 0.0))
     binder.register_node("ue", position=(100.0, 0.0))
     binder.register_node("slA", position=(0.0, 150.0))
     binder.register_node("slB", position=(60.0, 60.0))
     binder.register_node("slC", position=(-80.0, 20.0))
-    # each interferer touches only one edge of the query's range, or none
-    _book(binder, 4, 2, LinkDirection.SL, (7,), 20.0)
-    _book(binder, 4, 3, LinkDirection.SL, (2, 1, 0), 23.0)
-    _book(binder, 4, 4, LinkDirection.SL, (9, 8), 23.0)
+    for tx_id, rbs, power in bookings:
+        _book(binder, 4, tx_id, LinkDirection.SL, rbs, power)
     model = ChannelModel(binder, ChannelParams(shadowing_std_dev_db=shadowing),
                          TABLE, seed=3)
-    kwargs = dict(tti=5 if probe else 4, ledger_tti=4, rbs=tuple(rbs),
+    kwargs = dict(tti=5 if probe else 4, ledger_tti=4, rbs=range(2, 8),
                   tx_power_dbm=26.0, direction=LinkDirection.UL)
     sinrs = model.sinr_per_rb_db(1, 0, **kwargs)
     assert sinrs == _reference_sinrs(model, 1, 0, **kwargs)
-    middle = sinrs[rbs.index(4)]
-    assert sinrs[rbs.index(7)] < middle and sinrs[rbs.index(2)] < middle
-    assert sinrs.count(middle) == 4
+    edge_low, *middle, edge_high = sinrs  # blocks 2, 3..6 and 7
+    assert middle == middle[:1] * 4
+    assert edge_low < middle[0] and edge_high < middle[0]
 
 
 def test_probe_on_kept_entries_matches_the_ledger_it_was_taken_from():
     binder, model = _model(shadowing=8.0)
-    _book(binder, 4, 3, LinkDirection.SL, tuple(range(50)), 26.0)
+    _book(binder, 4, 3, LinkDirection.SL, range(50), 26.0)
     kwargs = dict(tti=5, tx_power_dbm=26.0, direction=LinkDirection.UL)
     then = model.wideband_cqi(1, 0, **kwargs)
     model.pin(5)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from d2dsim import (ConstraintViolationError, MalformedPatternError,
+from d2dsim import (ConstraintViolationError, MalformedPatternError, Role,
                     ScenarioSyntaxError, Transport, UnknownKeyError,
                     UnresolvedNodeReferenceError, is_multicast_address,
                     load_scenario, parse_scenario, resolve_pattern,
@@ -37,7 +37,7 @@ def test_parse_minimal_scenario():
     config = parse_scenario(BASE)
     assert config.sim.tti_count == 100
     assert [n.name for n in config.nodes] == ["eNodeB", "ueD2DTx[0]", "ueD2DRx[0]"]
-    assert config.enb.name == "eNodeB"
+    assert config.node_by_name("eNodeB").role is Role.ENB
     tx = config.node_by_name("ueD2DTx[0]")
     assert tx.d2d_peer_addresses == ("ueD2DRx[0]",)
     assert tx.d2d_cqi == 7

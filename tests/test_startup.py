@@ -2,8 +2,11 @@
 
 ``dataclasses`` writes each decorated class's methods as source and
 compiles it, and pulls in ``inspect`` with it; the records are
-NamedTuples or slot classes instead.  The import runs in a fresh
-interpreter without ``site``, so nothing else has loaded either module.
+NamedTuples or slot classes instead.  Nor does it load
+``importlib.resources``, which brings ``pathlib``, ``tempfile`` and
+``zipfile`` with it: the CQI table is opened by its path next to the
+package's modules.  The import runs in a fresh interpreter without
+``site``, so nothing else has loaded any of these modules.
 """
 
 import json
@@ -17,7 +20,8 @@ SCRIPT = """
 import json, sys
 sys.path.insert(0, sys.argv[1])
 import d2dsim
-print(json.dumps(sorted({"dataclasses", "inspect"} & set(sys.modules))))
+absent = {"dataclasses", "inspect", "importlib.resources"}
+print(json.dumps(sorted(absent & set(sys.modules))))
 """
 
 
