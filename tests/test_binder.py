@@ -83,6 +83,64 @@ def test_rb_index_bounds(binder):
         _book(binder, 0, 1, LinkDirection.DL, range(-1, 0), 26.0)
 
 
+def test_duplicate_rb_within_grant(binder):
+    # a range cannot repeat a block; a block list that does is no grant
+    with pytest.raises(ValueError, match=r"grant \(3, 3\) is not a run of blocks in UL"):
+        _book(binder, 0, 1, LinkDirection.UL, (3, 3), 26.0)
+    assert binder.allocations(0) == ()
+
+
+def test_out_of_range_block_named_in_grant_order(binder):
+    with pytest.raises(ValueError, match=r"grant \(3, 50, -1\) is not a run of blocks in UL 0\.\.49"):
+        _book(binder, 0, 1, LinkDirection.UL, (3, 50, -1), 26.0)
+    with pytest.raises(ValueError, match=r"grant range\(-2, 3\) is not a run of blocks in UL 0\.\.49"):
+        _book(binder, 0, 1, LinkDirection.SL, range(-2, 3), 20.0)
+    with pytest.raises(ValueError, match=r"grant range\(45, 51\) is not a run of blocks in DL 0\.\.49"):
+        _book(binder, 0, 0, LinkDirection.DL, range(45, 51), 46.0)
+    assert binder.allocations(0) == ()
+    assert _allocated_rbs(binder, 0, LinkDirection.UL) == set()
+
+
+def test_unsorted_non_contiguous_grants(binder):
+    for rbs in ((9, 2, 30), [2, 3], range(0, 6, 2), range(5, 2), range(4, 1, -1)):
+        with pytest.raises(ValueError, match="is not a run of blocks in UL"):
+            _book(binder, 0, 1, LinkDirection.UL, rbs, 26.0)
+    assert binder.allocations(0) == ()
+    entry = _book(binder, 0, 1, LinkDirection.UL, range(29, 31), 26.0)
+    assert _allocated_rbs(binder, 0, LinkDirection.UL) == {29, 30}
+    with pytest.raises(RbConflict, match="rb \\[30\\] already granted in UL"):
+        _book(binder, 0, 2, LinkDirection.UL, range(30, 33), 26.0)
+    assert binder.allocations(0) == (entry,)
+    assert _book(binder, 0, 2, LinkDirection.UL, range(31, 33), 26.0)
+    assert binder.check_conservation(0) == []
+
+
+def _record_allocation_reference(binder, rbs, band):
+    """The one grant shape, stated block by block: a step-1 range of at
+    least one block, each inside the band."""
+    shaped = type(rbs) is range and rbs.step == 1 and len(rbs) > 0
+    if not shaped or any(not 0 <= rb < binder.num_rbs for rb in rbs):
+        raise ValueError(f"grant {rbs!r} is not a run of blocks in {band} 0..{binder.num_rbs - 1}")
+
+
+@given(st.lists(st.integers(-3, 8), max_size=6), st.booleans())
+def test_grant_checks_match_per_block_loop(blocks, run):
+    rbs = range(blocks[0], blocks[0] + len(blocks)) if run and blocks else tuple(blocks)
+
+    def outcome(call):
+        try:
+            call()
+        except (ValueError, RbConflict) as exc:
+            return type(exc), str(exc)
+        return None
+
+    reference = Binder(num_rbs=6)
+    expected = outcome(lambda: _record_allocation_reference(reference, rbs, "UL"))
+    binder = Binder(num_rbs=6)
+    assert outcome(lambda: _book(binder, 0, 1, LinkDirection.SL, rbs, 20.0)) == expected
+    assert len(binder.allocations(0)) == (expected is None)
+
+
 _grant_shapes = st.one_of(
     st.builds(range, st.integers(-2, 9), st.integers(-2, 9)),
     st.builds(range, st.integers(-2, 9), st.integers(-2, 9), st.sampled_from([-1, 2, 3])),
