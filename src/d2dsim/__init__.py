@@ -1,7 +1,7 @@
 """Deterministic system-level simulator of an LTE-A cell with D2D sidelinks."""
 
 from .binder import Binder, LinkDirection, NodeRecord, RbConflict
-from .channel import (ChannelModel, ChannelParams, CqiTable, decode,
+from .channel import (ChannelModel, ChannelParams, CqiTable, amc_tbs, decode,
                       mean_sinr_db, path_loss_db)
 from .config import (AmcMode, ConstraintViolationError, Diagnostic, FlowConfig,
                      MalformedPatternError, ModeSelectionConfig, MulticastGroup,
@@ -17,7 +17,7 @@ from .mode_selection import (Mode, ModeSwitchCommand, UnknownPolicyError,
                              policy_names, register_policy)
 from .stack import (Direction, HarqOutcome, HarqPool, HarqProcess,
                     PacketAssembler, PacketDescriptor, RlcChunk, RlcTxQueue,
-                    ScheduleRequest, TransportBlock, amc_tbs,
+                    ScheduleRequest, TransportBlock,
                     harq_on_feedback, pdcp_classify, phy_receive, phy_send,
                     rbs_needed, schedule_band)
 

@@ -26,10 +26,8 @@ class LinkDirection(Enum):
 
     __hash__ = object.__hash__  # identity, in C; see stack.Direction
 
-    @property
-    def band(self) -> str:
-        """Spectrum partition this direction transmits in."""
-        return "DL" if self is LinkDirection.DL else "UL"
+    def __init__(self, value: str) -> None:
+        self.band = "DL" if value == "DL" else "UL"  # spectrum partition it transmits in
 
 
 class RbConflict(Exception):

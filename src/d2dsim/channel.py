@@ -77,9 +77,10 @@ class CqiTable:
             raise ValueError("empty table")
         if any(b <= a for a, b in zip(thresholds_db, thresholds_db[1:])):
             raise ValueError("thresholds must be strictly increasing")
-        self._thresholds = list(thresholds_db)
+        self.thresholds_db = tuple(thresholds_db)  # of CQI 1, 2, ...
         # indexed by CQI, unchecked; CQI 0 carries nothing
         self.efficiencies = (0.0, *efficiencies)
+        self._tbs: dict[tuple[int, int], tuple[tuple[int, ...], ...]] = {}
 
     @classmethod
     def from_file(cls, path) -> "CqiTable":
@@ -109,15 +110,32 @@ class CqiTable:
 
     @property
     def max_cqi(self) -> int:
-        return len(self._thresholds)
+        return len(self.thresholds_db)
 
     def threshold_db(self, cqi: int) -> float:
         if not 1 <= cqi <= self.max_cqi:
             raise ValueError(f"cqi {cqi} outside 1..{self.max_cqi}")
-        return self._thresholds[cqi - 1]
+        return self.thresholds_db[cqi - 1]
 
     def sinr_to_cqi(self, sinr_db: float) -> int:
-        return bisect_right(self._thresholds, sinr_db)
+        return bisect_right(self.thresholds_db, sinr_db)
+
+    def tbs_sizes(self, rb_capacity_re: int, num_rbs: int) -> tuple[tuple[int, ...], ...]:
+        """:func:`amc_tbs` as ``[cqi][blocks]``, 0..num_rbs blocks, built once per pair."""
+        key = (rb_capacity_re, num_rbs)
+        sizes = self._tbs.get(key)
+        if sizes is None:
+            sizes = self._tbs[key] = tuple(
+                tuple(amc_tbs(cqi, n, rb_capacity_re, self) for n in range(num_rbs + 1))
+                for cqi in range(self.max_cqi + 1))
+        return sizes
+
+
+# CQIs are not range-checked here: they come from the table or a validated config
+
+def amc_tbs(cqi: int, num_rbs: int, rb_capacity_re: int, table: CqiTable) -> int:
+    """Transport block size in bits for a grant of ``num_rbs`` blocks; 0 at CQI 0."""
+    return math.floor(num_rbs * rb_capacity_re * table.efficiencies[cqi])
 
 
 def decode(mean_db: float, cqi: int, table: CqiTable) -> bool:
@@ -128,15 +146,17 @@ def decode(mean_db: float, cqi: int, table: CqiTable) -> bool:
 class ChannelModel:
     """Channel bound to a binder's geometry and ledger.
 
-    Shadowing draws are keyed by (seed, tx, rx, tti), so any query for
-    the same link and TTI sees the same value.  Link losses are
-    memoised per (tx, rx, tti) for the newest TTI queried and the one
+    Nodes do not move, so each link's path loss is memoised for the
+    whole run; without shadowing it is the link's loss, and the mean
+    SINR of a reception nothing interferes with is memoised per (tx, rx,
+    power, blocks) too.  Shadowing draws are keyed by (seed, tx, rx,
+    tti), so any query for the same link and TTI sees the same value;
+    link losses are memoised for the newest TTI queried and the one
     before it (a reception is evaluated one TTI after its transmission)
-    and for the last two TTIs passed to :meth:`pin`, which also keeps the
-    ledger entries a CQI measurement at that TTI reads (a report is
+    and for the last two TTIs passed to :meth:`pin`, which also keeps
+    the ledger entries a CQI measurement at that TTI reads (a report is
     measured when first read, up to a report period late).  Any other
-    older query is computed afresh.  Nodes do not move, so the
-    distance-dependent part is memoised per (tx, rx) for the whole run.
+    older query is computed afresh.
     """
 
     def __init__(self, binder: Binder, params: ChannelParams,
@@ -145,8 +165,11 @@ class ChannelModel:
         self.params = params
         self.table = table
         self.seed = seed
+        self._fixed_loss = params.shadowing_std_dev_db == 0.0
         self._path_loss: dict[tuple[int, int], float] = {}
         self._loss: dict[int, dict[tuple[int, int], float]] = {}
+        # (tx, rx, power, blocks) -> noise-limited mean SINR, kept only at sigma = 0
+        self._noise_limited: dict[tuple[int, int, float, int], float] = {}
         # tti -> (its link losses, the previous TTI's entries per band)
         self._pinned: dict[int, tuple[dict, dict[str, tuple]]] = {}
         self._newest_tti = -math.inf
@@ -188,7 +211,8 @@ class ChannelModel:
             del self._pinned[min(self._pinned)]
 
     def link_loss_db(self, tx_id: int, rx_id: int, tti: int) -> float:
-        losses = self._losses_at(tti)
+        # at sigma = 0 the path loss (+ a 0.0 draw: the same float) serves every TTI
+        losses = self._path_loss if self._fixed_loss else self._losses_at(tti)
         key = (tx_id, rx_id)
         loss = losses.get(key)
         if loss is None:
@@ -207,9 +231,15 @@ class ChannelModel:
     def noise_limited_mean_db(self, tx_id: int, rx_id: int, tti: int,
                               tx_power_dbm: float, num_rbs: int) -> float:
         """Mean SINR of blocks nothing interferes with, as mean_sinr_db averages them."""
-        sinr = mw_to_dbm(dbm_to_mw(self.received_power_dbm(
-            tx_id, rx_id, tti, tx_power_dbm)) / self._noise_mw)
-        return mw_to_dbm(reduce(operator.add, [dbm_to_mw(sinr)] * num_rbs) / num_rbs)
+        key = (tx_id, rx_id, tx_power_dbm, num_rbs)
+        mean = self._noise_limited.get(key)
+        if mean is None:
+            sinr = mw_to_dbm(dbm_to_mw(self.received_power_dbm(
+                tx_id, rx_id, tti, tx_power_dbm)) / self._noise_mw)
+            mean = mw_to_dbm(reduce(operator.add, [dbm_to_mw(sinr)] * num_rbs) / num_rbs)
+            if self._fixed_loss:
+                self._noise_limited[key] = mean
+        return mean
 
     def sinr_per_rb_db(self, tx_id: int, rx_id: int, *, tti: int, ledger_tti: int,
                        rbs: range, tx_power_dbm: float, direction: LinkDirection,

@@ -130,7 +130,7 @@ class _Link:
 
     __slots__ = ("key", "tx_power_dbm", "reported", "fixed_cqi", "pool", "queues",
                  "backlog", "mode", "cqi_memo", "tx_id", "direction", "rx", "rx_id",
-                 "node_id", "link_direction", "link", "granted_key")
+                 "node_id", "link_direction", "link", "granted_key", "receivers")
 
     def __init__(self, key: tuple, tx_power_dbm: float, reported: bool,
                  fixed_cqi: int = 0, pool: HarqPool | None = None) -> None:
@@ -149,6 +149,7 @@ class _Link:
         self.link_direction = self.direction.link
         self.link = self.link_direction.value.lower()  # as metric names spell it
         self.granted_key = f"rbs_granted_{self.link}"
+        self.receivers: list[tuple[int, bool]] = []  # one-to-many: (UE, is member)
 
 
 def rng_stream(seed: int, purpose: str, *extra) -> random.Random:
@@ -284,6 +285,9 @@ class Engine:
         cfg = self.node_cfg[tx_id]
         if direction is Direction.D2D_MULTI:  # fixed format, no feedback, no HARQ
             link = _Link(key, cfg.d2d_tx_power_dbm, False, cfg.d2d_cqi or 0)
+            # every other UE, in id order; membership is fixed before links are built
+            link.receivers = [(ue_id, self.binder.is_member(rx, ue_id))
+                              for ue_id in self.ue_ids if ue_id != tx_id]
         else:
             pool = self.pools[key] = HarqPool(self.config.sim.harq_processes)
             if direction is Direction.D2D:  # a preconfigured sender is never sounded
@@ -567,11 +571,9 @@ class Engine:
                                 (tb, result.decoded))
 
     def _receive_multicast(self, tb: TransportBlock, link: _Link) -> None:
-        for rx_id in self.ue_ids:
-            if rx_id == tb.tx_id:
-                continue
-            result = (phy_receive(self.channel, tb, rx_id)  # None: not a member
-                      if self.binder.is_member(link.rx, rx_id) else None)
+        packet_ids = sorted({c.packet.packet_id for c in tb.chunks})
+        for rx_id, member in link.receivers:
+            result = phy_receive(self.channel, tb, rx_id) if member else None
             if self.trace_enabled:
                 self._trace("receive", tb.tx_id, rx_id, link.direction, len(tb.rbs),
                             result and result.mean_sinr_db, result and result.decoded)
@@ -581,7 +583,7 @@ class Engine:
                                          InstanceStatus.DELIVERED)
             else:
                 status = InstanceStatus.FILTERED if result is None else InstanceStatus.LOST_DECODE
-                for packet_id in sorted({c.packet.packet_id for c in tb.chunks}):
+                for packet_id in packet_ids:
                     self._close_instance(packet_id, rx_id, status)
 
     def _deliver(self, packet: PacketDescriptor, rx_id: int) -> None:

@@ -13,11 +13,12 @@ transmission followed by a downlink one.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from collections import deque
 from enum import Enum
 
 from .binder import Binder, LinkDirection
-from .channel import ChannelModel, CqiTable, decode, mean_sinr_db
+from .channel import ChannelModel, CqiTable, amc_tbs, mean_sinr_db
 from .mode_selection import Mode
 
 
@@ -154,21 +155,16 @@ class PacketAssembler:
 # ---------------------------------------------------------------------------
 # AMC
 
-# CQIs are not range-checked here: they come from the table or a validated config
-
-def amc_tbs(cqi: int, num_rbs: int, rb_capacity_re: int, table: CqiTable) -> int:
-    """Transport block size in bits for a grant of ``num_rbs`` blocks; 0 at CQI 0."""
-    return math.floor(num_rbs * rb_capacity_re * table.efficiencies[cqi])
-
-
 def rbs_needed(bits: int, cqi: int, rb_capacity_re: int, table: CqiTable) -> int | None:
     """Fewest blocks whose transport block fits ``bits``, or None at CQI 0."""
     if cqi == 0:
         return None
     if bits <= 0:
         return 0
-    per_rb = rb_capacity_re * table.efficiencies[cqi]
-    n = max(1, math.ceil(bits / per_rb))
+    # a guess from the rounded ratio, which can be a block off either way
+    n = max(1, math.ceil(bits / (rb_capacity_re * table.efficiencies[cqi])))
+    while n > 1 and amc_tbs(cqi, n - 1, rb_capacity_re, table) >= bits:
+        n -= 1
     while amc_tbs(cqi, n, rb_capacity_re, table) < bits:
         n += 1
     return n
@@ -230,8 +226,10 @@ def schedule_band(requests: list[ScheduleRequest], num_rbs: int,
             ordered.append((request, request.retx_rbs))
             available -= request.retx_rbs
 
-    # whole rounds up to the smallest open need, then one block each
-    need = [rbs_needed(r.backlog_bits, r.cqi, rb_capacity_re, table) for r in fresh]
+    # whole rounds up to the smallest open need, then one block each; a need
+    # past the band reads as num_rbs + 1, which no round reaches either way
+    sizes = table.tbs_sizes(rb_capacity_re, num_rbs)
+    need = [bisect_left(sizes[r.cqi], r.backlog_bits) for r in fresh]
     active = list(range(len(fresh)))  # requesters short of their need
     level = 0  # blocks each of them holds
     while active:
@@ -251,7 +249,7 @@ def schedule_band(requests: list[ScheduleRequest], num_rbs: int,
     next_rb = 0  # each grant's run starts where the previous one ended
     for request, count in ordered:
         blocks.append(TransportBlock(request, range(next_rb, next_rb + count),
-                                     amc_tbs(request.cqi, count, rb_capacity_re, table)))
+                                     sizes[request.cqi][count]))
         next_rb += count
     return blocks
 
@@ -412,5 +410,5 @@ def phy_receive(channel: ChannelModel, tb: TransportBlock,
     else:
         mean_db = channel.noise_limited_mean_db(tb.tx_id, rx_id, tb.tti,
                                                 tb.tx_power_dbm, len(tb.rbs))
-    ok = tb.cqi >= 1 and decode(mean_db, tb.cqi, channel.table)
-    return ReceptionResult(decoded=ok, mean_sinr_db=mean_db)
+    ok = tb.cqi >= 1 and mean_db >= channel.table.thresholds_db[tb.cqi - 1]
+    return ReceptionResult(ok, mean_db)

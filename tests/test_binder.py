@@ -5,6 +5,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from d2dsim import Binder, LinkDirection, RbConflict, TransportBlock
+from d2dsim.binder import _Band
 
 
 @pytest.fixture
@@ -213,6 +214,18 @@ def test_conservation_audit_clean(binder):
     _book(binder, 5, 1, LinkDirection.UL, range(50), 26.0)
     _book(binder, 5, 2, LinkDirection.SL, range(50), 20.0)
     assert binder.check_conservation(5) == []
+
+
+def test_conservation_audit_reports_what_the_ledger_refuses(binder):
+    # planted past record_allocation, which refuses both
+    def entry(tx_id, direction, rbs):
+        return TransportBlock(None, rbs, tx_id=tx_id, link_direction=direction, tti=5)
+    binder._bands[5, "UL"] = _Band([entry(1, LinkDirection.UL, range(0, 4)),
+                                    entry(2, LinkDirection.UL, range(3, 6)),
+                                    entry(1, LinkDirection.SL, range(0, 4))])
+    binder._bands[5, "DL"] = _Band([entry(0, LinkDirection.DL, range(48, 52))])
+    assert binder.check_conservation(5) == ["tti 5: duplicate grant in UL",
+                                            "tti 5: DL rb index out of range"]
 
 
 def test_group_membership(binder):

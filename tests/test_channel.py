@@ -388,6 +388,25 @@ def test_link_losses_are_kept_for_two_ttis_only():
     assert first == model.link_loss_db(1, 0, 3)
 
 
+_coordinate = st.floats(-1000.0, 1000.0)
+
+
+@given(st.tuples(_coordinate, _coordinate), st.tuples(_coordinate, _coordinate),
+       st.floats(-20.0, 40.0), st.integers(1, 110), st.integers(0, 10_000))
+def test_fixed_losses_and_means_equal_the_uncached_formulas(tx_at, rx_at, power, n, tti):
+    binder = Binder(num_rbs=110)
+    binder.register_node("tx", position=tx_at)
+    binder.register_node("rx", position=rx_at)
+    params = ChannelParams()  # no shadowing
+    model = ChannelModel(binder, params, TABLE, seed=1)
+    loss = path_loss_db(math.dist(tx_at, rx_at), params) + model.shadowing_db(0, 1, tti)
+    sinr = mw_to_dbm(dbm_to_mw(power - loss) / _noise_mw(params))
+    for at in (tti, tti + 1, 0):  # the first query fills the memos, the others read them
+        assert model.link_loss_db(0, 1, at) == loss
+        assert model.noise_limited_mean_db(0, 1, at, power, n) == _sequential_mean_db([sinr] * n)
+    assert model._noise_limited  # memoised
+
+
 def test_means_add_from_the_left_whatever_sum_does(monkeypatch):
     monkeypatch.setattr("d2dsim.channel.sum", _compensated_sum, raising=False)
     rng = random.Random(0)

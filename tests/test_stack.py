@@ -1,5 +1,7 @@
 """PDCP classification, RLC segmentation, AMC, scheduling and HARQ."""
 
+from bisect import bisect_left
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -186,6 +188,30 @@ def test_rbs_needed_is_minimal(bits, cqi):
     assert amc_tbs(cqi, n, 168, TABLE) >= bits
     if n > 1:
         assert amc_tbs(cqi, n - 1, 168, TABLE) < bits
+
+
+def test_rbs_needed_is_minimal_at_every_grant_size():
+    # the guess bits / (cap * eff) rounds differently from amc_tbs's
+    # (n * cap) * eff and can land a block too high
+    assert rbs_needed(879, 2, 75, TABLE) == 50
+    for cap in (75, 100, 230, 390):
+        for cqi in range(1, 16):
+            for n in range(1, 111):
+                bits = amc_tbs(cqi, n, cap, TABLE)
+                need = rbs_needed(bits, cqi, cap, TABLE)
+                assert amc_tbs(cqi, need, cap, TABLE) >= bits, (cap, cqi, n)
+                assert need == 1 or amc_tbs(cqi, need - 1, cap, TABLE) < bits, (cap, cqi, n)
+
+
+@given(st.integers(1, 10_000), st.integers(1, 110), st.integers(1, 15),
+       st.integers(1, 200_000))
+def test_tbs_table_matches_amc_tbs_and_rbs_needed(cap, num_rbs, cqi, bits):
+    sizes = TABLE.tbs_sizes(cap, num_rbs)
+    assert TABLE.tbs_sizes(cap, num_rbs) is sizes  # built once
+    assert len(sizes) == 16 and sizes[0] == (0,) * (num_rbs + 1)
+    assert list(sizes[cqi]) == [amc_tbs(cqi, n, cap, TABLE) for n in range(num_rbs + 1)]
+    assert bisect_left(sizes[cqi], bits) == min(rbs_needed(bits, cqi, cap, TABLE),
+                                                num_rbs + 1)
 
 
 # -- scheduler -----------------------------------------------------------------------
