@@ -1,6 +1,6 @@
 """Deterministic system-level simulator of an LTE-A cell with D2D sidelinks."""
 
-from .binder import Binder, LinkDirection, NodeRecord, RbConflict
+from .binder import Binder, LinkDirection, RbConflict
 from .channel import (ChannelModel, ChannelParams, CqiTable, amc_tbs, decode,
                       mean_sinr_db, path_loss_db)
 from .config import (AmcMode, ConstraintViolationError, Diagnostic, FlowConfig,

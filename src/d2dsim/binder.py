@@ -1,10 +1,10 @@
-"""Global resource oracle shared by every protocol layer.
+"""Global resource ledger shared by every protocol layer.
 
-The binder knows everything the network knows: which nodes exist and
-where they are, which resource blocks each transmitter occupies in
-each TTI, and who belongs to which multicast group.  Layers query it
-instead of exchanging control messages, which keeps the simulation
-honest about resource usage without modelling signalling traffic.
+The binder knows which resource blocks each transmitter occupies in
+each TTI.  Layers query it instead of exchanging control messages,
+which keeps the simulation honest about resource usage without
+modelling signalling traffic.  Entries name their transmitter by node
+id, the node's place in the scenario's ``sim.nodes``.
 
 Spectrum layout is FDD: the downlink band is separate, while sidelink
 grants share the uplink band.  Reuse of the same block by an uplink
@@ -16,7 +16,7 @@ one block twice in one direction is a bug and raises :class:`RbConflict`.
 from __future__ import annotations
 
 from enum import Enum
-from typing import Iterator, NamedTuple
+from typing import Iterator
 
 
 class LinkDirection(Enum):
@@ -34,13 +34,6 @@ class RbConflict(Exception):
     """Same resource block granted twice in one direction and TTI."""
 
 
-class NodeRecord(NamedTuple):
-    node_id: int
-    name: str
-    is_enb: bool
-    position: tuple[float, float]
-
-
 class _Band(list):
     """One TTI's entries in one band, in booking order, with bit masks of the
     blocks any entry holds (``used``) and its UL or DL entries hold (``infra``)."""
@@ -50,7 +43,7 @@ class _Band(list):
 
 
 class Binder:
-    """Node registry, per-TTI allocation ledger and group membership.
+    """Per-TTI allocation ledger.
 
     The ledger is a sliding window: entries older than one TTI behind
     the last :meth:`advance` call are dropped, since receptions only
@@ -59,44 +52,11 @@ class Binder:
     ``rbs``, a ``range`` of consecutive blocks: an SC-FDMA grant is one run.
     """
 
-    __slots__ = ("num_rbs", "_records", "_ids", "_bands", "_groups")
+    __slots__ = ("num_rbs", "_bands")
 
     def __init__(self, num_rbs: int) -> None:
         self.num_rbs = num_rbs
-        self._records: list[NodeRecord] = []
-        self._ids: dict[str, int] = {}
         self._bands: dict[tuple[int, str], _Band] = {}
-        self._groups: dict[str, set[int]] = {}
-
-    # -- node registry ------------------------------------------------
-
-    def register_node(self, name: str, *, is_enb: bool = False,
-                      position: tuple[float, float] = (0.0, 0.0)) -> int:
-        """Assign the next dense id to a node; names must be unique."""
-        if name in self._ids:
-            raise ValueError(f"node {name!r} already registered")
-        node_id = len(self._records)
-        self._records.append(NodeRecord(node_id, name, is_enb, position))
-        self._ids[name] = node_id
-        return node_id
-
-    def record(self, node_id: int) -> NodeRecord:
-        return self._records[node_id]
-
-    def id_of(self, name: str) -> int:
-        return self._ids[name]
-
-    @property
-    def records(self) -> tuple[NodeRecord, ...]:
-        return tuple(self._records)
-
-    def enb_id(self) -> int:
-        for record in self._records:
-            if record.is_enb:
-                return record.node_id
-        raise LookupError("no eNB registered")
-
-    # -- allocation ledger --------------------------------------------
 
     def _mask(self, rbs, band: str) -> int:
         """Bit mask of a grant's blocks: a non-empty run of them in the band."""
@@ -169,12 +129,3 @@ class Binder:
             if blocks and (min(blocks) < 0 or max(blocks) >= self.num_rbs):
                 problems.append(f"tti {tti}: {direction.value} rb index out of range")
         return problems
-
-    # -- multicast membership -----------------------------------------
-
-    def add_member(self, address: str, node_id: int) -> None:
-        self._groups.setdefault(address, set()).add(node_id)
-
-    def is_member(self, address: str, node_id: int) -> bool:
-        return node_id in self._groups.get(address, ())
-

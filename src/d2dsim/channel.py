@@ -67,7 +67,7 @@ class CqiTable:
 
     ``sinr_to_cqi`` returns the largest CQI whose threshold the SINR
     meets, or 0 when even CQI 1 is out of reach.  Thresholds must be
-    strictly increasing.
+    finite and strictly increasing, efficiencies finite and positive.
     """
 
     def __init__(self, thresholds_db: list[float], efficiencies: list[float]):
@@ -75,6 +75,10 @@ class CqiTable:
             raise ValueError("threshold/efficiency length mismatch")
         if not thresholds_db:
             raise ValueError("empty table")
+        for cqi, (threshold, efficiency) in enumerate(zip(thresholds_db, efficiencies), 1):
+            if not (math.isfinite(threshold) and 0.0 < efficiency < math.inf):
+                raise ValueError(f"cqi {cqi}: threshold {threshold!r} must be finite and "
+                                 f"efficiency {efficiency!r} finite and > 0")
         if any(b <= a for a, b in zip(thresholds_db, thresholds_db[1:])):
             raise ValueError("thresholds must be strictly increasing")
         self.thresholds_db = tuple(thresholds_db)  # of CQI 1, 2, ...
@@ -144,12 +148,13 @@ def decode(mean_db: float, cqi: int, table: CqiTable) -> bool:
 
 
 class ChannelModel:
-    """Channel bound to a binder's geometry and ledger.
+    """Channel over fixed node positions and a binder's ledger.
 
-    Nodes do not move, so each link's path loss is memoised for the
-    whole run; without shadowing it is the link's loss, and the mean
-    SINR of a reception nothing interferes with is memoised per (tx, rx,
-    power, blocks) too.  Shadowing draws are keyed by (seed, tx, rx,
+    ``positions[node_id]`` is a node's ``(x, y)`` in metres.  Nodes do
+    not move, so each link's path loss is memoised for the whole run;
+    without shadowing it is the link's loss, and the mean SINR of a
+    reception nothing interferes with is memoised per (tx, rx, power,
+    blocks) too.  Shadowing draws are keyed by (seed, tx, rx,
     tti), so any query for the same link and TTI sees the same value;
     link losses are memoised for the newest TTI queried and the one
     before it (a reception is evaluated one TTI after its transmission)
@@ -159,9 +164,10 @@ class ChannelModel:
     older query is computed afresh.
     """
 
-    def __init__(self, binder: Binder, params: ChannelParams,
-                 table: CqiTable, seed: int):
+    def __init__(self, binder: Binder, positions: list[tuple[float, float]],
+                 params: ChannelParams, table: CqiTable, seed: int):
         self.binder = binder
+        self.positions = positions
         self.params = params
         self.table = table
         self.seed = seed
@@ -218,8 +224,7 @@ class ChannelModel:
         if loss is None:
             base = self._path_loss.get(key)
             if base is None:
-                distance = math.dist(self.binder.record(tx_id).position,
-                                     self.binder.record(rx_id).position)
+                distance = math.dist(self.positions[tx_id], self.positions[rx_id])
                 base = self._path_loss[key] = path_loss_db(distance, self.params)
             loss = losses[key] = base + self.shadowing_db(tx_id, rx_id, tti)
         return loss

@@ -396,16 +396,7 @@ def parse_scenario(text: str) -> ScenarioConfig:
     for assignment in main:
         if assignment.scope == ["sim"] and assignment.key == "nodes":
             declared = _to_name_list(assignment.value)
-    for name in declared:
-        if not _NODE_NAME_RE.match(name):
-            raise ConstraintViolationError(
-                [Diagnostic("ConstraintViolation", f"invalid node name {name!r}", node=name)])
-        if name.split("[")[0] in RESERVED_SCOPES:
-            raise ConstraintViolationError(
-                [Diagnostic("ConstraintViolation", f"node name {name!r} is reserved", node=name)])
-    if len(set(declared)) != len(declared):
-        raise ConstraintViolationError(
-            [Diagnostic("ConstraintViolation", "duplicate node name in sim.nodes", key="nodes")])
+    # validate checks the names; a repeated one shares its values here
     node_values: dict[str, dict[str, object]] = {name: {} for name in declared}
     ms_values: dict[str, dict[str, object]] = {name: {} for name in declared}
     ms_lines: dict[tuple[str, str], int] = {}  # (node, key) -> line of its last assignment
@@ -511,6 +502,13 @@ def validate(config: ScenarioConfig) -> list[Diagnostic]:
     bounded(_CHANNEL_KEYS, config.channel)
 
     names = {node.name for node in config.nodes}
+    for node in config.nodes:
+        if not _NODE_NAME_RE.match(node.name):
+            bad(f"invalid node name {node.name!r}", node=node.name)
+        elif node.name.split("[")[0] in RESERVED_SCOPES:
+            bad(f"node name {node.name!r} is reserved", node=node.name)
+    if len(names) != len(config.nodes):
+        bad("duplicate node name in sim.nodes", key="nodes")
     enbs = [node for node in config.nodes if node.role is Role.ENB]
     if len(enbs) != 1:
         bad(f"exactly one eNB required, found {len(enbs)}", key="role")
@@ -546,6 +544,8 @@ def validate(config: ScenarioConfig) -> list[Diagnostic]:
         if not is_multicast_address(group.address):
             bad(f"{group.address!r} is not a multicast address (224..239)",
                 key=group.address)
+        if group.address in group_addresses:
+            bad("duplicate multicast address", key=group.address)
         group_addresses.add(group.address)
         try:
             resolve_pattern(group.member_pattern, names)

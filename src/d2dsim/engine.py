@@ -38,8 +38,7 @@ from typing import Iterable, Iterator, NamedTuple
 
 from .binder import Binder
 from .channel import ChannelModel, CqiTable
-from .config import (FlowConfig, NodeConfig, Role, ScenarioConfig, Transport,
-                     resolve_pattern)
+from .config import FlowConfig, Role, ScenarioConfig, Transport, resolve_pattern
 from .mode_selection import (Mode, ModeSwitchCommand, do_mode_selection,
                              get_policy)
 from .stack import (Direction, HarqOutcome, HarqPool, PacketAssembler,
@@ -168,44 +167,34 @@ class Engine:
         self.ledger_dump = ledger_dump
 
         sim = config.sim
+        # a node's id is its place in ``sim.nodes``; validate keeps names unique
+        nodes = config.nodes
+        self.names = [node.name for node in nodes]
+        ids = {name: node_id for node_id, name in enumerate(self.names)}
+        self.enb_id = next(i for i, node in enumerate(nodes) if node.role is Role.ENB)
+        self.ue_ids = [i for i, node in enumerate(nodes) if node.role is not Role.ENB]
         self.binder = Binder(sim.num_rbs)
         self.table = CqiTable.default()
-        self.channel = ChannelModel(self.binder, config.channel, self.table, sim.seed)
+        self.channel = ChannelModel(self.binder, [(n.position_x, n.position_y) for n in nodes],
+                                    config.channel, self.table, sim.seed)
 
-        self.node_cfg: dict[int, NodeConfig] = {}
-        for node in config.nodes:
-            node_id = self.binder.register_node(
-                node.name, is_enb=node.role is Role.ENB,
-                position=(node.position_x, node.position_y))
-            self.node_cfg[node_id] = node
-        self.enb_id = self.binder.enb_id()
-        self.ue_ids = [r.node_id for r in self.binder.records if not r.is_enb]
-
-        names = [node.name for node in config.nodes]
         # each peering's starting mode, in node order and then in the order
         # the node lists its peers, the order mode selection visits them in
-        peerings = dict.fromkeys(((node_id, self.binder.id_of(peer))
-                                  for node_id, node in self.node_cfg.items()
+        peerings = dict.fromkeys(((node_id, ids[peer])
+                                  for node_id, node in enumerate(nodes)
                                   for peer in node.d2d_peer_addresses),
                                  initial_mode or Mode.DM)
-
-        for group in config.multicast_groups:
-            for member in sorted(resolve_pattern(group.member_pattern, names)):
-                member_id = self.binder.id_of(member)
-                if not self.node_cfg[member_id].role is Role.ENB:
-                    self.binder.add_member(group.address, member_id)
+        # each group's member names; validate keeps addresses unique
+        self._members = {group.address: resolve_pattern(group.member_pattern, self.names)
+                         for group in config.multicast_groups}
 
         self.flows: list[tuple[FlowConfig, int, int | None, int]] = []
-        self._flow_by_id: dict[int, FlowConfig] = {}
         for flow in config.flows:
-            src_id = self.binder.id_of(flow.source_node)
-            dst_id = (None if any(g.address == flow.dest_address
-                                  for g in config.multicast_groups)
-                      else self.binder.id_of(flow.dest_address))
             jitter = (rng_stream(sim.seed, "jitter", flow.flow_id).randint(
                 0, flow.start_jitter_ttis) if flow.start_jitter_ttis > 0 else 0)
-            self.flows.append((flow, src_id, dst_id, flow.start_tti + jitter))
-            self._flow_by_id.setdefault(flow.flow_id, flow)
+            self.flows.append((flow, ids[flow.source_node],
+                               None if flow.dest_address in self._members
+                               else ids[flow.dest_address], flow.start_tti + jitter))
 
         # every link the scenario can use, as (downlink, uplink, peers, groups)
         # per UE; a UE serves its peers in id order and its groups by address
@@ -257,15 +246,12 @@ class Engine:
 
     # -- helpers --------------------------------------------------------
 
-    def _name(self, node_id: int) -> str:
-        return self.binder.record(node_id).name
-
     def _trace(self, event: str, src_id: int, dst: int | str,
                direction: Direction | Mode, rbs: int = 0,
                sinr_db: float | None = None, decoded: bool | None = None) -> None:
         """Record a trace row; ``dst`` is a node id or a group address."""
-        dst_name = dst if isinstance(dst, str) else self._name(dst)
-        self.trace.append(TraceRow(self.now_tti, event, self._name(src_id), dst_name,
+        dst_name = dst if isinstance(dst, str) else self.names[dst]
+        self.trace.append(TraceRow(self.now_tti, event, self.names[src_id], dst_name,
                                    direction.value, rbs, sinr_db, decoded))
 
     def schedule_event(self, fire_tti: int, phase: Phase, payload: object) -> None:
@@ -282,11 +268,11 @@ class Engine:
 
     def _add_link(self, tx_id: int, direction: Direction, rx: int | str) -> _Link:
         key = (tx_id, direction, rx)
-        cfg = self.node_cfg[tx_id]
+        cfg = self.config.nodes[tx_id]
         if direction is Direction.D2D_MULTI:  # fixed format, no feedback, no HARQ
             link = _Link(key, cfg.d2d_tx_power_dbm, False, cfg.d2d_cqi or 0)
-            # every other UE, in id order; membership is fixed before links are built
-            link.receivers = [(ue_id, self.binder.is_member(rx, ue_id))
+            # every other UE, in id order; the eNB hears no sidelink, member or not
+            link.receivers = [(ue_id, self.names[ue_id] in self._members[rx])
                               for ue_id in self.ue_ids if ue_id != tx_id]
         else:
             pool = self.pools[key] = HarqPool(self.config.sim.harq_processes)
@@ -317,17 +303,17 @@ class Engine:
 
     # -- packet lifecycle ------------------------------------------------
 
-    def _new_packet(self, flow: FlowConfig, src_id: int, dst_id: int | None,
+    def _new_packet(self, flow_id: int, size_bits: int, src_id: int, dst_id: int | None,
                     group: str | None, is_request: bool) -> PacketDescriptor:
         self._packet_seq += 1
         packet = PacketDescriptor(
-            packet_id=self._packet_seq, flow_id=flow.flow_id, src_id=src_id,
-            dst_id=dst_id, group_address=group, size_bits=flow.packet_bytes * 8,
+            packet_id=self._packet_seq, flow_id=flow_id, src_id=src_id,
+            dst_id=dst_id, group_address=group, size_bits=size_bits,
             created_tti=self.now_tti, is_request=is_request)
         rx_ids = [None] if group is None else [r for r in self.ue_ids if r != src_id]
         for rx_id in rx_ids:
             self.instances[(packet.packet_id, rx_id)] = packet
-        totals = self.totals[flow.flow_id]
+        totals = self.totals[flow_id]
         totals["offered_packets"] += len(rx_ids)
         totals["offered_bits"] += len(rx_ids) * packet.size_bits
         return packet
@@ -395,7 +381,7 @@ class Engine:
             if tti >= start and (tti - start) % flow.period_ttis == 0:
                 group = flow.dest_address if dst_id is None else None
                 packet = self._new_packet(
-                    flow, src_id, dst_id, group,
+                    flow.flow_id, flow.packet_bytes * 8, src_id, dst_id, group,
                     is_request=flow.transport is Transport.REQUEST_RESPONSE)
                 self._classify_and_enqueue(packet, src_id)
 
@@ -550,7 +536,7 @@ class Engine:
             self._trace("transmit", tb.tx_id, link.rx, link.direction, len(tb.rbs))
         if self.ledger_dump:
             self.ledger_rows.append(
-                (tb.tti, self._name(tb.tx_id), tb.link_direction.value,
+                (tb.tti, self.names[tb.tx_id], tb.link_direction.value,
                  " ".join(str(rb) for rb in tb.rbs), tb.tx_power_dbm))
         self.schedule_event(tb.tti + 1, Phase.RECEIVE, tb)
 
@@ -592,7 +578,7 @@ class Engine:
             return
         self._close_instance(packet.packet_id, None, InstanceStatus.DELIVERED)
         if packet.is_request:
-            response = self._new_packet(self._flow_by_id[packet.flow_id], rx_id,
+            response = self._new_packet(packet.flow_id, packet.size_bits, rx_id,
                                         packet.src_id, None, is_request=False)
             self._classify_and_enqueue(response, rx_id)
 

@@ -1,4 +1,4 @@
-"""Node registry, allocation ledger and membership oracle."""
+"""Allocation ledger: booking, conflicts, interferers and the audit."""
 
 import pytest
 from hypothesis import example, given
@@ -10,11 +10,7 @@ from d2dsim.binder import _Band
 
 @pytest.fixture
 def binder():
-    b = Binder(num_rbs=50)
-    b.register_node("eNodeB", is_enb=True)
-    b.register_node("ueA", position=(10.0, 0.0))
-    b.register_node("ueB", position=(20.0, 5.0))
-    return b
+    return Binder(num_rbs=50)
 
 
 def _book(binder, tti, tx_id, direction, rbs, power_dbm):
@@ -27,19 +23,6 @@ def _allocated_rbs(binder, tti, direction):
     """Blocks the grants of one direction hold in one TTI."""
     return {rb for entry in binder.band_allocations(tti, direction.band)
             if entry.link_direction is direction for rb in entry.rbs}
-
-
-def test_dense_ids_in_registration_order(binder):
-    assert [r.node_id for r in binder.records] == [0, 1, 2]
-    assert binder.id_of("ueB") == 2
-    assert binder.record(1).position == (10.0, 0.0)
-    assert binder.enb_id() == 0
-    assert len(binder.records) == 3
-
-
-def test_duplicate_name_rejected(binder):
-    with pytest.raises(ValueError, match="already registered"):
-        binder.register_node("ueA")
 
 
 def test_allocation_recorded_and_queryable(binder):
@@ -228,13 +211,6 @@ def test_conservation_audit_reports_what_the_ledger_refuses(binder):
                                             "tti 5: DL rb index out of range"]
 
 
-def test_group_membership(binder):
-    binder.add_member("224.0.0.10", 1)
-    assert binder.is_member("224.0.0.10", 1)
-    assert not binder.is_member("224.0.0.10", 2)
-    assert not binder.is_member("224.0.0.99", 1)
-
-
 @given(st.lists(st.tuples(st.sampled_from([LinkDirection.DL, LinkDirection.UL,
                                            LinkDirection.SL]),
                           st.integers(0, 24), st.integers(1, 12)),
@@ -242,8 +218,6 @@ def test_group_membership(binder):
 def test_disjoint_grants_never_conflict(grants):
     """Whatever the direction mix, non-overlapping index ranges always book."""
     binder = Binder(num_rbs=200)
-    binder.register_node("eNodeB", is_enb=True)
-    binder.register_node("ue")
     cursor = {d: 0 for d in LinkDirection}
     for direction, _, width in grants:
         start = cursor[direction]

@@ -56,6 +56,17 @@ def test_table_file_errors(tmp_path):
         CqiTable.from_file(bad)
 
 
+@pytest.mark.parametrize("row", ["2 -4.7 -0.2", "2 -4.7 0.0", "2 -4.7 nan", "2 -4.7 inf",
+                                 "2 nan 0.23", "2 inf 0.23", "2 -inf 0.23"])
+def test_table_rejects_a_row_no_grant_can_use(tmp_path, row):
+    # such a row made rbs_needed loop forever or divide by zero; it is
+    # refused on loading, before anything sizes a grant with it
+    path = tmp_path / "t.txt"
+    path.write_text(f"1 -6.7 0.15\n{row}\n3 -2.3 0.38\n")
+    with pytest.raises(ValueError, match=r"^cqi 2: threshold .* must be finite and efficiency"):
+        CqiTable.from_file(path)
+
+
 def test_table_file_comments_and_blanks(tmp_path):
     path = tmp_path / "t.txt"
     path.write_text("# header\n\n1 -6.7 0.1523  # row comment\n2 -4.7 0.2344\n")
@@ -144,12 +155,10 @@ def test_mean_sinr_is_linear_domain():
 
 def _model(shadowing=0.0, seed=1):
     binder = Binder(num_rbs=50)
-    binder.register_node("eNodeB", is_enb=True, position=(0.0, 0.0))
-    binder.register_node("ueA", position=(100.0, 0.0))
-    binder.register_node("ueB", position=(104.0, 0.0))
-    binder.register_node("ueC", position=(100.0, 50.0))
+    # eNodeB, ueA, ueB and ueC
+    positions = [(0.0, 0.0), (100.0, 0.0), (104.0, 0.0), (100.0, 50.0)]
     params = ChannelParams(shadowing_std_dev_db=shadowing)
-    return binder, ChannelModel(binder, params, TABLE, seed)
+    return binder, ChannelModel(binder, positions, params, TABLE, seed)
 
 
 def test_noise_limited_sinr_oracle():
@@ -219,11 +228,8 @@ def test_wideband_cqi_oracle():
 
 
 def test_wideband_cqi_degrades_with_distance():
-    binder = Binder(num_rbs=50)
-    binder.register_node("eNodeB", is_enb=True)
-    binder.register_node("near", position=(100.0, 0.0))
-    binder.register_node("far", position=(2500.0, 0.0))
-    model = ChannelModel(binder, ChannelParams(), TABLE, 1)
+    positions = [(0.0, 0.0), (100.0, 0.0), (2500.0, 0.0)]  # eNodeB, near, far
+    model = ChannelModel(Binder(num_rbs=50), positions, ChannelParams(), TABLE, 1)
     near = model.wideband_cqi(1, 0, tti=5, tx_power_dbm=26.0,
                               direction=LinkDirection.UL)
     far = model.wideband_cqi(2, 0, tti=5, tx_power_dbm=26.0,
@@ -240,10 +246,10 @@ def _noise_mw(params):
 def _reference_sinrs(model, tx_id, rx_id, *, tti, ledger_tti, rbs, tx_power_dbm,
                      direction):
     """The definition: scan the ledger per block, recompute every loss."""
-    rx_position = model.binder.record(rx_id).position
+    rx_position = model.positions[rx_id]
 
     def received_mw(src_id, power_dbm):
-        distance = math.dist(model.binder.record(src_id).position, rx_position)
+        distance = math.dist(model.positions[src_id], rx_position)
         loss = (path_loss_db(distance, model.params)
                 + model.shadowing_db(src_id, rx_id, tti))
         return dbm_to_mw(power_dbm - loss)
@@ -307,13 +313,11 @@ def _ledger_and_queries(draw):
 def test_sinr_per_rb_matches_per_block_reference(case, shadowing):
     positions, bookings, queries = case
     binder = Binder(num_rbs=NUM_RBS)
-    for i, position in enumerate(positions):
-        binder.register_node(f"n{i}", is_enb=i == 0, position=position)
     for tti, tx_id, direction, rbs, power in bookings:
         rbs = _free_run(binder, tti, direction, rbs)
         if rbs:
             _book(binder, tti, tx_id, direction, rbs, power)
-    model = ChannelModel(binder, ChannelParams(shadowing_std_dev_db=shadowing),
+    model = ChannelModel(binder, positions, ChannelParams(shadowing_std_dev_db=shadowing),
                          TABLE, seed=5)
     for tx_id, rx_id, tti, probe, rbs, power, direction in queries:
         if tx_id == rx_id:
@@ -331,14 +335,12 @@ def test_reception_of_a_booked_block_matches_per_block_reference(case, shadowing
     SINR and decision equal those of the per-block reference."""
     positions, bookings, _ = case
     binder = Binder(num_rbs=NUM_RBS)
-    for i, position in enumerate(positions):
-        binder.register_node(f"n{i}", is_enb=i == 0, position=position)
     booked = []
     for tti, tx_id, direction, rbs, power in bookings:
         rbs = _free_run(binder, tti, direction, rbs)
         if rbs:
             booked.append(_book(binder, tti, tx_id, direction, rbs, power))
-    model = ChannelModel(binder, ChannelParams(shadowing_std_dev_db=shadowing),
+    model = ChannelModel(binder, positions, ChannelParams(shadowing_std_dev_db=shadowing),
                          TABLE, seed=5)
     for tb in booked:
         tb.cqi = 7
@@ -357,12 +359,11 @@ def test_interference_adds_up_in_booking_order():
     # three sidelink grants on block 0 at powers where the float sum
     # depends on the order of addition
     binder = Binder(num_rbs=4)
-    binder.register_node("eNodeB", is_enb=True, position=(0.0, 0.0))
-    binder.register_node("ue", position=(100.0, 0.0))
+    positions = [(0.0, 0.0), (100.0, 0.0)]  # eNodeB, ue, then sl0..sl2
     for i, (y, power) in enumerate([(180.0, 10.0), (110.0, 10.0), (40.0, 11.0)]):
-        binder.register_node(f"sl{i}", position=(0.0, y))
+        positions.append((0.0, y))
         _book(binder, 2, 2 + i, LinkDirection.SL, range(0, 1), power)
-    model = ChannelModel(binder, ChannelParams(), TABLE, 1)
+    model = ChannelModel(binder, positions, ChannelParams(), TABLE, 1)
     kwargs = dict(tti=2, ledger_tti=2, rbs=range(0, 2), tx_power_dbm=26.0,
                   direction=LinkDirection.UL)
     expected = _reference_sinrs(model, 1, 0, **kwargs)
@@ -394,11 +395,8 @@ _coordinate = st.floats(-1000.0, 1000.0)
 @given(st.tuples(_coordinate, _coordinate), st.tuples(_coordinate, _coordinate),
        st.floats(-20.0, 40.0), st.integers(1, 110), st.integers(0, 10_000))
 def test_fixed_losses_and_means_equal_the_uncached_formulas(tx_at, rx_at, power, n, tti):
-    binder = Binder(num_rbs=110)
-    binder.register_node("tx", position=tx_at)
-    binder.register_node("rx", position=rx_at)
     params = ChannelParams()  # no shadowing
-    model = ChannelModel(binder, params, TABLE, seed=1)
+    model = ChannelModel(Binder(num_rbs=110), [tx_at, rx_at], params, TABLE, seed=1)
     loss = path_loss_db(math.dist(tx_at, rx_at), params) + model.shadowing_db(0, 1, tti)
     sinr = mw_to_dbm(dbm_to_mw(power - loss) / _noise_mw(params))
     for at in (tti, tti + 1, 0):  # the first query fills the memos, the others read them
@@ -443,14 +441,11 @@ _EDGE_INTERFERERS = [(2, range(7, 8), 20.0), (3, range(0, 3), 23.0), (4, range(8
 def test_permuted_blocks_and_edge_interferers_match_reference(bookings, shadowing, probe):
     """The interferers' blocks are booked in any order."""
     binder = Binder(num_rbs=10)
-    binder.register_node("eNodeB", is_enb=True, position=(0.0, 0.0))
-    binder.register_node("ue", position=(100.0, 0.0))
-    binder.register_node("slA", position=(0.0, 150.0))
-    binder.register_node("slB", position=(60.0, 60.0))
-    binder.register_node("slC", position=(-80.0, 20.0))
+    # eNodeB, ue, slA, slB and slC
+    positions = [(0.0, 0.0), (100.0, 0.0), (0.0, 150.0), (60.0, 60.0), (-80.0, 20.0)]
     for tx_id, rbs, power in bookings:
         _book(binder, 4, tx_id, LinkDirection.SL, rbs, power)
-    model = ChannelModel(binder, ChannelParams(shadowing_std_dev_db=shadowing),
+    model = ChannelModel(binder, positions, ChannelParams(shadowing_std_dev_db=shadowing),
                          TABLE, seed=3)
     kwargs = dict(tti=5 if probe else 4, ledger_tti=4, rbs=range(2, 8),
                   tx_power_dbm=26.0, direction=LinkDirection.UL)
@@ -498,7 +493,7 @@ def test_pinned_link_losses_outlive_the_two_tti_window(monkeypatch):
 def test_shadowing_draw_is_the_first_value_of_gauss(sigma):
     # the draw spells out Random.gauss, whose output the stdlib does not
     # promise to keep, from the string seed and random() it does promise
-    channel = ChannelModel(Binder(num_rbs=1), ChannelParams(shadowing_std_dev_db=sigma),
+    channel = ChannelModel(Binder(num_rbs=1), [], ChannelParams(shadowing_std_dev_db=sigma),
                            TABLE, seed=7)
     keys = [(tx, rx, tti) for tx in range(10) for rx in range(10) for tti in range(100)]
     assert [channel.shadowing_db(*key) for key in keys] == [

@@ -201,6 +201,30 @@ def test_two_enbs_rejected():
         parse_scenario(BASE + 'ueD2DRx[0].role = "eNB"\n')
 
 
+def test_validate_rejects_a_repeated_node_name():
+    # a node's id is its place in sim.nodes: a repeated name would merge two
+    config = load_scenario(SCENARIOS / "one_to_many.ini")
+    diagnostics = validate(config._replace(nodes=config.nodes + (config.nodes[-1],)))
+    assert [(d.kind, d.key) for d in diagnostics] == [("ConstraintViolation", "nodes")]
+    with pytest.raises(ConstraintViolationError, match="duplicate node name"):
+        parse_scenario(BASE.replace('"eNodeB ueD2DTx[0] ueD2DRx[0]"',
+                                    '"eNodeB ueD2DTx[0] ueD2DRx[0] ueD2DRx[0]"'))
+
+
+@pytest.mark.parametrize("name, message", [("ue.x", "invalid node name"),
+                                           ("ue x", "invalid node name"),
+                                           ("sim", "is reserved"),
+                                           ("flow[3]", "is reserved")])
+def test_validate_checks_node_names(name, message):
+    config = parse_scenario(BASE)
+    renamed = config._replace(nodes=config.nodes + (config.nodes[-1]._replace(name=name),))
+    diagnostics = validate(renamed)
+    assert [(d.node, message in d.message) for d in diagnostics] == [(name, True)]
+    if " " not in name:  # one token in sim.nodes
+        with pytest.raises(ConstraintViolationError, match=message):
+            parse_scenario(BASE.replace('ueD2DRx[0]"', f'ueD2DRx[0] {name}"', 1))
+
+
 def test_missing_flow_key_rejected():
     with pytest.raises(ConstraintViolationError, match="periodTtis"):
         parse_scenario(BASE + 'flow[1].sourceNode = "ueD2DRx[0]"\n'
@@ -270,6 +294,18 @@ def test_multicast_address_range_checked():
     text = BASE + '[multicast]\n192.168.0.1 = "ueD2D*"\n'
     with pytest.raises(ConstraintViolationError, match="224..239"):
         parse_scenario(text)
+
+
+def test_validate_rejects_a_repeated_multicast_address():
+    # parsing keeps the last pattern of a repeated address; a config must
+    # hold one group per address for its text to parse back to it
+    config = load_scenario(SCENARIOS / "one_to_many.ini")
+    group = config.multicast_groups[0]
+    twice = config._replace(multicast_groups=(group, group._replace(member_pattern="ueBystander[*]")))
+    assert [(d.key, d.message) for d in validate(twice)] == [
+        ("224.0.0.10", "duplicate multicast address")]
+    text = serialize_scenario(config) + '224.0.0.10 = "ueBystander[*]"\n'
+    assert parse_scenario(text).multicast_groups == (twice.multicast_groups[1],)
 
 
 def test_request_response_needs_unicast_destination():

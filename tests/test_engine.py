@@ -167,6 +167,66 @@ flow[0].periodTtis = 10
     assert conservation_ok(result)
 
 
+def test_group_pattern_matching_the_enb_leaves_it_out():
+    # "e*" matches the eNB and both group UEs; the eNB hears no sidelink
+    # and ueOut[0], matched by nothing, discards every packet
+    config = parse_scenario("""
+sim.ttiCount = 30
+sim.nodes = "eNodeB eUe[0] eUe[1] ueOut[0]"
+eNodeB.role = "eNB"
+eNodeB.d2dCapable = true
+eNodeB.amcMode = "D2D"
+**.d2dCapable = true
+eUe[0].usePreconfiguredTxParams = true
+eUe[0].d2dCqi = 7
+eUe[0].positionX = 50.0
+eUe[1].positionX = 60.0
+ueOut[0].positionX = 55.0
+flow[0].sourceNode = "eUe[0]"
+flow[0].destAddress = "224.0.0.10"
+flow[0].packetBytes = 100
+flow[0].periodTtis = 10
+[multicast]
+224.0.0.10 = "e*"
+""")
+    engine = Engine(config)
+    link = engine._links[1, Direction.D2D_MULTI, "224.0.0.10"]
+    assert link.receivers == [(2, True), (3, False)]
+    metrics = engine.run().flow_metrics[0]
+    assert metrics["offered_packets"] == 3 * 2  # 3 packets, 2 candidates each
+    assert metrics["delivered_packets"] == 3
+    assert metrics["lost_filtered"] == 3
+
+
+def test_node_ids_are_places_in_sim_nodes():
+    config = parse_scenario("""
+sim.ttiCount = 20
+sim.nodes = "ueB[0] eNodeB ueA[0]"
+eNodeB.role = "eNB"
+ueB[0].positionX = 30.0
+ueA[0].positionY = -40.0
+flow[0].sourceNode = "ueA[0]"
+flow[0].destAddress = "ueB[0]"
+flow[0].packetBytes = 100
+flow[0].periodTtis = 10
+flow[0].transport = "requestResponse"
+""")
+    engine = Engine(config, trace=True)
+    assert engine.names == ["ueB[0]", "eNodeB", "ueA[0]"]
+    assert (engine.enb_id, engine.ue_ids) == (1, [0, 2])
+    assert engine.channel.positions == [(30.0, 0.0), (0.0, 0.0), (0.0, -40.0)]
+    assert [(src_id, dst_id) for _, src_id, dst_id, _ in engine.flows] == [(2, 0)]
+    assert (2, Direction.UL, 1) in engine._links and (1, Direction.DL, 0) in engine._links
+    result = engine.run()
+    assert {(row.src, row.dst) for row in result.trace if row.event == "transmit"} == {
+        ("ueA[0]", "eNodeB"), ("eNodeB", "ueB[0]"), ("ueB[0]", "eNodeB"), ("eNodeB", "ueA[0]")}
+    # each response is a packet of the request's flow and size: two requests
+    # and their responses are offered, the second response arrives too late
+    metrics = result.flow_metrics[0]
+    assert (metrics["offered_packets"], metrics["offered_bits"]) == (4, 4 * 800)
+    assert (metrics["delivered_packets"], metrics["delivered_bits"]) == (3, 3 * 800)
+
+
 def test_multicast_never_uses_harq():
     config = parse_scenario("""
 sim.ttiCount = 50

@@ -128,7 +128,7 @@ def _eager_reads_checked(engine):
     report, link_cqi = engine._phase_cqi_report, engine._link_cqi
 
     def measured(link, tti):
-        cfg = engine.node_cfg[link.tx_id]
+        cfg = engine.config.nodes[link.tx_id]
         sidelink = link.direction is Direction.D2D
         power = cfg.d2d_tx_power_dbm if sidelink else cfg.ue_tx_power_dbm
         return engine.channel.wideband_cqi(link.tx_id, link.rx_id, tti=tti,
