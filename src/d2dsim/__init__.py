@@ -10,8 +10,8 @@ from .config import (AmcMode, ConstraintViolationError, Diagnostic, FlowConfig,
                      UnresolvedNodeReferenceError, is_multicast_address,
                      load_scenario, parse_scenario, resolve_pattern,
                      serialize_scenario, validate)
-from .engine import (Engine, PastEvent, Phase, SimulationResult, TraceRow,
-                     rng_stream, run_scenario)
+from .engine import (Engine, Phase, SimulationResult, TraceRow, rng_stream,
+                     run_scenario)
 from .mode_selection import (Mode, ModeSwitchCommand, UnknownPolicyError,
                              best_cqi_decide, do_mode_selection, get_policy,
                              policy_names, register_policy)

@@ -67,7 +67,8 @@ class CqiTable:
 
     ``sinr_to_cqi`` returns the largest CQI whose threshold the SINR
     meets, or 0 when even CQI 1 is out of reach.  Thresholds must be
-    finite and strictly increasing, efficiencies finite and positive.
+    finite and strictly increasing, efficiencies in [0.001, 64] bits per
+    resource element, so that no grant size overflows a float.
     """
 
     def __init__(self, thresholds_db: list[float], efficiencies: list[float]):
@@ -76,9 +77,9 @@ class CqiTable:
         if not thresholds_db:
             raise ValueError("empty table")
         for cqi, (threshold, efficiency) in enumerate(zip(thresholds_db, efficiencies), 1):
-            if not (math.isfinite(threshold) and 0.0 < efficiency < math.inf):
+            if not (math.isfinite(threshold) and 0.001 <= efficiency <= 64.0):
                 raise ValueError(f"cqi {cqi}: threshold {threshold!r} must be finite and "
-                                 f"efficiency {efficiency!r} finite and > 0")
+                                 f"efficiency {efficiency!r} in [0.001, 64]")
         if any(b <= a for a, b in zip(thresholds_db, thresholds_db[1:])):
             raise ValueError("thresholds must be strictly increasing")
         self.thresholds_db = tuple(thresholds_db)  # of CQI 1, 2, ...

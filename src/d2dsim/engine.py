@@ -7,8 +7,10 @@ phase order so runs are reproducible event for event:
         < schedule < transmit < receive < harqFeedback
 
 modeSwitchApply, transmit, receive and harqFeedback only handle
-events, each queued by ``schedule_event`` in a FIFO list for one later
-(TTI, phase); every delay is +1 TTI.
+events, and every event fires exactly one TTI after it is queued.
+``schedule_event`` appends it to that stage's FIFO list for the next
+TTI; at the top of each TTI the run takes the four lists and starts
+four empty ones.
 
 CQI reports are taken every report period from TTI 0 and usable one
 TTI later.  Each is counted when taken but measured when first read,
@@ -48,21 +50,12 @@ from .stack import (Direction, HarqOutcome, HarqPool, PacketAssembler,
 
 
 class Phase(IntEnum):
-    PACKET_ARRIVAL = 0
-    CQI_REPORT = 1
-    MODE_SELECTION = 2
-    MODE_SWITCH_APPLY = 3
-    SCHEDULE = 4
-    TRANSMIT = 5
-    RECEIVE = 6
-    HARQ_FEEDBACK = 7
+    """The stages fed by events; each indexes a list of ``Engine._next``."""
 
-
-_PHASES = len(Phase)  # events queue under tti * _PHASES + phase
-
-
-class PastEvent(Exception):
-    """An event was scheduled at or before the point being processed."""
+    MODE_SWITCH_APPLY = 0
+    TRANSMIT = 1
+    RECEIVE = 2
+    HARQ_FEEDBACK = 3
 
 
 class InstanceStatus(Enum):
@@ -220,10 +213,9 @@ class Engine:
         self.assemblers: dict[int, PacketAssembler] = {}
         # open packet instances only: each is counted in ``totals`` as it closes
         self.instances: dict[tuple[int, int | None], PacketDescriptor] = {}
-        self._events: dict[int, list] = {}  # FIFO per (tti, phase)
+        self._next: list[list] = [[], [], [], []]  # FIFO per Phase, for the next TTI
 
         self.now_tti = -1
-        self.now_phase = Phase.PACKET_ARRIVAL
         self._packet_seq = 0
 
         self.trace: list[TraceRow] = []
@@ -254,17 +246,9 @@ class Engine:
         self.trace.append(TraceRow(self.now_tti, event, self.names[src_id], dst_name,
                                    direction.value, rbs, sinr_db, decoded))
 
-    def schedule_event(self, fire_tti: int, phase: Phase, payload: object) -> None:
-        """Queue ``payload`` for ``phase`` of ``fire_tti``, behind earlier ones."""
-        if fire_tti <= self.now_tti and (fire_tti < self.now_tti or phase <= self.now_phase):
-            raise PastEvent(f"cannot schedule at tti {fire_tti} phase {phase.name} "
-                            f"from tti {self.now_tti} phase {self.now_phase.name}")
-        self._events.setdefault(fire_tti * _PHASES + phase, []).append(payload)
-
-    def _enter(self, tti: int, phase: Phase) -> list:
-        """Make ``phase`` current and take the events queued for it."""
-        self.now_phase = phase
-        return self._events.pop(tti * _PHASES + phase, ())
+    def schedule_event(self, phase: Phase, payload: object) -> None:
+        """Queue ``payload`` for ``phase`` of the next TTI, behind earlier ones."""
+        self._next[phase].append(payload)
 
     def _add_link(self, tx_id: int, direction: Direction, rx: int | str) -> _Link:
         key = (tx_id, direction, rx)
@@ -402,10 +386,9 @@ class Engine:
         commands = do_mode_selection(
             {pair: link.mode for pair, link in self._peerings.items()}, policy,
             lambda s, d: (self._link_cqi(self._peerings[s, d], tti),
-                          self._link_cqi(self._ue_links[s][1], tti)),
-            tti)
+                          self._link_cqi(self._ue_links[s][1], tti)))
         for command in commands:
-            self.schedule_event(command.apply_tti, Phase.MODE_SWITCH_APPLY, command)
+            self.schedule_event(Phase.MODE_SWITCH_APPLY, command)
 
     def _apply_switch(self, command: ModeSwitchCommand) -> None:
         src, dst = command.src_id, command.dst_id
@@ -510,7 +493,7 @@ class Engine:
         tb.tx_power_dbm, tb.tti = link.tx_power_dbm, self.now_tti + 1
         if self.trace_enabled:
             self._trace("grant", link.tx_id, link.rx, link.direction, num_rbs)
-        self.schedule_event(self.now_tti + 1, Phase.TRANSMIT, tb)
+        self.schedule_event(Phase.TRANSMIT, tb)
 
     def _fill_chunks(self, link: _Link, capacity_bits: int) -> list[RlcChunk]:
         """Drain this link's queues, lowest endpoint first, into one payload."""
@@ -538,7 +521,7 @@ class Engine:
             self.ledger_rows.append(
                 (tb.tti, self.names[tb.tx_id], tb.link_direction.value,
                  " ".join(str(rb) for rb in tb.rbs), tb.tx_power_dbm))
-        self.schedule_event(tb.tti + 1, Phase.RECEIVE, tb)
+        self.schedule_event(Phase.RECEIVE, tb)
 
     def _phase_receive(self, tb: TransportBlock) -> None:
         link = tb.request.link
@@ -553,8 +536,7 @@ class Engine:
             for packet in self._reassemble(link.rx_id, tb.chunks, multicast=False):
                 self._deliver(packet, link.rx_id)
         if tb.harq_process_id is not None:
-            self.schedule_event(self.now_tti + 1, Phase.HARQ_FEEDBACK,
-                                (tb, result.decoded))
+            self.schedule_event(Phase.HARQ_FEEDBACK, (tb, result.decoded))
 
     def _receive_multicast(self, tb: TransportBlock, link: _Link) -> None:
         packet_ids = sorted({c.packet.packet_id for c in tb.chunks})
@@ -605,21 +587,19 @@ class Engine:
         for tti in range(self.config.sim.tti_count):
             self.now_tti = tti
             self.binder.advance(tti)
-            self._enter(tti, Phase.PACKET_ARRIVAL)
+            switches, transmits, receives, feedback = self._next
+            self._next = [[], [], [], []]
             self._phase_packet_arrival(tti)
-            self._enter(tti, Phase.CQI_REPORT)
             self._phase_cqi_report(tti)
-            self._enter(tti, Phase.MODE_SELECTION)
             self._phase_mode_selection(tti)
-            for command in self._enter(tti, Phase.MODE_SWITCH_APPLY):
+            for command in switches:
                 self._apply_switch(command)
-            self._enter(tti, Phase.SCHEDULE)
             self._phase_schedule(tti)
-            for tb in self._enter(tti, Phase.TRANSMIT):
+            for tb in transmits:
                 self._phase_transmit(tb)
-            for tb in self._enter(tti, Phase.RECEIVE):
+            for tb in receives:
                 self._phase_receive(tb)
-            for tb, ack in self._enter(tti, Phase.HARQ_FEEDBACK):
+            for tb, ack in feedback:
                 self._phase_harq_feedback(tb, ack)
             self.counters["rb_conservation_violations"] += len(
                 self.binder.check_conservation(tti))

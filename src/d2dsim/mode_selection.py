@@ -28,7 +28,6 @@ class ModeSwitchCommand(NamedTuple):
     src_id: int
     dst_id: int
     new_mode: Mode
-    apply_tti: int
 
 
 # A policy maps the sidelink and uplink channel quality of one peering
@@ -63,12 +62,9 @@ def best_cqi_decide(sl_cqi: int, ul_cqi: int) -> Mode:
     return Mode.DM if sl_cqi >= ul_cqi else Mode.IM
 
 
-SWITCH_DELAY_TTIS = 1
-
-
 def do_mode_selection(modes: dict[tuple[int, int], Mode], policy: Policy,
-                      cqi_lookup: Callable[[int, int], tuple[int, int]],
-                      tti: int) -> list[ModeSwitchCommand]:
+                      cqi_lookup: Callable[[int, int], tuple[int, int]]
+                      ) -> list[ModeSwitchCommand]:
     """Run one selection round over every peering, in ``modes`` order.
 
     ``modes`` maps each (sender, receiver) peering to its current mode;
@@ -80,6 +76,5 @@ def do_mode_selection(modes: dict[tuple[int, int], Mode], policy: Policy,
     for (src_id, dst_id), mode in modes.items():
         desired = policy(*cqi_lookup(src_id, dst_id))
         if desired is not mode:
-            commands.append(ModeSwitchCommand(src_id, dst_id, desired,
-                                              tti + SWITCH_DELAY_TTIS))
+            commands.append(ModeSwitchCommand(src_id, dst_id, desired))
     return commands

@@ -57,10 +57,11 @@ def test_table_file_errors(tmp_path):
 
 
 @pytest.mark.parametrize("row", ["2 -4.7 -0.2", "2 -4.7 0.0", "2 -4.7 nan", "2 -4.7 inf",
-                                 "2 nan 0.23", "2 inf 0.23", "2 -inf 0.23"])
+                                 "2 nan 0.23", "2 inf 0.23", "2 -inf 0.23",
+                                 "2 -4.7 1e305", "2 -4.7 1e-320"])
 def test_table_rejects_a_row_no_grant_can_use(tmp_path, row):
-    # such a row made rbs_needed loop forever or divide by zero; it is
-    # refused on loading, before anything sizes a grant with it
+    # such a row made rbs_needed loop forever, divide by zero or overflow
+    # a float; it is refused on loading, before anything sizes a grant with it
     path = tmp_path / "t.txt"
     path.write_text(f"1 -6.7 0.15\n{row}\n3 -2.3 0.38\n")
     with pytest.raises(ValueError, match=r"^cqi 2: threshold .* must be finite and efficiency"):

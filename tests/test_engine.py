@@ -5,8 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from d2dsim import (Direction, Engine, Mode, PastEvent, Phase, parse_scenario,
-                    run_scenario)
+from d2dsim import Direction, Engine, Mode, parse_scenario, run_scenario
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -339,15 +338,25 @@ def test_zero_tti_run_is_empty_but_valid():
     assert result.run_metrics["rb_utilization_sl"] == 0.0
 
 
-def test_scheduling_past_events_is_rejected():
-    engine = Engine(scenario(tti_count=1))
-    engine.now_tti = 5
-    engine.now_phase = Phase.SCHEDULE
-    with pytest.raises(PastEvent):
-        engine.schedule_event(5, Phase.PACKET_ARRIVAL, None)
-    with pytest.raises(PastEvent):
-        engine.schedule_event(4, Phase.RECEIVE, None)
-    engine.schedule_event(5, Phase.TRANSMIT, None)  # later phase ok
+def test_every_event_fires_one_tti_after_it_is_queued():
+    # one packet on a link that never decodes: grant, transmission,
+    # reception and NACK each come one TTI after the step before, and
+    # the retransmission is granted one TTI after the NACK
+    config = scenario(tti_count=5, d2d_distance=400.0)
+    config = config._replace(flows=(config.flows[0]._replace(period_ttis=1000),))
+    rows = [(row.tti, row.event) for row in run_scenario(config, trace=True).trace
+            if row.event != "classify"]
+    assert rows == [(0, "grant"), (1, "transmit"), (2, "receive"), (3, "feedback"),
+                    (4, "grant")]
+    # near the eNB the round at TTI 30 moves the peering to the
+    # infrastructure path, and the switch is applied at TTI 31
+    config = scenario("""
+eNodeB.d2dModeSelection = true
+eNodeB.d2dModeSelectionPeriod = 30
+""", tti_count=40)
+    switches = [row.tti for row in run_scenario(config, trace=True).trace
+                if row.event == "modeSwitch"]
+    assert switches[0] == 31
 
 
 def test_initial_mode_override_forces_infrastructure():

@@ -43,16 +43,15 @@ def test_do_mode_selection_emits_only_changes():
     modes = {(1, 2): Mode.DM, (3, 4): Mode.DM}
     cqis = {(1, 2): (7, 12), (3, 4): (9, 3)}
     commands = do_mode_selection(modes, best_cqi_decide,
-                                 lambda s, d: cqis[(s, d)], tti=100)
+                                 lambda s, d: cqis[(s, d)])
     assert len(commands) == 1
     command = commands[0]
     assert (command.src_id, command.dst_id) == (1, 2)
     assert command.new_mode is Mode.IM
-    assert command.apply_tti == 101  # takes effect one TTI later
 
 
 def test_do_mode_selection_noop_when_settled():
     commands = do_mode_selection({(1, 2): Mode.IM}, best_cqi_decide,
-                                 lambda s, d: (3, 12), tti=50)
+                                 lambda s, d: (3, 12))
     assert commands == []
 
