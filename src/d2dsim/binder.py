@@ -19,15 +19,19 @@ from enum import Enum
 from typing import Iterator
 
 
-class LinkDirection(Enum):
+class Direction(Enum):
+    """A transmission's direction, as every layer names it."""
+
     DL = "DL"
     UL = "UL"
-    SL = "SL"
+    D2D = "D2D"
+    D2D_MULTI = "D2D_MULTI"
 
-    __hash__ = object.__hash__  # identity, in C; see stack.Direction
+    __hash__ = object.__hash__  # identity, in C; no set of these is iterated
 
     def __init__(self, value: str) -> None:
         self.band = "DL" if value == "DL" else "UL"  # spectrum partition it transmits in
+        self.link = "SL" if value.startswith("D2D") else value  # as the ledger spells it
 
 
 class RbConflict(Exception):
@@ -48,7 +52,7 @@ class Binder:
     The ledger is a sliding window: entries older than one TTI behind
     the last :meth:`advance` call are dropped, since receptions only
     ever look one TTI back.  Entries are the PHY's transport blocks, or any
-    record with ``tti``, ``tx_id``, ``link_direction``, ``tx_power_dbm`` and
+    record with ``tti``, ``tx_id``, ``direction``, ``tx_power_dbm`` and
     ``rbs``, a ``range`` of consecutive blocks: an SC-FDMA grant is one run.
     """
 
@@ -74,15 +78,15 @@ class Binder:
         sidelink, is legal and shows up as interference instead; no
         scheduler here places such a grant.
         """
-        direction = entry.link_direction
+        direction = entry.direction
         mask = self._mask(entry.rbs, direction.band)
         key = (entry.tti, direction.band)
         band = self._bands.get(key) or self._bands.setdefault(key, _Band())
-        if direction is not LinkDirection.SL:
+        if direction.link != "SL":
             clash = band.infra & mask
             if clash:
                 blocks = [rb for rb in range(self.num_rbs) if clash >> rb & 1]
-                raise RbConflict(f"tti {entry.tti}: rb {blocks} already granted in {direction.value}")
+                raise RbConflict(f"tti {entry.tti}: rb {blocks} already granted in {direction.link}")
             band.infra |= mask
         band.overlap |= band.used & mask != 0
         band.used |= mask
@@ -120,12 +124,12 @@ class Binder:
         block twice, and every index must be inside the band.
         """
         problems: list[str] = []
-        per_direction: dict[LinkDirection, list[int]] = {}
+        per_link: dict[str, list[int]] = {}
         for entry in self.allocations(tti):
-            per_direction.setdefault(entry.link_direction, []).extend(entry.rbs)
-        for direction, blocks in per_direction.items():
-            if direction is not LinkDirection.SL and len(set(blocks)) != len(blocks):
-                problems.append(f"tti {tti}: duplicate grant in {direction.value}")
+            per_link.setdefault(entry.direction.link, []).extend(entry.rbs)
+        for link, blocks in per_link.items():
+            if link != "SL" and len(set(blocks)) != len(blocks):
+                problems.append(f"tti {tti}: duplicate grant in {link}")
             if blocks and (min(blocks) < 0 or max(blocks) >= self.num_rbs):
-                problems.append(f"tti {tti}: {direction.value} rb index out of range")
+                problems.append(f"tti {tti}: {link} rb index out of range")
         return problems

@@ -22,7 +22,7 @@ from bisect import bisect_right
 from functools import reduce
 from typing import NamedTuple
 
-from .binder import Binder, LinkDirection
+from .binder import Binder, Direction
 
 
 class ChannelParams(NamedTuple):
@@ -248,7 +248,7 @@ class ChannelModel:
         return mean
 
     def sinr_per_rb_db(self, tx_id: int, rx_id: int, *, tti: int, ledger_tti: int,
-                       rbs: range, tx_power_dbm: float, direction: LinkDirection,
+                       rbs: range, tx_power_dbm: float, direction: Direction,
                        entries: tuple | None = None) -> list[float]:
         """Per-block SINR at the receiver against the booked interferers.
 
@@ -292,7 +292,7 @@ class ChannelModel:
         return out
 
     def wideband_cqi(self, tx_id: int, rx_id: int, *, tti: int,
-                     tx_power_dbm: float, direction: LinkDirection) -> int:
+                     tx_power_dbm: float, direction: Direction) -> int:
         """CQI a receiver would report from a full-band measurement at ``tti``.
 
         Interference is taken from the previous TTI's ledger, the most

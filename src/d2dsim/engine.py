@@ -44,8 +44,8 @@ from .config import FlowConfig, Role, ScenarioConfig, Transport, resolve_pattern
 from .mode_selection import (Mode, ModeSwitchCommand, do_mode_selection,
                              get_policy)
 from .stack import (Direction, HarqOutcome, HarqPool, PacketAssembler,
-                    PacketDescriptor, RlcChunk, RlcTxQueue, ScheduleRequest,
-                    TransportBlock, harq_on_feedback, pdcp_classify, phy_receive,
+                    PacketDescriptor, RlcChunk, RlcTxQueue, TransportBlock,
+                    harq_on_feedback, pdcp_classify, phy_receive,
                     phy_send, schedule_band)
 
 
@@ -121,8 +121,8 @@ class _Link:
     """One radio link: its RLC queues, its HARQ pool and how it is served."""
 
     __slots__ = ("key", "tx_power_dbm", "reported", "fixed_cqi", "pool", "queues",
-                 "backlog", "mode", "cqi_memo", "tx_id", "direction", "rx", "rx_id",
-                 "node_id", "link_direction", "link", "granted_key", "receivers")
+                 "backlog_bits", "mode", "cqi_memo", "tx_id", "direction", "rx", "rx_id",
+                 "node_id", "link", "granted_key", "receivers", "cqi", "retx_rbs")
 
     def __init__(self, key: tuple, tx_power_dbm: float, reported: bool,
                  fixed_cqi: int = 0, pool: HarqPool | None = None) -> None:
@@ -133,15 +133,17 @@ class _Link:
         self.pool = pool  # None on one-to-many links: no feedback
         # by final endpoint, in endpoint order; only a UE's uplink has several
         self.queues: dict[int | str, RlcTxQueue] = {}
-        self.backlog = 0  # bits left in the queues, kept as a running total
+        self.backlog_bits = 0  # bits left in the queues, kept as a running total
         self.mode: Mode | None = None  # a peering's current path, None on other links
         self.cqi_memo = (-1, 0)  # (report TTI, CQI) last measured
         self.rx_id = None if self.direction is Direction.D2D_MULTI else self.rx
         self.node_id = self.rx if self.direction is Direction.DL else self.tx_id
-        self.link_direction = self.direction.link
-        self.link = self.link_direction.value.lower()  # as metric names spell it
+        self.link = self.direction.link.lower()  # as metric names spell it
         self.granted_key = f"rbs_granted_{self.link}"
         self.receivers: list[tuple[int, bool]] = []  # one-to-many: (UE, is member)
+        # it is its own schedule request: set each TTI it asks for a grant,
+        # ``retx_rbs`` to a pending retransmission's exact size or 0
+        self.cqi = self.retx_rbs = 0
 
 
 def rng_stream(seed: int, purpose: str, *extra) -> random.Random:
@@ -282,7 +284,7 @@ class Engine:
         if link.cqi_memo[0] != taken:
             link.cqi_memo = (taken, self.channel.wideband_cqi(
                 link.tx_id, link.rx_id, tti=taken, tx_power_dbm=link.tx_power_dbm,
-                direction=link.link_direction))
+                direction=link.direction))
         return link.cqi_memo[1]
 
     # -- packet lifecycle ------------------------------------------------
@@ -353,7 +355,7 @@ class Engine:
         if endpoint not in link.queues:  # keep the queues in endpoint order
             link.queues = dict(sorted({**link.queues, endpoint: RlcTxQueue()}.items()))
         link.queues[endpoint].push(packet)
-        link.backlog += packet.size_bits
+        link.backlog_bits += packet.size_bits
         self._active.add(link.node_id)  # the scheduling pass visits it
         if self.trace_enabled:
             self._trace("classify", at_node, endpoint, direction)
@@ -399,10 +401,10 @@ class Engine:
         if old is Mode.DM:
             for queue in link.queues.values():
                 lost.extend(p.packet_id for p in queue.flush())
-            link.backlog = 0
-            link.pool.epoch += 1  # feedback for in-flight blocks is now stale
+            link.backlog_bits = 0
+            # releasing a process makes the feedback for its block stale
             for process in [p for p in link.pool.processes if p.busy]:
-                lost.extend({c.packet.packet_id for c in process.chunks})
+                lost.extend({c.packet.packet_id for c in process.tb.chunks})
                 link.pool.release(process)
         else:  # src's uplink and the eNB's relay leg
             for key in ((src, Direction.UL, self.enb_id), (self.enb_id, Direction.DL, dst)):
@@ -410,7 +412,7 @@ class Engine:
                 if dst in leg.queues:  # every packet on src's uplink is from src
                     lost.extend(p.packet_id for p in
                                 leg.queues[dst].flush_where(lambda p: p.src_id == src))
-                    leg.backlog = sum(q.backlog_bits for q in leg.queues.values())
+                    leg.backlog_bits = sum(q.backlog_bits for q in leg.queues.values())
         for packet_id in lost:
             self._close_instance(packet_id, None, InstanceStatus.LOST_MODE_SWITCH)
         if self.trace_enabled:
@@ -418,27 +420,27 @@ class Engine:
 
     # -- scheduling --------------------------------------------------------
 
-    def _request(self, link: _Link, tti: int, bucket: list[ScheduleRequest]) -> bool:
+    def _request(self, link: _Link, tti: int, bucket: list[_Link]) -> bool:
         """Request a pending retransmission, else new data if the link has a
         usable CQI and an idle HARQ process; True if it holds either."""
         pool = link.pool
         retx = pool.pending_retx() if pool is not None else None
         if retx is not None:
-            bucket.append(ScheduleRequest(link.node_id, link.direction, retx.cqi,
-                                          retx_rbs=retx.num_rbs, link=link))
+            link.cqi, link.retx_rbs = retx.tb.cqi, len(retx.tb.rbs)
+            bucket.append(link)
             return True
-        if link.backlog <= 0:
+        if link.backlog_bits <= 0:
             return False
         cqi = self._link_cqi(link, tti)
         if cqi >= 1 and (pool is None or pool.has_idle()):
-            bucket.append(ScheduleRequest(link.node_id, link.direction, cqi,
-                                          backlog_bits=link.backlog, link=link))
+            link.cqi, link.retx_rbs = cqi, 0
+            bucket.append(link)
         return True
 
     def _phase_schedule(self, tti: int) -> None:
         sim = self.config.sim
-        dl_requests: list[ScheduleRequest] = []
-        ul_requests: list[ScheduleRequest] = []
+        dl_requests: list[_Link] = []
+        ul_requests: list[_Link] = []
 
         # a UE with nothing left leaves; an enqueue or a NACK brings it back
         for ue_id in sorted(self._active):
@@ -449,12 +451,12 @@ class Engine:
             # data, then the first peer with queued data is served
             if peers:
                 peer = (next((link for link in peers if link.pool.waiting), None)
-                        or next((link for link in peers if link.backlog), None))
+                        or next((link for link in peers if link.backlog_bits), None))
                 if peer is not None:
                     busy |= self._request(peer, tti, ul_requests)
             # likewise one group per TTI, the first with queued data
             if groups:
-                group = next((link for link in groups if link.backlog), None)
+                group = next((link for link in groups if link.backlog_bits), None)
                 if group is not None:
                     busy |= self._request(group, tti, ul_requests)
             if not busy:
@@ -467,29 +469,25 @@ class Engine:
                     self._issue_grant(tb)
 
     def _issue_grant(self, tb: TransportBlock) -> None:
-        request = tb.request
-        link, pool, num_rbs = request.link, request.link.pool, len(tb.rbs)
-        self.counters[link.granted_key] += num_rbs
-        hist_key = (link.link, request.cqi)
-        self.cqi_hist[hist_key] = self.cqi_hist.get(hist_key, 0) + 1
-
-        if request.retx_rbs:  # granted at exactly the process's size
+        link, num_rbs = tb.request, len(tb.rbs)
+        pool = link.pool
+        if link.retx_rbs:  # granted at exactly the size of the block it repeats
             process = pool.pending_retx()
             process.awaiting_retx = False
-            process.tx_count += 1
-            tb.chunks, tb.cqi = process.chunks, process.cqi
-            tb.harq_process_id, tb.harq_epoch = process.process_id, pool.epoch
+            tb.chunks, tb.cqi = process.tb.chunks, process.tb.cqi
         else:
             chunks = self._fill_chunks(link, tb.tbs_bits)
             if not chunks:
-                return
-            tb.chunks, tb.cqi = tuple(chunks), request.cqi
-            if pool is not None:
-                process = pool.allocate()
-                process.chunks, process.cqi = tb.chunks, tb.cqi
-                process.num_rbs, process.tx_count = num_rbs, 1
-                tb.harq_process_id, tb.harq_epoch = process.process_id, pool.epoch
-        tb.tx_id, tb.link_direction = link.tx_id, link.link_direction
+                return  # fewer than 8 bits: nothing is sent or counted
+            tb.chunks, tb.cqi = tuple(chunks), link.cqi
+            process = pool.allocate() if pool is not None else None
+        if process is not None:
+            process.tb, tb.harq = tb, process
+            process.tx_count += 1
+        self.counters[link.granted_key] += num_rbs
+        hist_key = (link.link, link.cqi)
+        self.cqi_hist[hist_key] = self.cqi_hist.get(hist_key, 0) + 1
+        tb.tx_id, tb.direction = link.tx_id, link.direction
         tb.tx_power_dbm, tb.tti = link.tx_power_dbm, self.now_tti + 1
         if self.trace_enabled:
             self._trace("grant", link.tx_id, link.rx, link.direction, num_rbs)
@@ -507,7 +505,7 @@ class Engine:
             chunks.extend(taken)
             if chunks and not chunks[-1].last:
                 break  # the single fragment must end the block
-        link.backlog -= capacity_bits - capacity
+        link.backlog_bits -= capacity_bits - capacity
         return chunks
 
     # -- air interface ------------------------------------------------------
@@ -515,16 +513,16 @@ class Engine:
     def _phase_transmit(self, tb: TransportBlock) -> None:
         phy_send(self.binder, tb)
         if self.trace_enabled:
-            link = tb.request.link
+            link = tb.request
             self._trace("transmit", tb.tx_id, link.rx, link.direction, len(tb.rbs))
         if self.ledger_dump:
             self.ledger_rows.append(
-                (tb.tti, self.names[tb.tx_id], tb.link_direction.value,
+                (tb.tti, self.names[tb.tx_id], tb.direction.link,
                  " ".join(str(rb) for rb in tb.rbs), tb.tx_power_dbm))
         self.schedule_event(Phase.RECEIVE, tb)
 
     def _phase_receive(self, tb: TransportBlock) -> None:
-        link = tb.request.link
+        link = tb.request
         if link.rx_id is None:
             self._receive_multicast(tb, link)
             return
@@ -535,7 +533,7 @@ class Engine:
         if result.decoded:
             for packet in self._reassemble(link.rx_id, tb.chunks, multicast=False):
                 self._deliver(packet, link.rx_id)
-        if tb.harq_process_id is not None:
+        if tb.harq is not None:
             self.schedule_event(Phase.HARQ_FEEDBACK, (tb, result.decoded))
 
     def _receive_multicast(self, tb: TransportBlock, link: _Link) -> None:
@@ -565,21 +563,20 @@ class Engine:
             self._classify_and_enqueue(response, rx_id)
 
     def _phase_harq_feedback(self, tb: TransportBlock, ack: bool) -> None:
-        link, pool = tb.request.link, tb.request.link.pool
-        if tb.harq_epoch != pool.epoch:
-            return  # the link was reset while this block was in flight
-        process = pool.get(tb.harq_process_id)
+        process, link = tb.harq, tb.request
+        if process.tb is not tb:
+            return  # a mode switch released the process while this block was in flight
         outcome = harq_on_feedback(process, ack, self.config.sim.harq_max_retx)
         if self.trace_enabled:
             self._trace("feedback", link.rx_id, link.tx_id, link.direction, 0, None, ack)
         if outcome is HarqOutcome.RETRANSMIT:
             self._active.add(link.node_id)
         elif outcome is HarqOutcome.RELEASED:
-            pool.release(process)
+            link.pool.release(process)
         elif outcome is HarqOutcome.DROPPED:
-            for packet_id in sorted({c.packet.packet_id for c in process.chunks}):
+            for packet_id in sorted({c.packet.packet_id for c in tb.chunks}):
                 self._close_instance(packet_id, None, InstanceStatus.LOST_HARQ)
-            pool.release(process)
+            link.pool.release(process)
 
     # -- main loop ------------------------------------------------------------
 

@@ -17,22 +17,9 @@ from bisect import bisect_left
 from collections import deque
 from enum import Enum
 
-from .binder import Binder, LinkDirection
+from .binder import Binder, Direction
 from .channel import ChannelModel, CqiTable, amc_tbs, mean_sinr_db
 from .mode_selection import Mode
-
-
-class Direction(Enum):
-    DL = "DL"
-    UL = "UL"
-    D2D = "D2D"
-    D2D_MULTI = "D2D_MULTI"
-
-    __hash__ = object.__hash__  # identity, in C; no set of these is iterated
-
-    @property
-    def link(self) -> LinkDirection:
-        return LinkDirection.SL if self.value.startswith("D2D") else LinkDirection(self.value)
 
 
 class PacketDescriptor:
@@ -173,28 +160,21 @@ def rbs_needed(bits: int, cqi: int, rb_capacity_re: int, table: CqiTable) -> int
 # ---------------------------------------------------------------------------
 # MAC scheduler
 
-class ScheduleRequest:
-    __slots__ = ("node_id", "direction", "cqi", "backlog_bits", "retx_rbs", "link")
-
-    def __init__(self, node_id: int, direction: Direction, cqi: int,
-                 backlog_bits: int = 0, retx_rbs: int = 0, link: object = None) -> None:
-        self.node_id, self.direction, self.cqi = node_id, direction, cqi
-        self.backlog_bits = backlog_bits
-        self.retx_rbs = retx_rbs  # exact grant size of a pending retransmission
-        self.link = link  # the caller's handle on the requesting link
-
-
 _DIRECTION_RANK = {d: rank for rank, d in
                    enumerate(sorted(Direction, key=lambda d: d.value))}
 
 
-def _by_node(request: ScheduleRequest) -> tuple[int, int]:
+def _by_node(request) -> tuple[int, int]:
     return request.node_id, _DIRECTION_RANK[request.direction]
 
 
-def schedule_band(requests: list[ScheduleRequest], num_rbs: int,
+def schedule_band(requests: list, num_rbs: int,
                   rb_capacity_re: int, table: CqiTable) -> list[TransportBlock]:
     """Share one band's blocks among this TTI's requests.
+
+    A request is any object with ``node_id``, ``direction``, ``cqi``,
+    ``backlog_bits`` and ``retx_rbs``, the exact size of a pending
+    retransmission or 0; at most one per (node, direction).
 
     Retransmissions come first, in node-id order, each all-or-nothing
     at its original size.  Remaining blocks go to new transmissions
@@ -220,7 +200,7 @@ def schedule_band(requests: list[ScheduleRequest], num_rbs: int,
             group.sort(key=_by_node)
 
     available = num_rbs
-    ordered: list[tuple[ScheduleRequest, int]] = []  # (request, rb count)
+    ordered: list[tuple[object, int]] = []  # (request, rb count)
     for request in retx:
         if request.retx_rbs <= available:
             ordered.append((request, request.retx_rbs))
@@ -264,14 +244,13 @@ class HarqOutcome(Enum):
 
 
 class HarqProcess:
-    __slots__ = ("process_id", "pool", "busy", "chunks", "cqi", "num_rbs",
-                 "tx_count", "_awaiting_retx")
+    __slots__ = ("process_id", "pool", "busy", "tb", "tx_count", "_awaiting_retx")
 
     def __init__(self, process_id: int, pool: HarqPool) -> None:
         self.process_id, self.pool = process_id, pool  # the pool counts waiting processes
         self.busy = self._awaiting_retx = False
-        self.chunks: tuple[RlcChunk, ...] = ()
-        self.cqi = self.num_rbs = self.tx_count = 0
+        self.tb: TransportBlock | None = None  # the block it sent, which a retransmission repeats
+        self.tx_count = 0
 
     @property
     def awaiting_retx(self) -> bool:
@@ -288,20 +267,16 @@ class HarqPool:
 
     Multicast transmissions never allocate a process: with no single
     feedback source, each transport block is sent exactly once.
-
-    ``epoch`` advances whenever the link is reset (a mode switch
-    flushing its processes); feedback carrying an older epoch belongs
-    to a transmission that no longer exists and must be ignored.
     """
 
-    __slots__ = ("num_processes", "processes", "epoch", "busy", "waiting")
+    __slots__ = ("num_processes", "processes", "busy", "waiting")
 
     def __init__(self, num_processes: int) -> None:
         self.num_processes = num_processes
         self.processes = [HarqProcess(i, self) for i in range(num_processes)]
         # ``busy`` and ``waiting`` (for a retransmission) count processes,
         # so that no question scans them
-        self.epoch = self.busy = self.waiting = 0
+        self.busy = self.waiting = 0
 
     def allocate(self) -> HarqProcess | None:
         """Claim the lowest-numbered idle process, or None if all busy."""
@@ -315,14 +290,11 @@ class HarqPool:
     def has_idle(self) -> bool:
         return self.busy < self.num_processes
 
-    def get(self, process_id: int) -> HarqProcess:
-        return self.processes[process_id]
-
     def release(self, process: HarqProcess) -> None:
         self.busy -= process.busy
         process.busy = False
-        process.chunks = ()
-        process.cqi = process.num_rbs = process.tx_count = 0
+        process.tb = None
+        process.tx_count = 0
         process.awaiting_retx = False
 
     def pending_retx(self) -> HarqProcess | None:
@@ -345,7 +317,7 @@ def harq_on_feedback(process: HarqProcess, ack: bool, max_retx: int) -> HarqOutc
     ``tx_count`` counts transmissions already performed, so a NACK
     after the initial attempt allows up to ``max_retx`` further tries.
     The caller releases the process on RELEASED/DROPPED and requests a
-    grant of exactly ``process.num_rbs`` blocks on RETRANSMIT.
+    grant as large as ``process.tb`` on RETRANSMIT.
     """
     if not process.busy:
         raise ValueError(f"feedback for idle process {process.process_id}")
@@ -364,22 +336,22 @@ class TransportBlock:
     """One grant, from the scheduler to HARQ feedback.
 
     ``schedule_band`` sets the request, a contiguous run of blocks and
-    the bits it carries; the engine adds the payload and the air
-    interface's fields, and the binder books the block as its entry.
+    the bits it carries; the engine adds the payload, the air interface's
+    fields and the HARQ process keeping it; the binder books it as its entry.
     """
 
-    __slots__ = ("request", "rbs", "tbs_bits", "tx_id", "link_direction",
-                 "tx_power_dbm", "tti", "cqi", "chunks", "harq_process_id", "harq_epoch")
+    __slots__ = ("request", "rbs", "tbs_bits", "tx_id", "direction",
+                 "tx_power_dbm", "tti", "cqi", "chunks", "harq")
 
-    def __init__(self, request: ScheduleRequest | None, rbs: range,
-                 tbs_bits: int = 0, tx_id: int = -1, link_direction: LinkDirection = LinkDirection.UL,
-                 tx_power_dbm: float = 0.0, tti: int = -1) -> None:
+    def __init__(self, request: object, rbs: range, tbs_bits: int = 0, tx_id: int = -1,
+                 direction: Direction = Direction.UL, tx_power_dbm: float = 0.0,
+                 tti: int = -1) -> None:
         self.request, self.rbs, self.tbs_bits = request, rbs, tbs_bits
-        self.tx_id, self.link_direction = tx_id, link_direction
+        self.tx_id, self.direction = tx_id, direction
         self.tx_power_dbm, self.tti = tx_power_dbm, tti
-        self.cqi = self.harq_epoch = 0
+        self.cqi = 0
         self.chunks: tuple[RlcChunk, ...] = ()
-        self.harq_process_id: int | None = None  # None when the link has no HARQ
+        self.harq: HarqProcess | None = None  # None when the link has no HARQ
 
 
 class ReceptionResult:
@@ -403,10 +375,10 @@ def phy_receive(channel: ChannelModel, tb: TransportBlock,
     interferes and no per-block pass is needed.  Decoding is
     all-or-nothing on the mean SINR.
     """
-    if channel.binder.band_overlaps(tb.tti, tb.link_direction.band):
+    if channel.binder.band_overlaps(tb.tti, tb.direction.band):
         mean_db = mean_sinr_db(channel.sinr_per_rb_db(
             tb.tx_id, rx_id, tti=tb.tti, ledger_tti=tb.tti, rbs=tb.rbs,
-            tx_power_dbm=tb.tx_power_dbm, direction=tb.link_direction))
+            tx_power_dbm=tb.tx_power_dbm, direction=tb.direction))
     else:
         mean_db = channel.noise_limited_mean_db(tb.tx_id, rx_id, tb.tti,
                                                 tb.tx_power_dbm, len(tb.rbs))

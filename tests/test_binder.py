@@ -4,7 +4,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from d2dsim import Binder, LinkDirection, RbConflict, TransportBlock
+from d2dsim import Binder, Direction, RbConflict, TransportBlock
 from d2dsim.binder import _Band
 
 
@@ -16,86 +16,86 @@ def binder():
 def _book(binder, tti, tx_id, direction, rbs, power_dbm):
     """Book one transmission as the PHY does: the transport block is the entry."""
     return binder.record_allocation(TransportBlock(
-        None, rbs, tx_id=tx_id, link_direction=direction, tx_power_dbm=power_dbm, tti=tti))
+        None, rbs, tx_id=tx_id, direction=direction, tx_power_dbm=power_dbm, tti=tti))
 
 
 def _allocated_rbs(binder, tti, direction):
     """Blocks the grants of one direction hold in one TTI."""
     return {rb for entry in binder.band_allocations(tti, direction.band)
-            if entry.link_direction is direction for rb in entry.rbs}
+            if entry.direction is direction for rb in entry.rbs}
 
 
 def test_allocation_recorded_and_queryable(binder):
-    entry = _book(binder, 5, 1, LinkDirection.UL, range(0, 3), 26.0)
+    entry = _book(binder, 5, 1, Direction.UL, range(0, 3), 26.0)
     assert entry.rbs == range(0, 3)
     assert binder.allocations(5) == (entry,)
     assert binder.allocations(6) == ()
-    assert _allocated_rbs(binder, 5, LinkDirection.UL) == {0, 1, 2}
+    assert _allocated_rbs(binder, 5, Direction.UL) == {0, 1, 2}
 
 
 def test_same_direction_double_booking_raises(binder):
-    _book(binder, 5, 1, LinkDirection.UL, range(0, 3), 26.0)
+    _book(binder, 5, 1, Direction.UL, range(0, 3), 26.0)
     with pytest.raises(RbConflict, match="rb \\[2\\]"):
-        _book(binder, 5, 2, LinkDirection.UL, range(2, 4), 26.0)
+        _book(binder, 5, 2, Direction.UL, range(2, 4), 26.0)
 
 
 def test_sidelink_may_reuse_uplink_blocks(binder):
     # SL shares the UL band; overlapping grants are reuse, not conflict
-    _book(binder, 5, 1, LinkDirection.UL, range(0, 2), 26.0)
-    _book(binder, 5, 2, LinkDirection.SL, range(0, 2), 20.0)
+    _book(binder, 5, 1, Direction.UL, range(0, 2), 26.0)
+    _book(binder, 5, 2, Direction.D2D, range(0, 2), 20.0)
     assert len(binder.allocations(5)) == 2
 
 
 def test_two_sidelinks_may_share_blocks(binder):
-    _book(binder, 5, 1, LinkDirection.SL, range(4, 5), 20.0)
-    _book(binder, 5, 2, LinkDirection.SL, range(4, 5), 20.0)
+    _book(binder, 5, 1, Direction.D2D, range(4, 5), 20.0)
+    _book(binder, 5, 2, Direction.D2D, range(4, 5), 20.0)
     assert len(binder.allocations(5)) == 2
 
 
 def test_downlink_band_is_separate(binder):
     # the same index in DL and UL is two different physical blocks
-    _book(binder, 5, 0, LinkDirection.DL, range(7, 8), 46.0)
-    _book(binder, 5, 1, LinkDirection.UL, range(7, 8), 26.0)
+    _book(binder, 5, 0, Direction.DL, range(7, 8), 46.0)
+    _book(binder, 5, 1, Direction.UL, range(7, 8), 26.0)
     with pytest.raises(RbConflict):
-        _book(binder, 5, 0, LinkDirection.DL, range(7, 8), 46.0)
+        _book(binder, 5, 0, Direction.DL, range(7, 8), 46.0)
 
 
 def test_rb_index_bounds(binder):
     with pytest.raises(ValueError, match=r"grant range\(50, 51\) is not a run of blocks in UL 0\.\.49"):
-        _book(binder, 0, 1, LinkDirection.UL, range(50, 51), 26.0)
+        _book(binder, 0, 1, Direction.UL, range(50, 51), 26.0)
     with pytest.raises(ValueError, match=r"grant range\(-1, 0\) is not a run of blocks in DL"):
-        _book(binder, 0, 1, LinkDirection.DL, range(-1, 0), 26.0)
+        _book(binder, 0, 1, Direction.DL, range(-1, 0), 26.0)
 
 
 def test_duplicate_rb_within_grant(binder):
     # a range cannot repeat a block; a block list that does is no grant
     with pytest.raises(ValueError, match=r"grant \(3, 3\) is not a run of blocks in UL"):
-        _book(binder, 0, 1, LinkDirection.UL, (3, 3), 26.0)
+        _book(binder, 0, 1, Direction.UL, (3, 3), 26.0)
     assert binder.allocations(0) == ()
 
 
 def test_out_of_range_block_named_in_grant_order(binder):
     with pytest.raises(ValueError, match=r"grant \(3, 50, -1\) is not a run of blocks in UL 0\.\.49"):
-        _book(binder, 0, 1, LinkDirection.UL, (3, 50, -1), 26.0)
+        _book(binder, 0, 1, Direction.UL, (3, 50, -1), 26.0)
     with pytest.raises(ValueError, match=r"grant range\(-2, 3\) is not a run of blocks in UL 0\.\.49"):
-        _book(binder, 0, 1, LinkDirection.SL, range(-2, 3), 20.0)
+        _book(binder, 0, 1, Direction.D2D, range(-2, 3), 20.0)
     with pytest.raises(ValueError, match=r"grant range\(45, 51\) is not a run of blocks in DL 0\.\.49"):
-        _book(binder, 0, 0, LinkDirection.DL, range(45, 51), 46.0)
+        _book(binder, 0, 0, Direction.DL, range(45, 51), 46.0)
     assert binder.allocations(0) == ()
-    assert _allocated_rbs(binder, 0, LinkDirection.UL) == set()
+    assert _allocated_rbs(binder, 0, Direction.UL) == set()
 
 
 def test_unsorted_non_contiguous_grants(binder):
     for rbs in ((9, 2, 30), [2, 3], range(0, 6, 2), range(5, 2), range(4, 1, -1)):
         with pytest.raises(ValueError, match="is not a run of blocks in UL"):
-            _book(binder, 0, 1, LinkDirection.UL, rbs, 26.0)
+            _book(binder, 0, 1, Direction.UL, rbs, 26.0)
     assert binder.allocations(0) == ()
-    entry = _book(binder, 0, 1, LinkDirection.UL, range(29, 31), 26.0)
-    assert _allocated_rbs(binder, 0, LinkDirection.UL) == {29, 30}
+    entry = _book(binder, 0, 1, Direction.UL, range(29, 31), 26.0)
+    assert _allocated_rbs(binder, 0, Direction.UL) == {29, 30}
     with pytest.raises(RbConflict, match="rb \\[30\\] already granted in UL"):
-        _book(binder, 0, 2, LinkDirection.UL, range(30, 33), 26.0)
+        _book(binder, 0, 2, Direction.UL, range(30, 33), 26.0)
     assert binder.allocations(0) == (entry,)
-    assert _book(binder, 0, 2, LinkDirection.UL, range(31, 33), 26.0)
+    assert _book(binder, 0, 2, Direction.UL, range(31, 33), 26.0)
     assert binder.check_conservation(0) == []
 
 
@@ -121,7 +121,7 @@ def test_grant_checks_match_per_block_loop(blocks, run):
     reference = Binder(num_rbs=6)
     expected = outcome(lambda: _record_allocation_reference(reference, rbs, "UL"))
     binder = Binder(num_rbs=6)
-    assert outcome(lambda: _book(binder, 0, 1, LinkDirection.SL, rbs, 20.0)) == expected
+    assert outcome(lambda: _book(binder, 0, 1, Direction.D2D, rbs, 20.0)) == expected
     assert len(binder.allocations(0)) == (expected is None)
 
 
@@ -132,12 +132,12 @@ _grant_shapes = st.one_of(
     st.lists(st.integers(-2, 9), max_size=4))
 
 
-@given(st.lists(st.tuples(st.sampled_from(list(LinkDirection)), _grant_shapes),
+@given(st.lists(st.tuples(st.sampled_from(list(Direction)), _grant_shapes),
                 max_size=10))
-@example([(LinkDirection.UL, (0, 1, 2)), (LinkDirection.UL, [3, 4]),
-          (LinkDirection.SL, range(0, 6, 2)), (LinkDirection.DL, range(3, 3)),
-          (LinkDirection.DL, range(3, 1)), (LinkDirection.UL, range(5, 9)),
-          (LinkDirection.SL, range(-1, 2)), (LinkDirection.UL, range(0, 8))])
+@example([(Direction.UL, (0, 1, 2)), (Direction.UL, [3, 4]),
+          (Direction.D2D, range(0, 6, 2)), (Direction.DL, range(3, 3)),
+          (Direction.DL, range(3, 1)), (Direction.UL, range(5, 9)),
+          (Direction.D2D, range(-1, 2)), (Direction.UL, range(0, 8))])
 def test_a_grant_books_exactly_when_it_is_one_run_in_the_band(bookings):
     """Any other shape raises ValueError naming the grant and band and books
     nothing; a run clashing with its direction's blocks raises RbConflict."""
@@ -150,7 +150,7 @@ def test_a_grant_books_exactly_when_it_is_one_run_in_the_band(bookings):
     for tx_id, (direction, rbs) in enumerate(bookings):
         before = ledger()
         run = type(rbs) is range and rbs.step == 1 and len(rbs) > 0 and set(rbs) <= set(range(8))
-        clash = (direction is not LinkDirection.SL
+        clash = (direction.link != "SL"
                  and set(rbs) & _allocated_rbs(binder, 0, direction))
         if not run:
             with pytest.raises(ValueError) as refused:
@@ -168,9 +168,9 @@ def test_a_grant_books_exactly_when_it_is_one_run_in_the_band(bookings):
 
 
 def test_interferers_filter_band_and_serving_node(binder):
-    _book(binder, 5, 1, LinkDirection.UL, range(0, 2), 26.0)
-    _book(binder, 5, 2, LinkDirection.SL, range(1, 3), 20.0)
-    _book(binder, 5, 0, LinkDirection.DL, range(1, 2), 46.0)
+    _book(binder, 5, 1, Direction.UL, range(0, 2), 26.0)
+    _book(binder, 5, 2, Direction.D2D, range(1, 3), 20.0)
+    _book(binder, 5, 0, Direction.DL, range(1, 2), 46.0)
     hit = list(binder.interferers(5, 1, "UL", exclude_tx=1))
     assert [e.tx_id for e in hit] == [2]
     assert list(binder.interferers(5, 1, "DL", exclude_tx=9)) == [
@@ -179,46 +179,46 @@ def test_interferers_filter_band_and_serving_node(binder):
 
 
 def test_sliding_window_drops_old_entries(binder):
-    _book(binder, 5, 1, LinkDirection.UL, range(0, 1), 26.0)
-    _book(binder, 6, 1, LinkDirection.UL, range(0, 1), 26.0)
+    _book(binder, 5, 1, Direction.UL, range(0, 1), 26.0)
+    _book(binder, 6, 1, Direction.UL, range(0, 1), 26.0)
     binder.advance(7)
     assert binder.allocations(5) == ()
     assert len(binder.allocations(6)) == 1  # one TTI back is still visible
 
 
 def test_advance_keeps_occupancy_of_previous_tti(binder):
-    _book(binder, 6, 1, LinkDirection.UL, range(0, 1), 26.0)
+    _book(binder, 6, 1, Direction.UL, range(0, 1), 26.0)
     binder.advance(7)
     with pytest.raises(RbConflict):
-        _book(binder, 6, 2, LinkDirection.UL, range(0, 1), 26.0)
+        _book(binder, 6, 2, Direction.UL, range(0, 1), 26.0)
 
 
 def test_conservation_audit_clean(binder):
-    _book(binder, 5, 1, LinkDirection.UL, range(50), 26.0)
-    _book(binder, 5, 2, LinkDirection.SL, range(50), 20.0)
+    _book(binder, 5, 1, Direction.UL, range(50), 26.0)
+    _book(binder, 5, 2, Direction.D2D, range(50), 20.0)
     assert binder.check_conservation(5) == []
 
 
 def test_conservation_audit_reports_what_the_ledger_refuses(binder):
     # planted past record_allocation, which refuses both
     def entry(tx_id, direction, rbs):
-        return TransportBlock(None, rbs, tx_id=tx_id, link_direction=direction, tti=5)
-    binder._bands[5, "UL"] = _Band([entry(1, LinkDirection.UL, range(0, 4)),
-                                    entry(2, LinkDirection.UL, range(3, 6)),
-                                    entry(1, LinkDirection.SL, range(0, 4))])
-    binder._bands[5, "DL"] = _Band([entry(0, LinkDirection.DL, range(48, 52))])
+        return TransportBlock(None, rbs, tx_id=tx_id, direction=direction, tti=5)
+    binder._bands[5, "UL"] = _Band([entry(1, Direction.UL, range(0, 4)),
+                                    entry(2, Direction.UL, range(3, 6)),
+                                    entry(1, Direction.D2D, range(0, 4))])
+    binder._bands[5, "DL"] = _Band([entry(0, Direction.DL, range(48, 52))])
     assert binder.check_conservation(5) == ["tti 5: duplicate grant in UL",
                                             "tti 5: DL rb index out of range"]
 
 
-@given(st.lists(st.tuples(st.sampled_from([LinkDirection.DL, LinkDirection.UL,
-                                           LinkDirection.SL]),
+@given(st.lists(st.tuples(st.sampled_from([Direction.DL, Direction.UL,
+                                           Direction.D2D]),
                           st.integers(0, 24), st.integers(1, 12)),
                 max_size=12))
 def test_disjoint_grants_never_conflict(grants):
     """Whatever the direction mix, non-overlapping index ranges always book."""
     binder = Binder(num_rbs=200)
-    cursor = {d: 0 for d in LinkDirection}
+    cursor = {d: 0 for d in Direction}
     for direction, _, width in grants:
         start = cursor[direction]
         if start + width > 200:
@@ -229,7 +229,7 @@ def test_disjoint_grants_never_conflict(grants):
 
 
 _bookings = st.lists(st.tuples(
-    st.integers(0, 1), st.sampled_from(list(LinkDirection)),
+    st.integers(0, 1), st.sampled_from(list(Direction)),
     st.integers(-1, 8), st.integers(0, 5)), max_size=10)
 
 

@@ -11,7 +11,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from d2dsim import (Binder, ChannelModel, ChannelParams, CqiTable, Engine,
-                    LinkDirection, TransportBlock, decode, mean_sinr_db, parse_scenario,
+                    Direction, TransportBlock, decode, mean_sinr_db, parse_scenario,
                     path_loss_db, phy_receive)
 from d2dsim.channel import dbm_to_mw, mw_to_dbm
 
@@ -22,7 +22,7 @@ TABLE = CqiTable.default()
 def _book(binder, tti, tx_id, direction, rbs, power_dbm):
     """Book one transmission as the PHY does: the transport block is the entry."""
     return binder.record_allocation(TransportBlock(
-        None, rbs, tx_id=tx_id, link_direction=direction, tx_power_dbm=power_dbm, tti=tti))
+        None, rbs, tx_id=tx_id, direction=direction, tx_power_dbm=power_dbm, tti=tti))
 
 # official switching thresholds the packaged table must reproduce
 THRESHOLDS = [-6.7, -4.7, -2.3, 0.2, 2.4, 4.3, 5.9, 8.1,
@@ -166,24 +166,24 @@ def test_noise_limited_sinr_oracle():
     binder, model = _model()
     # ueA -> eNodeB at 26 dBm over 100 m: 26 - 110 - (-121.4 + 7) = 30.4 dB
     sinrs = model.sinr_per_rb_db(1, 0, tti=3, ledger_tti=2, rbs=range(0, 2),
-                                 tx_power_dbm=26.0, direction=LinkDirection.UL)
+                                 tx_power_dbm=26.0, direction=Direction.UL)
     assert sinrs == pytest.approx([30.4, 30.4])
 
 
 def test_empty_queries_evaluate_no_blocks():
     binder, model = _model()
-    _book(binder, 2, 3, LinkDirection.SL, range(0, 4), 26.0)
+    _book(binder, 2, 3, Direction.D2D, range(0, 4), 26.0)
     for rbs in (range(0, 0), range(3, 3), range(3, 1)):
         assert model.sinr_per_rb_db(1, 0, tti=3, ledger_tti=2, rbs=rbs,
-                                    tx_power_dbm=26.0, direction=LinkDirection.UL) == []
+                                    tx_power_dbm=26.0, direction=Direction.UL) == []
 
 
 def test_interference_lowers_sinr_only_on_shared_blocks():
     binder, model = _model()
-    _book(binder, 2, 3, LinkDirection.SL, range(1, 2), 26.0)  # ueC transmits
+    _book(binder, 2, 3, Direction.D2D, range(1, 2), 26.0)  # ueC transmits
     clean, hit = model.sinr_per_rb_db(1, 0, tti=3, ledger_tti=2, rbs=range(0, 2),
                                       tx_power_dbm=26.0,
-                                      direction=LinkDirection.UL)
+                                      direction=Direction.UL)
     assert clean == pytest.approx(30.4)
     assert hit < clean
     # equal-power interferer 111.8 m from the receiver dominates noise:
@@ -195,9 +195,9 @@ def test_receiving_node_own_transmission_excluded():
     binder, model = _model()
     # the receiver itself occupies the block in the same band; a node
     # cannot interfere with its own reception
-    _book(binder, 2, 0, LinkDirection.DL, range(0, 1), 46.0)
+    _book(binder, 2, 0, Direction.DL, range(0, 1), 46.0)
     sinrs = model.sinr_per_rb_db(1, 0, tti=3, ledger_tti=2, rbs=range(0, 1),
-                                 tx_power_dbm=26.0, direction=LinkDirection.UL)
+                                 tx_power_dbm=26.0, direction=Direction.UL)
     assert sinrs == pytest.approx([30.4])
 
 
@@ -222,19 +222,19 @@ def test_wideband_cqi_oracle():
     _, model = _model()
     # 30.4 dB mean SINR lands on CQI 15
     assert model.wideband_cqi(1, 0, tti=5, tx_power_dbm=26.0,
-                              direction=LinkDirection.UL) == 15
+                              direction=Direction.UL) == 15
     # 4 m sidelink at 20 dBm: 20 - (40 + 35*log10(4)) + 114.4 = 73.3 dB
     assert model.wideband_cqi(1, 2, tti=5, tx_power_dbm=20.0,
-                              direction=LinkDirection.SL) == 15
+                              direction=Direction.D2D) == 15
 
 
 def test_wideband_cqi_degrades_with_distance():
     positions = [(0.0, 0.0), (100.0, 0.0), (2500.0, 0.0)]  # eNodeB, near, far
     model = ChannelModel(Binder(num_rbs=50), positions, ChannelParams(), TABLE, 1)
     near = model.wideband_cqi(1, 0, tti=5, tx_power_dbm=26.0,
-                              direction=LinkDirection.UL)
+                              direction=Direction.UL)
     far = model.wideband_cqi(2, 0, tti=5, tx_power_dbm=26.0,
-                             direction=LinkDirection.UL)
+                             direction=Direction.UL)
     assert near > far
     # 2.5 km: 26 - (40 + 35*log10(2500)) + 114.4 = -18.5 dB, below CQI 1
     assert far == 0
@@ -268,7 +268,7 @@ def _reference_sinrs(model, tx_id, rx_id, *, tti, ledger_tti, rbs, tx_power_dbm,
 
 
 NUM_RBS = 6  # few blocks, so that grants pile up on the same ones
-DIRECTIONS = [LinkDirection.DL, LinkDirection.UL, LinkDirection.SL]
+DIRECTIONS = [Direction.DL, Direction.UL, Direction.D2D]
 _coordinate = st.floats(-300.0, 300.0, allow_nan=False)
 _runs = st.integers(0, NUM_RBS - 1).flatmap(
     lambda start: st.integers(start + 1, NUM_RBS).map(lambda stop: range(start, stop)))
@@ -277,10 +277,10 @@ _runs = st.integers(0, NUM_RBS - 1).flatmap(
 def _free_run(binder, tti, direction, rbs):
     """The first run of ``rbs`` that no grant of an infrastructure direction
     holds yet, or ``rbs`` itself on the sidelink."""
-    if direction is LinkDirection.SL:
+    if direction is Direction.D2D:
         return rbs
     held = {rb for entry in binder.band_allocations(tti, direction.band)
-            if entry.link_direction is direction for rb in entry.rbs}
+            if entry.direction is direction for rb in entry.rbs}
     free = [rb for rb in rbs if rb not in held]
     if not free:
         return range(0)
@@ -350,7 +350,7 @@ def test_reception_of_a_booked_block_matches_per_block_reference(case, shadowing
                 continue
             expected = mean_sinr_db(_reference_sinrs(
                 model, tb.tx_id, rx_id, tti=tb.tti, ledger_tti=tb.tti, rbs=tb.rbs,
-                tx_power_dbm=tb.tx_power_dbm, direction=tb.link_direction))
+                tx_power_dbm=tb.tx_power_dbm, direction=tb.direction))
             result = phy_receive(model, tb, rx_id)
             assert result.mean_sinr_db == expected
             assert result.decoded == decode(expected, 7, TABLE)
@@ -363,10 +363,10 @@ def test_interference_adds_up_in_booking_order():
     positions = [(0.0, 0.0), (100.0, 0.0)]  # eNodeB, ue, then sl0..sl2
     for i, (y, power) in enumerate([(180.0, 10.0), (110.0, 10.0), (40.0, 11.0)]):
         positions.append((0.0, y))
-        _book(binder, 2, 2 + i, LinkDirection.SL, range(0, 1), power)
+        _book(binder, 2, 2 + i, Direction.D2D, range(0, 1), power)
     model = ChannelModel(binder, positions, ChannelParams(), TABLE, 1)
     kwargs = dict(tti=2, ledger_tti=2, rbs=range(0, 2), tx_power_dbm=26.0,
-                  direction=LinkDirection.UL)
+                  direction=Direction.UL)
     expected = _reference_sinrs(model, 1, 0, **kwargs)
     assert model.sinr_per_rb_db(1, 0, **kwargs) == expected
 
@@ -417,7 +417,7 @@ def test_means_add_from_the_left_whatever_sum_does(monkeypatch):
     _, model = _model()
     for n in range(1, 51):
         sinrs = model.sinr_per_rb_db(1, 0, tti=3, ledger_tti=2, rbs=range(n),
-                                     tx_power_dbm=26.0, direction=LinkDirection.UL)
+                                     tx_power_dbm=26.0, direction=Direction.UL)
         assert model.noise_limited_mean_db(1, 0, 3, 26.0, n) == _sequential_mean_db(sinrs)
     golden = json.loads((ROOT / "perfbench" / "golden.json").read_text())["scenarios"]
     for rel, digests in sorted(golden.items()):
@@ -445,11 +445,11 @@ def test_permuted_blocks_and_edge_interferers_match_reference(bookings, shadowin
     # eNodeB, ue, slA, slB and slC
     positions = [(0.0, 0.0), (100.0, 0.0), (0.0, 150.0), (60.0, 60.0), (-80.0, 20.0)]
     for tx_id, rbs, power in bookings:
-        _book(binder, 4, tx_id, LinkDirection.SL, rbs, power)
+        _book(binder, 4, tx_id, Direction.D2D, rbs, power)
     model = ChannelModel(binder, positions, ChannelParams(shadowing_std_dev_db=shadowing),
                          TABLE, seed=3)
     kwargs = dict(tti=5 if probe else 4, ledger_tti=4, rbs=range(2, 8),
-                  tx_power_dbm=26.0, direction=LinkDirection.UL)
+                  tx_power_dbm=26.0, direction=Direction.UL)
     sinrs = model.sinr_per_rb_db(1, 0, **kwargs)
     assert sinrs == _reference_sinrs(model, 1, 0, **kwargs)
     edge_low, *middle, edge_high = sinrs  # blocks 2, 3..6 and 7
@@ -459,8 +459,8 @@ def test_permuted_blocks_and_edge_interferers_match_reference(bookings, shadowin
 
 def test_probe_on_kept_entries_matches_the_ledger_it_was_taken_from():
     binder, model = _model(shadowing=8.0)
-    _book(binder, 4, 3, LinkDirection.SL, range(50), 26.0)
-    kwargs = dict(tti=5, tx_power_dbm=26.0, direction=LinkDirection.UL)
+    _book(binder, 4, 3, Direction.D2D, range(50), 26.0)
+    kwargs = dict(tti=5, tx_power_dbm=26.0, direction=Direction.UL)
     then = model.wideband_cqi(1, 0, **kwargs)
     model.pin(5)
     binder.advance(9)  # the ledger drops TTI 4

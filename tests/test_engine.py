@@ -5,7 +5,8 @@ from pathlib import Path
 
 import pytest
 
-from d2dsim import Direction, Engine, Mode, parse_scenario, run_scenario
+from d2dsim import (Direction, Engine, Mode, ModeSwitchCommand, Phase, parse_scenario,
+                    run_scenario)
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -449,6 +450,48 @@ def test_assemblers_drop_packets_whose_instance_closed():
     for rx_id, packet_id in held:  # only open instances are kept
         assert ((packet_id, None) in engine.instances
                 or (packet_id, rx_id) in engine.instances), (rx_id, packet_id)
+
+
+def test_grants_that_carry_nothing_are_not_counted():
+    # at one resource element per block a grant can hold fewer than 8 bits,
+    # too few for a byte of payload: it is neither sent nor counted
+    config = _lossy_cell()
+    config = config._replace(sim=config.sim._replace(rb_capacity_re=1))
+    result = run_scenario(config, trace=True)
+    grants = [row for row in result.trace if row.event == "grant"]
+    hist = sum(count for name, count in result.run_metrics.items()
+               if name.startswith("cqi_hist_"))
+    assert result.run_metrics["rbs_granted_total"] == sum(row.rbs for row in grants)
+    assert hist == len(grants)
+
+
+@pytest.mark.parametrize("ack", [True, False])
+def test_stale_feedback_leaves_a_reused_process_alone(ack):
+    # a switch releases the process of a block in flight, and a block sent
+    # after switching back takes the same process before the old feedback
+    engine = Engine(scenario())
+    tx, rx = engine.names.index("ueTx[0]"), engine.names.index("ueRx[0]")
+    link = engine._peerings[tx, rx]
+
+    def send(tti):
+        engine.now_tti = tti
+        packet = engine._new_packet(0, 800, tx, rx, None, is_request=False)
+        engine._classify_and_enqueue(packet, tx)
+        engine._phase_schedule(tti)
+        return engine._next[Phase.TRANSMIT][-1]
+
+    old = send(0)
+    engine._apply_switch(ModeSwitchCommand(tx, rx, Mode.IM))
+    engine._apply_switch(ModeSwitchCommand(tx, rx, Mode.DM))
+    new = send(1)
+    process = new.harq
+    assert process is old.harq and process.tb is new
+
+    engine._phase_harq_feedback(old, ack)
+    assert process.busy and process.tb is new
+    assert not process.awaiting_retx and link.pool.pending_retx() is None
+    engine._phase_harq_feedback(new, True)
+    assert not process.busy and process.tb is None
 
 
 def test_nacked_link_with_empty_queue_gets_its_retransmission_next_tti():

@@ -133,7 +133,7 @@ def _eager_reads_checked(engine):
         power = cfg.d2d_tx_power_dbm if sidelink else cfg.ue_tx_power_dbm
         return engine.channel.wideband_cqi(link.tx_id, link.rx_id, tti=tti,
                                            tx_power_dbm=power,
-                                           direction=link.direction.link)
+                                           direction=link.direction)
 
     def eager_report(tti):
         report(tti)

@@ -1,15 +1,16 @@
 """PDCP classification, RLC segmentation, AMC, scheduling and HARQ."""
 
 from bisect import bisect_left
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from d2dsim import (CqiTable, Direction, HarqOutcome, HarqPool, LinkDirection,
-                    Mode, PacketAssembler, PacketDescriptor, RlcTxQueue,
-                    ScheduleRequest, TransportBlock, amc_tbs, harq_on_feedback,
-                    pdcp_classify, rbs_needed, schedule_band)
+from d2dsim import (CqiTable, Direction, HarqOutcome, HarqPool, Mode,
+                    PacketAssembler, PacketDescriptor, RlcTxQueue, TransportBlock,
+                    amc_tbs, harq_on_feedback, pdcp_classify, rbs_needed,
+                    schedule_band)
 
 TABLE = CqiTable.default()
 
@@ -40,10 +41,9 @@ def test_classify_ue_pair_follows_peering_mode():
 
 
 def test_direction_band_mapping():
-    assert Direction.DL.link is LinkDirection.DL
-    assert Direction.UL.link is LinkDirection.UL
-    assert Direction.D2D.link is LinkDirection.SL
-    assert Direction.D2D_MULTI.link is LinkDirection.SL
+    # sidelinks transmit in the uplink band and are booked as SL
+    assert [(d.band, d.link) for d in Direction] == [
+        ("DL", "DL"), ("UL", "UL"), ("UL", "SL"), ("UL", "SL")]
 
 
 # -- RLC ------------------------------------------------------------------------
@@ -217,9 +217,8 @@ def test_tbs_table_matches_amc_tbs_and_rbs_needed(cap, num_rbs, cqi, bits):
 # -- scheduler -----------------------------------------------------------------------
 
 def _req(node, direction=Direction.UL, cqi=7, backlog=0, retx=0):
-    return ScheduleRequest(node_id=node, direction=direction, cqi=cqi,
-                           backlog_bits=backlog, retx_rbs=retx,
-                           link=(node, direction))
+    return SimpleNamespace(node_id=node, direction=direction, cqi=cqi,
+                           backlog_bits=backlog, retx_rbs=retx)
 
 
 def test_single_request_gets_what_it_needs():
@@ -441,7 +440,7 @@ def test_feedback_nack_retransmits_until_limit():
 def test_feedback_for_idle_process_is_an_error():
     pool = HarqPool(1)
     with pytest.raises(ValueError, match="idle"):
-        harq_on_feedback(pool.get(0), True, 3)
+        harq_on_feedback(pool.processes[0], True, 3)
 
 
 def test_pending_retx_reports_waiting_process():

@@ -40,5 +40,7 @@ def test_traced_run_matches_and_counts_every_layer():
     assert report["same"]
     values = report["values"]
     for name in ("mode_selection.rounds", "channel.wideband_cqi.calls", "mac.requests",
-                 "harq.feedback.calls", "phy.receive.calls"):
+                 "mac.grants", "harq.feedback.calls", "harq.retransmits", "harq.drops",
+                 "phy.send.calls", "phy.receive.calls", "binder.record_allocation.calls",
+                 "engine.schedule_event.calls"):
         assert values[name] > 0, name
