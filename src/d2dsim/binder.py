@@ -7,10 +7,9 @@ modelling signalling traffic.  Entries name their transmitter by node
 id, the node's place in the scenario's ``sim.nodes``.
 
 Spectrum layout is FDD: the downlink band is separate, while sidelink
-grants share the uplink band.  Reuse of the same block by an uplink
-and a sidelink transmission (or two sidelinks) is legal and shows up
-as interference, though no scheduler here places such grants; booking
-one block twice in one direction is a bug and raises :class:`RbConflict`.
+grants share the uplink band.  A block is booked at most once per band
+and TTI, sidelinks included; booking it twice is a bug and raises
+:class:`RbConflict`.
 """
 
 from __future__ import annotations
@@ -35,15 +34,14 @@ class Direction(Enum):
 
 
 class RbConflict(Exception):
-    """Same resource block granted twice in one direction and TTI."""
+    """Same resource block granted twice in one band and TTI."""
 
 
 class _Band(list):
-    """One TTI's entries in one band, in booking order, with bit masks of the
-    blocks any entry holds (``used``) and its UL or DL entries hold (``infra``)."""
+    """One TTI's entries in one band, in booking order, with a bit mask of
+    the blocks they hold (``used``)."""
 
-    used = infra = 0
-    overlap = False  # two entries share a block
+    used = 0
 
 
 class Binder:
@@ -72,23 +70,18 @@ class Binder:
         """Book one transmission's blocks, keeping ``entry`` as its ledger entry.
 
         ``entry.rbs`` must be a non-empty step-1 ``range`` inside the band,
-        or ``ValueError`` is raised and nothing booked; :class:`RbConflict`
-        if an infrastructure direction (UL or DL) books a block twice in
-        one TTI.  Sidelink overlap, with an uplink grant or another
-        sidelink, is legal and shows up as interference instead; no
-        scheduler here places such a grant.
+        or ``ValueError`` is raised and nothing booked; :class:`RbConflict`,
+        booking nothing, if any of its blocks is already booked in the
+        band that TTI, whatever the directions.
         """
-        direction = entry.direction
-        mask = self._mask(entry.rbs, direction.band)
-        key = (entry.tti, direction.band)
+        name = entry.direction.band
+        mask = self._mask(entry.rbs, name)
+        key = (entry.tti, name)
         band = self._bands.get(key) or self._bands.setdefault(key, _Band())
-        if direction.link != "SL":
-            clash = band.infra & mask
-            if clash:
-                blocks = [rb for rb in range(self.num_rbs) if clash >> rb & 1]
-                raise RbConflict(f"tti {entry.tti}: rb {blocks} already granted in {direction.link}")
-            band.infra |= mask
-        band.overlap |= band.used & mask != 0
+        clash = band.used & mask
+        if clash:
+            blocks = [rb for rb in range(self.num_rbs) if clash >> rb & 1]
+            raise RbConflict(f"tti {entry.tti}: rb {blocks} already granted in {name}")
         band.used |= mask
         band.append(entry)
         return entry
@@ -101,12 +94,13 @@ class Binder:
         """One TTI's entries in one band, in booking order."""
         return tuple(self._bands.get((tti, band), ()))
 
-    def band_overlaps(self, tti: int, band: str) -> bool:
-        """Whether any two of one TTI's bookings in ``band`` share a block."""
-        return getattr(self._bands.get((tti, band)), "overlap", False)
-
     def interferers(self, tti: int, rb: int, band: str, exclude_tx: int) -> Iterator:
-        """Entries occupying ``rb`` in ``band`` at ``tti``, minus the serving one."""
+        """Entries occupying ``rb`` in ``band`` at ``tti``, minus the serving one.
+
+        The engine never calls this.  It stays as the per-block statement of
+        the ledger that the traced benchmark (``perfbench/tracer.py``) wraps
+        by name and the tests' per-block SINR reference scans.
+        """
         for entry in self.band_allocations(tti, band):
             if entry.tx_id != exclude_tx and rb in entry.rbs:
                 yield entry
@@ -120,16 +114,14 @@ class Binder:
         """Independent audit of one TTI's bookings.
 
         Recounts the ledger from scratch, ignoring the incremental
-        occupancy masks: infrastructure directions must never book a
-        block twice, and every index must be inside the band.
+        occupancy masks: no band may hold a block twice, and every index
+        must be inside the band.
         """
         problems: list[str] = []
-        per_link: dict[str, list[int]] = {}
-        for entry in self.allocations(tti):
-            per_link.setdefault(entry.direction.link, []).extend(entry.rbs)
-        for link, blocks in per_link.items():
-            if link != "SL" and len(set(blocks)) != len(blocks):
-                problems.append(f"tti {tti}: duplicate grant in {link}")
+        for band in ("UL", "DL"):
+            blocks = [rb for entry in self.band_allocations(tti, band) for rb in entry.rbs]
+            if len(set(blocks)) != len(blocks):
+                problems.append(f"tti {tti}: duplicate grant in {band}")
             if blocks and (min(blocks) < 0 or max(blocks) >= self.num_rbs):
-                problems.append(f"tti {tti}: {link} rb index out of range")
+                problems.append(f"tti {tti}: {band} rb index out of range")
         return problems

@@ -153,16 +153,16 @@ class ChannelModel:
 
     ``positions[node_id]`` is a node's ``(x, y)`` in metres.  Nodes do
     not move, so each link's path loss is memoised for the whole run;
-    without shadowing it is the link's loss, and the mean SINR of a
-    reception nothing interferes with is memoised per (tx, rx, power,
-    blocks) too.  Shadowing draws are keyed by (seed, tx, rx,
-    tti), so any query for the same link and TTI sees the same value;
-    link losses are memoised for the newest TTI queried and the one
-    before it (a reception is evaluated one TTI after its transmission)
-    and for the last two TTIs passed to :meth:`pin`, which also keeps
-    the ledger entries a CQI measurement at that TTI reads (a report is
-    measured when first read, up to a report period late).  Any other
-    older query is computed afresh.
+    without shadowing it is the link's loss, and a reception's
+    noise-limited mean SINR is memoised per (tx, rx, power, blocks) too.
+    Shadowing draws are keyed by (seed, tx, rx, tti), so any query for
+    the same link and TTI sees the same value; link losses are memoised
+    for the newest TTI queried and the one before it (a reception is
+    evaluated one TTI after its transmission) and for the last two TTIs
+    passed to :meth:`pin`, which also keeps the ledger entries a CQI
+    measurement at that TTI reads (a report is measured when first
+    read, up to a report period late).  Any other older query is
+    computed afresh.
     """
 
     def __init__(self, binder: Binder, positions: list[tuple[float, float]],
@@ -247,48 +247,31 @@ class ChannelModel:
                 self._noise_limited[key] = mean
         return mean
 
-    def sinr_per_rb_db(self, tx_id: int, rx_id: int, *, tti: int, ledger_tti: int,
-                       rbs: range, tx_power_dbm: float, direction: Direction,
-                       entries: tuple | None = None) -> list[float]:
-        """Per-block SINR at the receiver against the booked interferers.
+    def sinr_per_rb_db(self, tx_id: int, rx_id: int, *, tti: int, rbs: range,
+                       tx_power_dbm: float, entries: tuple) -> list[float]:
+        """Per-block SINR at the receiver against one band's ledger entries.
 
         ``rbs`` is a run of blocks (a step-1 ``range``, empty gives ``[]``),
-        as is every entry's.  ``tti`` keys the shadowing draw (the
-        transmission instant); ``ledger_tti`` selects which TTI's
-        allocations interfere, which differs from ``tti`` only for
-        channel-quality probes; ``entries``, if given, are that TTI's
-        entries in the band, kept by the caller.
-
-        A block's interference is the sum, in booking order, of the
-        received powers of the other transmitters on it; the receiver's
-        own transmissions are skipped, since a node cannot receive while
-        it transmits on the block.  Between two consecutive edges of the
-        interferers' runs of blocks the same powers cover every block, so
-        one SINR is computed per segment between the sorted edges.
+        as is every entry's; ``entries`` are one TTI's bookings in the band,
+        which hold each block at most once.  ``tti`` keys the shadowing draw.
+        A block an entry holds sees that transmitter's received power as
+        interference, unless it is the transmitter or the receiver itself (a
+        node cannot receive while it transmits on the block); every other
+        block is noise-limited.
         """
         signal_mw = dbm_to_mw(self.received_power_dbm(tx_id, rx_id, tti, tx_power_dbm))
         noise_mw = self._noise_mw
-        if entries is None:
-            entries = self.binder.band_allocations(ledger_tti, direction.band)
         low, high = rbs.start, max(rbs.start, rbs.stop)  # range(3, 1) holds no block
-        spans = []  # (power, start, stop) of each run interfering in [low, high)
-        for entry in entries:  # in booking order
+        out = [mw_to_dbm(signal_mw / noise_mw)] * (high - low)
+        for entry in entries:
             if entry.tx_id == tx_id or entry.tx_id == rx_id:
                 continue
             start, stop = max(entry.rbs.start, low), min(entry.rbs.stop, high)
             if start < stop:
                 power_mw = dbm_to_mw(self.received_power_dbm(
                     entry.tx_id, rx_id, tti, entry.tx_power_dbm))
-                spans.append((power_mw, start, stop))
-        edges = sorted({low, high}.union(*(span[1:] for span in spans)))
-        segment = {edge: k for k, edge in enumerate(edges)}
-        interference_mw = [0.0] * (len(edges) - 1)  # per segment, in booking order
-        for power_mw, start, stop in spans:
-            for k in range(segment[start], segment[stop]):
-                interference_mw[k] += power_mw
-        out: list[float] = []
-        for k, mw in enumerate(interference_mw):
-            out += [mw_to_dbm(signal_mw / (noise_mw + mw))] * (edges[k + 1] - edges[k])
+                out[start - low:stop - low] = (
+                    [mw_to_dbm(signal_mw / (noise_mw + power_mw))] * (stop - start))
         return out
 
     def wideband_cqi(self, tx_id: int, rx_id: int, *, tti: int,
@@ -300,8 +283,8 @@ class ChannelModel:
         pinned, from the entries kept when it was pinned.
         """
         pinned = self._pinned.get(tti)
-        sinrs = self.sinr_per_rb_db(
-            tx_id, rx_id, tti=tti, ledger_tti=tti - 1, rbs=range(self.binder.num_rbs),
-            tx_power_dbm=tx_power_dbm, direction=direction,
-            entries=pinned[1][direction.band] if pinned else None)
+        band = direction.band
+        entries = pinned[1][band] if pinned else self.binder.band_allocations(tti - 1, band)
+        sinrs = self.sinr_per_rb_db(tx_id, rx_id, tti=tti, rbs=range(self.binder.num_rbs),
+                                    tx_power_dbm=tx_power_dbm, entries=entries)
         return self.table.sinr_to_cqi(mean_sinr_db(sinrs))

@@ -18,7 +18,7 @@ from collections import deque
 from enum import Enum
 
 from .binder import Binder, Direction
-from .channel import ChannelModel, CqiTable, amc_tbs, mean_sinr_db
+from .channel import ChannelModel, CqiTable, amc_tbs
 from .mode_selection import Mode
 
 
@@ -370,17 +370,11 @@ def phy_receive(channel: ChannelModel, tb: TransportBlock,
                 rx_id: int) -> ReceptionResult:
     """Attempt reception of a transport block that :func:`phy_send` booked.
 
-    Interference comes from whatever else the binder shows on the
-    block's TTI; when no two bookings in its band share a block, nothing
-    interferes and no per-block pass is needed.  Decoding is
-    all-or-nothing on the mean SINR.
+    The binder books a resource block at most once per band and TTI, so no
+    other transmission shares one with ``tb`` and its SINR is noise-limited.
+    Decoding is all-or-nothing on the mean SINR.
     """
-    if channel.binder.band_overlaps(tb.tti, tb.direction.band):
-        mean_db = mean_sinr_db(channel.sinr_per_rb_db(
-            tb.tx_id, rx_id, tti=tb.tti, ledger_tti=tb.tti, rbs=tb.rbs,
-            tx_power_dbm=tb.tx_power_dbm, direction=tb.direction))
-    else:
-        mean_db = channel.noise_limited_mean_db(tb.tx_id, rx_id, tb.tti,
-                                                tb.tx_power_dbm, len(tb.rbs))
+    mean_db = channel.noise_limited_mean_db(tb.tx_id, rx_id, tb.tti,
+                                            tb.tx_power_dbm, len(tb.rbs))
     ok = tb.cqi >= 1 and mean_db >= channel.table.thresholds_db[tb.cqi - 1]
     return ReceptionResult(ok, mean_db)

@@ -40,16 +40,24 @@ def test_same_direction_double_booking_raises(binder):
 
 
 def test_sidelink_may_reuse_uplink_blocks(binder):
-    # SL shares the UL band; overlapping grants are reuse, not conflict
-    _book(binder, 5, 1, Direction.UL, range(0, 2), 26.0)
-    _book(binder, 5, 2, Direction.D2D, range(0, 2), 20.0)
-    assert len(binder.allocations(5)) == 2
+    # SL shares the UL band, so it may not: a block is booked once per band,
+    # in either order
+    ul = _book(binder, 5, 1, Direction.UL, range(0, 2), 26.0)
+    with pytest.raises(RbConflict, match=r"rb \[1\] already granted in UL"):
+        _book(binder, 5, 2, Direction.D2D, range(1, 3), 20.0)
+    sl = _book(binder, 5, 2, Direction.D2D_MULTI, range(2, 4), 20.0)
+    with pytest.raises(RbConflict, match=r"rb \[2, 3\] already granted in UL"):
+        _book(binder, 5, 3, Direction.UL, range(2, 5), 26.0)
+    assert binder.allocations(5) == (ul, sl)
+    assert _book(binder, 5, 3, Direction.UL, range(4, 5), 26.0)
 
 
 def test_two_sidelinks_may_share_blocks(binder):
-    _book(binder, 5, 1, Direction.D2D, range(4, 5), 20.0)
-    _book(binder, 5, 2, Direction.D2D, range(4, 5), 20.0)
-    assert len(binder.allocations(5)) == 2
+    # they may not either
+    sl = _book(binder, 5, 1, Direction.D2D, range(4, 5), 20.0)
+    with pytest.raises(RbConflict, match=r"rb \[4\] already granted in UL"):
+        _book(binder, 5, 2, Direction.D2D, range(4, 5), 20.0)
+    assert binder.allocations(5) == (sl,)
 
 
 def test_downlink_band_is_separate(binder):
@@ -140,18 +148,17 @@ _grant_shapes = st.one_of(
           (Direction.D2D, range(-1, 2)), (Direction.UL, range(0, 8))])
 def test_a_grant_books_exactly_when_it_is_one_run_in_the_band(bookings):
     """Any other shape raises ValueError naming the grant and band and books
-    nothing; a run clashing with its direction's blocks raises RbConflict."""
+    nothing; a run clashing with its band's blocks raises RbConflict."""
     binder = Binder(num_rbs=8)
 
     def ledger():
-        return [(binder.band_allocations(0, band), binder.band_overlaps(0, band))
-                for band in ("UL", "DL")]
+        return [binder.band_allocations(0, band) for band in ("UL", "DL")]
 
     for tx_id, (direction, rbs) in enumerate(bookings):
         before = ledger()
         run = type(rbs) is range and rbs.step == 1 and len(rbs) > 0 and set(rbs) <= set(range(8))
-        clash = (direction.link != "SL"
-                 and set(rbs) & _allocated_rbs(binder, 0, direction))
+        clash = set(rbs) & {rb for entry in binder.band_allocations(0, direction.band)
+                            for rb in entry.rbs}
         if not run:
             with pytest.raises(ValueError) as refused:
                 _book(binder, 0, tx_id, direction, rbs, 20.0)
@@ -168,13 +175,13 @@ def test_a_grant_books_exactly_when_it_is_one_run_in_the_band(bookings):
 
 
 def test_interferers_filter_band_and_serving_node(binder):
-    _book(binder, 5, 1, Direction.UL, range(0, 2), 26.0)
-    _book(binder, 5, 2, Direction.D2D, range(1, 3), 20.0)
-    _book(binder, 5, 0, Direction.DL, range(1, 2), 46.0)
-    hit = list(binder.interferers(5, 1, "UL", exclude_tx=1))
-    assert [e.tx_id for e in hit] == [2]
-    assert list(binder.interferers(5, 1, "DL", exclude_tx=9)) == [
-        binder.allocations(5)[2]]
+    ul = _book(binder, 5, 1, Direction.UL, range(0, 2), 26.0)
+    sl = _book(binder, 5, 2, Direction.D2D, range(2, 4), 20.0)
+    dl = _book(binder, 5, 0, Direction.DL, range(1, 2), 46.0)
+    assert list(binder.interferers(5, 1, "UL", exclude_tx=9)) == [ul]
+    assert list(binder.interferers(5, 1, "UL", exclude_tx=1)) == []
+    assert list(binder.interferers(5, 2, "UL", exclude_tx=1)) == [sl]
+    assert list(binder.interferers(5, 1, "DL", exclude_tx=9)) == [dl]
     assert list(binder.interferers(5, 4, "UL", exclude_tx=9)) == []
 
 
@@ -194,8 +201,9 @@ def test_advance_keeps_occupancy_of_previous_tti(binder):
 
 
 def test_conservation_audit_clean(binder):
-    _book(binder, 5, 1, Direction.UL, range(50), 26.0)
-    _book(binder, 5, 2, Direction.D2D, range(50), 20.0)
+    _book(binder, 5, 1, Direction.UL, range(0, 20), 26.0)
+    _book(binder, 5, 2, Direction.D2D, range(20, 50), 20.0)
+    _book(binder, 5, 0, Direction.DL, range(50), 46.0)
     assert binder.check_conservation(5) == []
 
 
@@ -216,14 +224,14 @@ def test_conservation_audit_reports_what_the_ledger_refuses(binder):
                           st.integers(0, 24), st.integers(1, 12)),
                 max_size=12))
 def test_disjoint_grants_never_conflict(grants):
-    """Whatever the direction mix, non-overlapping index ranges always book."""
+    """Whatever the direction mix, runs laid side by side in a band always book."""
     binder = Binder(num_rbs=200)
-    cursor = {d: 0 for d in Direction}
+    cursor = {"UL": 0, "DL": 0}
     for direction, _, width in grants:
-        start = cursor[direction]
+        start = cursor[direction.band]
         if start + width > 200:
             continue
-        cursor[direction] = start + width
+        cursor[direction.band] = start + width
         _book(binder, 3, 1, direction, range(start, start + width), 20.0)
     assert binder.check_conservation(3) == []
 
@@ -234,17 +242,26 @@ _bookings = st.lists(st.tuples(
 
 
 @given(_bookings)
-def test_overlap_mark_is_set_exactly_when_two_bookings_in_a_band_share_a_block(bookings):
+@example([(0, Direction.UL, 0, 2), (0, Direction.D2D, 1, 2), (0, Direction.D2D_MULTI, 0, 1),
+          (0, Direction.D2D, 2, 3), (0, Direction.UL, 4, 2), (0, Direction.DL, 0, 8)])
+def test_each_band_holds_a_block_at_most_once_per_tti(bookings):
+    """Whatever mix of bookings is tried, a refused one changes nothing, no
+    band holds a block twice in a TTI, and every block left free still books."""
     binder = Binder(num_rbs=8)
-    for tti, direction, start, width in bookings:
-        rbs = range(start, start + width)
+
+    def ledger():
+        return [binder.band_allocations(tti, band) for tti in (0, 1) for band in ("UL", "DL")]
+
+    for tx_id, (tti, direction, start, width) in enumerate(bookings):
+        before = ledger()
         try:
-            _book(binder, tti, 1, direction, rbs, 20.0)
+            _book(binder, tti, tx_id, direction, range(start, start + width), 20.0)
         except (ValueError, RbConflict):
-            pass  # refused bookings hold no blocks
+            assert ledger() == before
     for tti in (0, 1):
-        for band in ("UL", "DL"):
-            entries = binder.band_allocations(tti, band)
-            shared = any(set(a.rbs) & set(b.rbs)
-                         for i, a in enumerate(entries) for b in entries[:i])
-            assert binder.band_overlaps(tti, band) == shared
+        assert binder.check_conservation(tti) == []
+        for band, direction in (("UL", Direction.D2D), ("DL", Direction.DL)):
+            held = [rb for entry in binder.band_allocations(tti, band) for rb in entry.rbs]
+            assert len(held) == len(set(held))
+            for rb in sorted(set(range(8)) - set(held)):
+                _book(binder, tti, 99, direction, range(rb, rb + 1), 20.0)

@@ -165,8 +165,8 @@ def _model(shadowing=0.0, seed=1):
 def test_noise_limited_sinr_oracle():
     binder, model = _model()
     # ueA -> eNodeB at 26 dBm over 100 m: 26 - 110 - (-121.4 + 7) = 30.4 dB
-    sinrs = model.sinr_per_rb_db(1, 0, tti=3, ledger_tti=2, rbs=range(0, 2),
-                                 tx_power_dbm=26.0, direction=Direction.UL)
+    sinrs = model.sinr_per_rb_db(1, 0, tti=3, rbs=range(0, 2), tx_power_dbm=26.0,
+                                 entries=binder.band_allocations(2, "UL"))
     assert sinrs == pytest.approx([30.4, 30.4])
 
 
@@ -174,16 +174,15 @@ def test_empty_queries_evaluate_no_blocks():
     binder, model = _model()
     _book(binder, 2, 3, Direction.D2D, range(0, 4), 26.0)
     for rbs in (range(0, 0), range(3, 3), range(3, 1)):
-        assert model.sinr_per_rb_db(1, 0, tti=3, ledger_tti=2, rbs=rbs,
-                                    tx_power_dbm=26.0, direction=Direction.UL) == []
+        assert model.sinr_per_rb_db(1, 0, tti=3, rbs=rbs, tx_power_dbm=26.0,
+                                    entries=binder.band_allocations(2, "UL")) == []
 
 
 def test_interference_lowers_sinr_only_on_shared_blocks():
     binder, model = _model()
     _book(binder, 2, 3, Direction.D2D, range(1, 2), 26.0)  # ueC transmits
-    clean, hit = model.sinr_per_rb_db(1, 0, tti=3, ledger_tti=2, rbs=range(0, 2),
-                                      tx_power_dbm=26.0,
-                                      direction=Direction.UL)
+    clean, hit = model.sinr_per_rb_db(1, 0, tti=3, rbs=range(0, 2), tx_power_dbm=26.0,
+                                      entries=binder.band_allocations(2, "UL"))
     assert clean == pytest.approx(30.4)
     assert hit < clean
     # equal-power interferer 111.8 m from the receiver dominates noise:
@@ -193,12 +192,16 @@ def test_interference_lowers_sinr_only_on_shared_blocks():
 
 def test_receiving_node_own_transmission_excluded():
     binder, model = _model()
-    # the receiver itself occupies the block in the same band; a node
-    # cannot interfere with its own reception
-    _book(binder, 2, 0, Direction.DL, range(0, 1), 46.0)
-    sinrs = model.sinr_per_rb_db(1, 0, tti=3, ledger_tti=2, rbs=range(0, 1),
-                                 tx_power_dbm=26.0, direction=Direction.UL)
-    assert sinrs == pytest.approx([30.4])
+    # the receiver ueA itself holds the block in the band; a node cannot
+    # interfere with its own reception from ueB
+    _book(binder, 2, 1, Direction.UL, range(0, 1), 26.0)
+    entries = binder.band_allocations(2, "UL")
+    sinrs = model.sinr_per_rb_db(2, 1, tti=3, rbs=range(0, 1), tx_power_dbm=20.0,
+                                 entries=entries)
+    # 4 m sidelink at 20 dBm: 20 - (40 + 35*log10(4)) + 114.4 = 73.3 dB
+    assert sinrs == pytest.approx([73.33], abs=0.01)
+    assert sinrs == model.sinr_per_rb_db(2, 1, tti=3, rbs=range(0, 1), tx_power_dbm=20.0,
+                                         entries=())
 
 
 def test_shadowing_deterministic_per_link_and_tti():
@@ -267,7 +270,7 @@ def _reference_sinrs(model, tx_id, rx_id, *, tti, ledger_tti, rbs, tx_power_dbm,
     return out
 
 
-NUM_RBS = 6  # few blocks, so that grants pile up on the same ones
+NUM_RBS = 6  # few blocks, so that grants fill the band and cover the queries
 DIRECTIONS = [Direction.DL, Direction.UL, Direction.D2D]
 _coordinate = st.floats(-300.0, 300.0, allow_nan=False)
 _runs = st.integers(0, NUM_RBS - 1).flatmap(
@@ -275,12 +278,8 @@ _runs = st.integers(0, NUM_RBS - 1).flatmap(
 
 
 def _free_run(binder, tti, direction, rbs):
-    """The first run of ``rbs`` that no grant of an infrastructure direction
-    holds yet, or ``rbs`` itself on the sidelink."""
-    if direction is Direction.D2D:
-        return rbs
-    held = {rb for entry in binder.band_allocations(tti, direction.band)
-            if entry.direction is direction for rb in entry.rbs}
+    """The first run of ``rbs`` that no grant in the direction's band holds yet."""
+    held = {rb for entry in binder.band_allocations(tti, direction.band) for rb in entry.rbs}
     free = [rb for rb in rbs if rb not in held]
     if not free:
         return range(0)
@@ -294,9 +293,8 @@ def _free_run(binder, tti, direction, rbs):
 def _ledger_and_queries(draw):
     """Random nodes, a random two-TTI ledger and queries against it.
 
-    Every grant is a run of blocks.  Sidelink grants overlap freely; UL
-    and DL grants keep to free blocks, as the binder demands.  Any node
-    may book, the receiver included.
+    Every grant is a run of blocks that keeps to blocks free in its band,
+    as the binder demands.  Any node may book, the receiver included.
     """
     positions = draw(st.lists(st.tuples(_coordinate, _coordinate),
                               min_size=2, max_size=6))
@@ -324,16 +322,17 @@ def test_sinr_per_rb_matches_per_block_reference(case, shadowing):
         if tx_id == rx_id:
             continue
         # a reception reads its own TTI's ledger, a probe the one before
-        kwargs = dict(tti=tti, ledger_tti=tti - 1 if probe else tti,
-                      rbs=rbs, tx_power_dbm=power, direction=direction)
-        assert (model.sinr_per_rb_db(tx_id, rx_id, **kwargs)
-                == _reference_sinrs(model, tx_id, rx_id, **kwargs))
+        ledger_tti = tti - 1 if probe else tti
+        sinrs = model.sinr_per_rb_db(tx_id, rx_id, tti=tti, rbs=rbs, tx_power_dbm=power,
+                                     entries=binder.band_allocations(ledger_tti, direction.band))
+        assert sinrs == _reference_sinrs(model, tx_id, rx_id, tti=tti, ledger_tti=ledger_tti,
+                                         rbs=rbs, tx_power_dbm=power, direction=direction)
 
 
 @given(_ledger_and_queries(), st.sampled_from([0.0, 8.0]))
 def test_reception_of_a_booked_block_matches_per_block_reference(case, shadowing):
-    """Whether or not the band holds overlapping bookings, a reception's mean
-    SINR and decision equal those of the per-block reference."""
+    """A reception's mean SINR and decision equal those of the per-block
+    reference, which scans the ledger for interferers on each block."""
     positions, bookings, _ = case
     binder = Binder(num_rbs=NUM_RBS)
     booked = []
@@ -354,29 +353,6 @@ def test_reception_of_a_booked_block_matches_per_block_reference(case, shadowing
             result = phy_receive(model, tb, rx_id)
             assert result.mean_sinr_db == expected
             assert result.decoded == decode(expected, 7, TABLE)
-
-
-def test_interference_adds_up_in_booking_order():
-    # three sidelink grants on block 0 at powers where the float sum
-    # depends on the order of addition
-    binder = Binder(num_rbs=4)
-    positions = [(0.0, 0.0), (100.0, 0.0)]  # eNodeB, ue, then sl0..sl2
-    for i, (y, power) in enumerate([(180.0, 10.0), (110.0, 10.0), (40.0, 11.0)]):
-        positions.append((0.0, y))
-        _book(binder, 2, 2 + i, Direction.D2D, range(0, 1), power)
-    model = ChannelModel(binder, positions, ChannelParams(), TABLE, 1)
-    kwargs = dict(tti=2, ledger_tti=2, rbs=range(0, 2), tx_power_dbm=26.0,
-                  direction=Direction.UL)
-    expected = _reference_sinrs(model, 1, 0, **kwargs)
-    assert model.sinr_per_rb_db(1, 0, **kwargs) == expected
-
-    powers = [dbm_to_mw(model.received_power_dbm(2 + i, 0, 2, entry.tx_power_dbm))
-              for i, entry in enumerate(binder.allocations(2))]
-    signal_mw = dbm_to_mw(model.received_power_dbm(1, 0, 2, 26.0))
-    reversed_mw = 0.0
-    for power_mw in reversed(powers):
-        reversed_mw += power_mw
-    assert mw_to_dbm(signal_mw / (_noise_mw(model.params) + reversed_mw)) != expected[0]
 
 
 def test_link_losses_are_kept_for_two_ttis_only():
@@ -416,8 +392,8 @@ def test_means_add_from_the_left_whatever_sum_does(monkeypatch):
         assert mean_sinr_db(equal) == _sequential_mean_db(equal)
     _, model = _model()
     for n in range(1, 51):
-        sinrs = model.sinr_per_rb_db(1, 0, tti=3, ledger_tti=2, rbs=range(n),
-                                     tx_power_dbm=26.0, direction=Direction.UL)
+        sinrs = model.sinr_per_rb_db(1, 0, tti=3, rbs=range(n), tx_power_dbm=26.0,
+                                     entries=())
         assert model.noise_limited_mean_db(1, 0, 3, 26.0, n) == _sequential_mean_db(sinrs)
     golden = json.loads((ROOT / "perfbench" / "golden.json").read_text())["scenarios"]
     for rel, digests in sorted(golden.items()):
@@ -448,10 +424,10 @@ def test_permuted_blocks_and_edge_interferers_match_reference(bookings, shadowin
         _book(binder, 4, tx_id, Direction.D2D, rbs, power)
     model = ChannelModel(binder, positions, ChannelParams(shadowing_std_dev_db=shadowing),
                          TABLE, seed=3)
-    kwargs = dict(tti=5 if probe else 4, ledger_tti=4, rbs=range(2, 8),
-                  tx_power_dbm=26.0, direction=Direction.UL)
-    sinrs = model.sinr_per_rb_db(1, 0, **kwargs)
-    assert sinrs == _reference_sinrs(model, 1, 0, **kwargs)
+    kwargs = dict(tti=5 if probe else 4, rbs=range(2, 8), tx_power_dbm=26.0)
+    sinrs = model.sinr_per_rb_db(1, 0, **kwargs, entries=binder.band_allocations(4, "UL"))
+    assert sinrs == _reference_sinrs(model, 1, 0, **kwargs, ledger_tti=4,
+                                     direction=Direction.UL)
     edge_low, *middle, edge_high = sinrs  # blocks 2, 3..6 and 7
     assert middle == middle[:1] * 4
     assert edge_low < middle[0] and edge_high < middle[0]

@@ -42,5 +42,6 @@ def test_traced_run_matches_and_counts_every_layer():
     for name in ("mode_selection.rounds", "channel.wideband_cqi.calls", "mac.requests",
                  "mac.grants", "harq.feedback.calls", "harq.retransmits", "harq.drops",
                  "phy.send.calls", "phy.receive.calls", "binder.record_allocation.calls",
-                 "engine.schedule_event.calls"):
+                 "engine.schedule_event.calls", "channel.sinr_per_rb_db.calls",
+                 "channel.rbs_evaluated", "channel.shadowing_draws"):
         assert values[name] > 0, name
