@@ -86,10 +86,6 @@ class Binder:
         band.append(entry)
         return entry
 
-    def allocations(self, tti: int) -> tuple:
-        """One TTI's entries: the UL band's, then the DL band's, each in booking order."""
-        return self.band_allocations(tti, "UL") + self.band_allocations(tti, "DL")
-
     def band_allocations(self, tti: int, band: str) -> tuple:
         """One TTI's entries in one band, in booking order."""
         return tuple(self._bands.get((tti, band), ()))

@@ -117,11 +117,6 @@ class CqiTable:
     def max_cqi(self) -> int:
         return len(self.thresholds_db)
 
-    def threshold_db(self, cqi: int) -> float:
-        if not 1 <= cqi <= self.max_cqi:
-            raise ValueError(f"cqi {cqi} outside 1..{self.max_cqi}")
-        return self.thresholds_db[cqi - 1]
-
     def sinr_to_cqi(self, sinr_db: float) -> int:
         return bisect_right(self.thresholds_db, sinr_db)
 
@@ -144,8 +139,8 @@ def amc_tbs(cqi: int, num_rbs: int, rb_capacity_re: int, table: CqiTable) -> int
 
 
 def decode(mean_db: float, cqi: int, table: CqiTable) -> bool:
-    """Step-function reception: succeeds iff the SINR supports the CQI."""
-    return mean_db >= table.threshold_db(cqi)
+    """Step-function reception: succeeds iff the SINR supports the CQI (never at 0)."""
+    return cqi >= 1 and mean_db >= table.thresholds_db[cqi - 1]
 
 
 class ChannelModel:
@@ -157,12 +152,10 @@ class ChannelModel:
     noise-limited mean SINR is memoised per (tx, rx, power, blocks) too.
     Shadowing draws are keyed by (seed, tx, rx, tti), so any query for
     the same link and TTI sees the same value; link losses are memoised
-    for the newest TTI queried and the one before it (a reception is
-    evaluated one TTI after its transmission) and for the last two TTIs
-    passed to :meth:`pin`, which also keeps the ledger entries a CQI
-    measurement at that TTI reads (a report is measured when first
-    read, up to a report period late).  Any other older query is
-    computed afresh.
+    only for the last two TTIs passed to :meth:`pin`, which also keeps
+    the ledger entries a CQI measurement at that TTI reads (a report is
+    measured when first read, up to a report period late).  Any other
+    query draws afresh.
     """
 
     def __init__(self, binder: Binder, positions: list[tuple[float, float]],
@@ -174,12 +167,10 @@ class ChannelModel:
         self.seed = seed
         self._fixed_loss = params.shadowing_std_dev_db == 0.0
         self._path_loss: dict[tuple[int, int], float] = {}
-        self._loss: dict[int, dict[tuple[int, int], float]] = {}
         # (tx, rx, power, blocks) -> noise-limited mean SINR, kept only at sigma = 0
         self._noise_limited: dict[tuple[int, int, float, int], float] = {}
         # tti -> (its link losses, the previous TTI's entries per band)
         self._pinned: dict[int, tuple[dict, dict[str, tuple]]] = {}
-        self._newest_tti = -math.inf
         self._noise_mw = dbm_to_mw(params.thermal_noise_dbm_per_rb + params.noise_figure_db)
         self._rng = random.Random()
 
@@ -199,34 +190,26 @@ class ChannelModel:
         angle = rng.random() * math.tau
         return 0.0 + math.cos(angle) * math.sqrt(-2.0 * math.log(1.0 - rng.random())) * sigma
 
-    def _losses_at(self, tti: int) -> dict[tuple[int, int], float]:
-        """Loss memo of one TTI; pruned to two TTIs whenever time advances."""
-        if tti > self._newest_tti:
-            self._newest_tti = tti
-            self._loss = {t: losses for t, losses in self._loss.items()
-                          if t >= tti - 1}
-        if tti < self._newest_tti - 1:
-            return self._pinned[tti][0] if tti in self._pinned else {}  # too old
-        return self._loss.setdefault(tti, {})
-
     def pin(self, tti: int) -> None:
         """Keep ``tti``'s link losses and the previous TTI's ledger entries,
         which a CQI measurement at ``tti`` reads, until two later pins."""
-        self._pinned[tti] = (self._losses_at(tti), {
+        self._pinned[tti] = ({}, {
             band: self.binder.band_allocations(tti - 1, band) for band in ("UL", "DL")})
         if len(self._pinned) > 2:
             del self._pinned[min(self._pinned)]
 
     def link_loss_db(self, tx_id: int, rx_id: int, tti: int) -> float:
-        # at sigma = 0 the path loss (+ a 0.0 draw: the same float) serves every TTI
-        losses = self._path_loss if self._fixed_loss else self._losses_at(tti)
         key = (tx_id, rx_id)
+        base = self._path_loss.get(key)
+        if base is None:
+            distance = math.dist(self.positions[tx_id], self.positions[rx_id])
+            base = self._path_loss[key] = path_loss_db(distance, self.params)
+        if self._fixed_loss:
+            return base
+        pinned = self._pinned.get(tti)  # a report round's losses; others are not read again
+        losses = pinned[0] if pinned else {}
         loss = losses.get(key)
         if loss is None:
-            base = self._path_loss.get(key)
-            if base is None:
-                distance = math.dist(self.positions[tx_id], self.positions[rx_id])
-                base = self._path_loss[key] = path_loss_db(distance, self.params)
             loss = losses[key] = base + self.shadowing_db(tx_id, rx_id, tti)
         return loss
 
@@ -236,13 +219,13 @@ class ChannelModel:
 
     def noise_limited_mean_db(self, tx_id: int, rx_id: int, tti: int,
                               tx_power_dbm: float, num_rbs: int) -> float:
-        """Mean SINR of blocks nothing interferes with, as mean_sinr_db averages them."""
+        """Mean SINR of ``num_rbs`` blocks nothing interferes with."""
         key = (tx_id, rx_id, tx_power_dbm, num_rbs)
         mean = self._noise_limited.get(key)
         if mean is None:
             sinr = mw_to_dbm(dbm_to_mw(self.received_power_dbm(
                 tx_id, rx_id, tti, tx_power_dbm)) / self._noise_mw)
-            mean = mw_to_dbm(reduce(operator.add, [dbm_to_mw(sinr)] * num_rbs) / num_rbs)
+            mean = mean_sinr_db([sinr] * num_rbs)
             if self._fixed_loss:
                 self._noise_limited[key] = mean
         return mean

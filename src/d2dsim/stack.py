@@ -18,7 +18,7 @@ from collections import deque
 from enum import Enum
 
 from .binder import Binder, Direction
-from .channel import ChannelModel, CqiTable, amc_tbs
+from .channel import ChannelModel, CqiTable, amc_tbs, decode
 from .mode_selection import Mode
 
 
@@ -376,5 +376,4 @@ def phy_receive(channel: ChannelModel, tb: TransportBlock,
     """
     mean_db = channel.noise_limited_mean_db(tb.tx_id, rx_id, tb.tti,
                                             tb.tx_power_dbm, len(tb.rbs))
-    ok = tb.cqi >= 1 and mean_db >= channel.table.thresholds_db[tb.cqi - 1]
-    return ReceptionResult(ok, mean_db)
+    return ReceptionResult(decode(mean_db, tb.cqi, channel.table), mean_db)

@@ -19,6 +19,11 @@ def _book(binder, tti, tx_id, direction, rbs, power_dbm):
         None, rbs, tx_id=tx_id, direction=direction, tx_power_dbm=power_dbm, tti=tti))
 
 
+def _ledger(binder, tti):
+    """One TTI's entries: the UL band's, then the DL band's, each in booking order."""
+    return binder.band_allocations(tti, "UL") + binder.band_allocations(tti, "DL")
+
+
 def _allocated_rbs(binder, tti, direction):
     """Blocks the grants of one direction hold in one TTI."""
     return {rb for entry in binder.band_allocations(tti, direction.band)
@@ -28,8 +33,8 @@ def _allocated_rbs(binder, tti, direction):
 def test_allocation_recorded_and_queryable(binder):
     entry = _book(binder, 5, 1, Direction.UL, range(0, 3), 26.0)
     assert entry.rbs == range(0, 3)
-    assert binder.allocations(5) == (entry,)
-    assert binder.allocations(6) == ()
+    assert _ledger(binder, 5) == (entry,)
+    assert _ledger(binder, 6) == ()
     assert _allocated_rbs(binder, 5, Direction.UL) == {0, 1, 2}
 
 
@@ -48,7 +53,7 @@ def test_sidelink_may_reuse_uplink_blocks(binder):
     sl = _book(binder, 5, 2, Direction.D2D_MULTI, range(2, 4), 20.0)
     with pytest.raises(RbConflict, match=r"rb \[2, 3\] already granted in UL"):
         _book(binder, 5, 3, Direction.UL, range(2, 5), 26.0)
-    assert binder.allocations(5) == (ul, sl)
+    assert _ledger(binder, 5) == (ul, sl)
     assert _book(binder, 5, 3, Direction.UL, range(4, 5), 26.0)
 
 
@@ -57,7 +62,7 @@ def test_two_sidelinks_may_share_blocks(binder):
     sl = _book(binder, 5, 1, Direction.D2D, range(4, 5), 20.0)
     with pytest.raises(RbConflict, match=r"rb \[4\] already granted in UL"):
         _book(binder, 5, 2, Direction.D2D, range(4, 5), 20.0)
-    assert binder.allocations(5) == (sl,)
+    assert _ledger(binder, 5) == (sl,)
 
 
 def test_downlink_band_is_separate(binder):
@@ -79,7 +84,7 @@ def test_duplicate_rb_within_grant(binder):
     # a range cannot repeat a block; a block list that does is no grant
     with pytest.raises(ValueError, match=r"grant \(3, 3\) is not a run of blocks in UL"):
         _book(binder, 0, 1, Direction.UL, (3, 3), 26.0)
-    assert binder.allocations(0) == ()
+    assert _ledger(binder, 0) == ()
 
 
 def test_out_of_range_block_named_in_grant_order(binder):
@@ -89,7 +94,7 @@ def test_out_of_range_block_named_in_grant_order(binder):
         _book(binder, 0, 1, Direction.D2D, range(-2, 3), 20.0)
     with pytest.raises(ValueError, match=r"grant range\(45, 51\) is not a run of blocks in DL 0\.\.49"):
         _book(binder, 0, 0, Direction.DL, range(45, 51), 46.0)
-    assert binder.allocations(0) == ()
+    assert _ledger(binder, 0) == ()
     assert _allocated_rbs(binder, 0, Direction.UL) == set()
 
 
@@ -97,12 +102,12 @@ def test_unsorted_non_contiguous_grants(binder):
     for rbs in ((9, 2, 30), [2, 3], range(0, 6, 2), range(5, 2), range(4, 1, -1)):
         with pytest.raises(ValueError, match="is not a run of blocks in UL"):
             _book(binder, 0, 1, Direction.UL, rbs, 26.0)
-    assert binder.allocations(0) == ()
+    assert _ledger(binder, 0) == ()
     entry = _book(binder, 0, 1, Direction.UL, range(29, 31), 26.0)
     assert _allocated_rbs(binder, 0, Direction.UL) == {29, 30}
     with pytest.raises(RbConflict, match="rb \\[30\\] already granted in UL"):
         _book(binder, 0, 2, Direction.UL, range(30, 33), 26.0)
-    assert binder.allocations(0) == (entry,)
+    assert _ledger(binder, 0) == (entry,)
     assert _book(binder, 0, 2, Direction.UL, range(31, 33), 26.0)
     assert binder.check_conservation(0) == []
 
@@ -130,7 +135,7 @@ def test_grant_checks_match_per_block_loop(blocks, run):
     expected = outcome(lambda: _record_allocation_reference(reference, rbs, "UL"))
     binder = Binder(num_rbs=6)
     assert outcome(lambda: _book(binder, 0, 1, Direction.D2D, rbs, 20.0)) == expected
-    assert len(binder.allocations(0)) == (expected is None)
+    assert len(_ledger(binder, 0)) == (expected is None)
 
 
 _grant_shapes = st.one_of(
@@ -189,8 +194,8 @@ def test_sliding_window_drops_old_entries(binder):
     _book(binder, 5, 1, Direction.UL, range(0, 1), 26.0)
     _book(binder, 6, 1, Direction.UL, range(0, 1), 26.0)
     binder.advance(7)
-    assert binder.allocations(5) == ()
-    assert len(binder.allocations(6)) == 1  # one TTI back is still visible
+    assert _ledger(binder, 5) == ()
+    assert len(_ledger(binder, 6)) == 1  # one TTI back is still visible
 
 
 def test_advance_keeps_occupancy_of_previous_tti(binder):

@@ -34,13 +34,13 @@ EFFICIENCIES = [0.1523, 0.2344, 0.3770, 0.6016, 0.8770, 1.1758, 1.4766,
 def test_packaged_table_values():
     assert TABLE.max_cqi == 15
     for cqi in range(1, 16):
-        assert TABLE.threshold_db(cqi) == THRESHOLDS[cqi - 1]
+        assert TABLE.thresholds_db[cqi - 1] == THRESHOLDS[cqi - 1]
         assert TABLE.efficiencies[cqi] == EFFICIENCIES[cqi - 1]
 
 
-def test_table_rejects_bad_cqi():
-    with pytest.raises(ValueError):
-        TABLE.threshold_db(0)
+@given(st.floats())
+def test_cqi_0_never_decodes(mean_db):
+    assert decode(mean_db, 0, TABLE) is False
 
 
 def test_table_file_errors(tmp_path):
@@ -343,27 +343,38 @@ def test_reception_of_a_booked_block_matches_per_block_reference(case, shadowing
     model = ChannelModel(binder, positions, ChannelParams(shadowing_std_dev_db=shadowing),
                          TABLE, seed=5)
     for tb in booked:
-        tb.cqi = 7
         for rx_id in range(len(positions)):
             if rx_id == tb.tx_id:
                 continue
             expected = mean_sinr_db(_reference_sinrs(
                 model, tb.tx_id, rx_id, tti=tb.tti, ledger_tti=tb.tti, rbs=tb.rbs,
                 tx_power_dbm=tb.tx_power_dbm, direction=tb.direction))
-            result = phy_receive(model, tb, rx_id)
-            assert result.mean_sinr_db == expected
-            assert result.decoded == decode(expected, 7, TABLE)
+            for cqi in (0, 1, 7, 15):  # phy_receive decodes by decode's rule
+                tb.cqi = cqi
+                result = phy_receive(model, tb, rx_id)
+                assert result.mean_sinr_db == expected
+                assert result.decoded == decode(expected, cqi, TABLE)
 
 
-def test_link_losses_are_kept_for_two_ttis_only():
-    binder, model = _model(shadowing=8.0)
-    for tti in range(10):
-        model.link_loss_db(1, 0, tti)
-        model.link_loss_db(2, 0, tti)
-    assert sorted(model._loss) == [8, 9]
-    first = model.link_loss_db(1, 0, 3)  # too old to keep: computed afresh
-    assert sorted(model._loss) == [8, 9]
-    assert first == model.link_loss_db(1, 0, 3)
+def _counting_draws(monkeypatch):
+    """Record the key of every shadowing draw any model makes."""
+    draws = []
+    shadowing_db = ChannelModel.shadowing_db
+    monkeypatch.setattr(ChannelModel, "shadowing_db",
+                        lambda self, *key: draws.append(key) or shadowing_db(self, *key))
+    return draws
+
+
+def test_only_a_pinned_tti_keeps_its_link_losses(monkeypatch):
+    draws = _counting_draws(monkeypatch)
+    _, model = _model(shadowing=8.0)
+    first = model.link_loss_db(1, 0, 3)
+    assert model.link_loss_db(1, 0, 3) == first  # a draw is a pure function of its key
+    assert draws.count((1, 0, 3)) == 2  # so an unpinned TTI keeps nothing
+    model.pin(4)
+    pinned = model.link_loss_db(1, 0, 4)
+    assert model.link_loss_db(1, 0, 4) == pinned
+    assert draws.count((1, 0, 4)) == 1
 
 
 _coordinate = st.floats(-1000.0, 1000.0)
@@ -447,17 +458,13 @@ def test_probe_on_kept_entries_matches_the_ledger_it_was_taken_from():
     assert model.wideband_cqi(1, 0, **kwargs) > then  # without them: noise only
 
 
-def test_pinned_link_losses_outlive_the_two_tti_window(monkeypatch):
+def test_pinned_link_losses_last_until_two_later_pins(monkeypatch):
+    draws = _counting_draws(monkeypatch)
     binder, model = _model(shadowing=8.0)
-    draws = []
-    shadowing_db = ChannelModel.shadowing_db
-    monkeypatch.setattr(ChannelModel, "shadowing_db",
-                        lambda self, *key: draws.append(key) or shadowing_db(self, *key))
     model.pin(2)
     loss = model.link_loss_db(1, 0, 2)
     for tti in range(3, 10):
         model.link_loss_db(2, 0, tti)
-    assert sorted(model._loss) == [8, 9]
     assert model.link_loss_db(1, 0, 2) == loss
     assert draws.count((1, 0, 2)) == 1  # kept, not drawn again
     model.pin(5)

@@ -127,7 +127,7 @@ def test_max_decode_distance_matches_closed_form():
     params = ChannelParams()
     # threshold crossing: tx - (ref + 10 n log10 d) - noise = threshold
     for cqi, tx_power in ((3, 20.0), (7, 20.0), (15, 26.0)):
-        threshold = TABLE.threshold_db(cqi)
+        threshold = TABLE.thresholds_db[cqi - 1]
         noise = params.thermal_noise_dbm_per_rb + params.noise_figure_db
         expected = 10 ** ((tx_power - noise - threshold
                            - params.reference_loss_db)

@@ -45,3 +45,7 @@ def test_traced_run_matches_and_counts_every_layer():
                  "engine.schedule_event.calls", "channel.sinr_per_rb_db.calls",
                  "channel.rbs_evaluated", "channel.shadowing_draws"):
         assert values[name] > 0, name
+    # what measuring a report only when first read, and keeping a shadowed
+    # loss only for a pinned report round, cost on this run
+    assert values["channel.shadowing_draws"] == 6379
+    assert values["channel.wideband_cqi.calls"] == 1097
