@@ -60,12 +60,6 @@ class Binder:
         self.num_rbs = num_rbs
         self._bands: dict[tuple[int, str], _Band] = {}
 
-    def _mask(self, rbs, band: str) -> int:
-        """Bit mask of a grant's blocks: a non-empty run of them in the band."""
-        if type(rbs) is not range or rbs.step != 1 or not 0 <= rbs.start < rbs.stop <= self.num_rbs:
-            raise ValueError(f"grant {rbs!r} is not a run of blocks in {band} 0..{self.num_rbs - 1}")
-        return (1 << rbs.stop) - (1 << rbs.start)
-
     def record_allocation(self, entry):
         """Book one transmission's blocks, keeping ``entry`` as its ledger entry.
 
@@ -74,13 +68,15 @@ class Binder:
         booking nothing, if any of its blocks is already booked in the
         band that TTI, whatever the directions.
         """
-        name = entry.direction.band
-        mask = self._mask(entry.rbs, name)
+        name, rbs, num_rbs = entry.direction.band, entry.rbs, self.num_rbs
+        if type(rbs) is not range or rbs.step != 1 or not 0 <= rbs.start < rbs.stop <= num_rbs:
+            raise ValueError(f"grant {rbs!r} is not a run of blocks in {name} 0..{num_rbs - 1}")
+        mask = (1 << rbs.stop) - (1 << rbs.start)
         key = (entry.tti, name)
         band = self._bands.get(key) or self._bands.setdefault(key, _Band())
         clash = band.used & mask
         if clash:
-            blocks = [rb for rb in range(self.num_rbs) if clash >> rb & 1]
+            blocks = [rb for rb in range(num_rbs) if clash >> rb & 1]
             raise RbConflict(f"tti {entry.tti}: rb {blocks} already granted in {name}")
         band.used |= mask
         band.append(entry)
@@ -111,13 +107,22 @@ class Binder:
 
         Recounts the ledger from scratch, ignoring the incremental
         occupancy masks: no band may hold a block twice, and every index
-        must be inside the band.
+        must be inside the band.  Each entry's run (a step-1 ``range``) is
+        ORed into a fresh mask, so a block held twice leaves fewer bits set
+        than the runs' lengths add up to.
         """
         problems: list[str] = []
         for band in ("UL", "DL"):
-            blocks = [rb for entry in self.band_allocations(tti, band) for rb in entry.rbs]
-            if len(set(blocks)) != len(blocks):
+            mask = total = low = 0  # bit 0 of ``mask`` is block ``low``
+            for entry in self._bands.get((tti, band), ()):
+                start, stop = entry.rbs.start, entry.rbs.stop
+                if start < stop:  # an empty run holds no block
+                    if start < low:  # rebase, since a shift may not be negative
+                        mask, low = mask << low - start, start
+                    mask |= (1 << stop - low) - (1 << start - low)
+                    total += stop - start
+            if mask.bit_count() < total:
                 problems.append(f"tti {tti}: duplicate grant in {band}")
-            if blocks and (min(blocks) < 0 or max(blocks) >= self.num_rbs):
+            if low < 0 or low + mask.bit_length() > self.num_rbs:
                 problems.append(f"tti {tti}: {band} rb index out of range")
         return problems

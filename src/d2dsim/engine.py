@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import random
 from enum import Enum, IntEnum
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, NamedTuple
 
 from .binder import Binder
 from .channel import ChannelModel, CqiTable
@@ -324,7 +324,7 @@ class Engine:
             self.assemblers[rx_id].discard(packet_id)
 
     def _reassemble(self, rx_id: int, chunks: Iterable[RlcChunk], *,
-                    multicast: bool) -> Iterator[PacketDescriptor]:
+                    multicast: bool) -> list[PacketDescriptor]:
         """Packets that ``chunks`` complete at ``rx_id``.
 
         A chunk whose packet instance has already closed is dropped: the
@@ -334,12 +334,13 @@ class Engine:
         if assembler is None:
             assembler = self.assemblers[rx_id] = PacketAssembler()
         instance_rx = rx_id if multicast else None
+        done = []
         for chunk in chunks:
-            if (chunk.packet.packet_id, instance_rx) not in self.instances:
-                continue
-            done = assembler.add(chunk)
-            if done is not None:
-                yield done
+            if (chunk.packet.packet_id, instance_rx) in self.instances:
+                packet = assembler.add(chunk)
+                if packet is not None:
+                    done.append(packet)
+        return done
 
     def _classify_and_enqueue(self, packet: PacketDescriptor, at_node: int) -> None:
         """Run one hop's PDCP classification and queue the packet."""
@@ -424,14 +425,14 @@ class Engine:
         """Request a pending retransmission, else new data if the link has a
         usable CQI and an idle HARQ process; True if it holds either."""
         pool = link.pool
-        retx = pool.pending_retx() if pool is not None else None
-        if retx is not None:
+        if pool is not None and pool.waiting:
+            retx = pool.pending_retx()
             link.cqi, link.retx_rbs = retx.tb.cqi, len(retx.tb.rbs)
             bucket.append(link)
             return True
         if link.backlog_bits <= 0:
             return False
-        cqi = self._link_cqi(link, tti)
+        cqi = self._link_cqi(link, tti) if link.reported else link.fixed_cqi
         if cqi >= 1 and (pool is None or pool.has_idle()):
             link.cqi, link.retx_rbs = cqi, 0
             bucket.append(link)
@@ -498,13 +499,15 @@ class Engine:
         chunks: list[RlcChunk] = []
         capacity = capacity_bits
         for queue in link.queues.values():
-            if not queue or capacity < 8:
-                continue
-            taken = queue.fill(capacity)
-            capacity -= sum(c.bits for c in taken)
-            chunks.extend(taken)
-            if chunks and not chunks[-1].last:
-                break  # the single fragment must end the block
+            if capacity < 8:
+                break
+            if queue:
+                taken = queue.fill(capacity)
+                for chunk in taken:
+                    capacity -= chunk.bits
+                chunks += taken
+                if chunks and not chunks[-1].last:
+                    break  # the single fragment must end the block
         link.backlog_bits -= capacity_bits - capacity
         return chunks
 

@@ -63,57 +63,53 @@ class RlcChunk:
         self.packet, self.bits, self.last = packet, bits, last
 
 
-class RlcTxQueue:
-    """FIFO of packets awaiting transmission on one (link, direction).
+class RlcTxQueue(deque):
+    """FIFO of packets awaiting transmission on one (link, direction),
+    each held as ``[descriptor, remaining_bits]``.
 
     ``fill`` builds one transport block's payload: whole packets first,
     then at most one trailing fragment, cut at a byte boundary.  The
     fragmented packet's remainder stays at the head of the queue.
     """
 
-    __slots__ = ("_pending",)
+    __slots__ = ()
 
-    def __init__(self) -> None:
-        self._pending: deque = deque()  # [descriptor, remaining_bits]
+    _pending = property(lambda self: self)  # a read-only view of the entries
 
     def push(self, packet: PacketDescriptor) -> None:
-        self._pending.append([packet, packet.size_bits])
+        self.append([packet, packet.size_bits])
 
     @property
     def backlog_bits(self) -> int:
         """Bits left to send; the engine keeps each link's total running."""
-        return sum(remaining for _, remaining in self._pending)
-
-    def __len__(self) -> int:
-        return len(self._pending)
+        return sum(remaining for _, remaining in self)
 
     def fill(self, capacity: int) -> list[RlcChunk]:
         chunks: list[RlcChunk] = []
-        while self._pending and capacity >= 8:
-            packet, remaining = self._pending[0]
+        while self and capacity >= 8:
+            head = self[0]
+            packet, remaining = head
             if remaining <= capacity:
                 chunks.append(RlcChunk(packet, remaining, last=True))
                 capacity -= remaining
-                self._pending.popleft()
+                self.popleft()
             else:
                 fragment = (capacity // 8) * 8
                 chunks.append(RlcChunk(packet, fragment, last=False))
-                self._pending[0][1] = remaining - fragment
-                capacity -= fragment
+                head[1] = remaining - fragment
                 break
         return chunks
 
     def flush(self) -> list[PacketDescriptor]:
         """Drop everything queued, returning one descriptor per packet."""
-        dropped = [packet for packet, _ in self._pending]
-        self._pending.clear()
-        return dropped
+        return self.flush_where(lambda packet: True)
 
     def flush_where(self, predicate) -> list[PacketDescriptor]:
         """Drop only the queued packets matching ``predicate``."""
-        dropped = [packet for packet, _ in self._pending if predicate(packet)]
-        self._pending = deque(item for item in self._pending
-                              if not predicate(item[0]))
+        dropped = [packet for packet, _ in self if predicate(packet)]
+        kept = [item for item in self if not predicate(item[0])]
+        self.clear()
+        self.extend(kept)
         return dropped
 
 
@@ -184,7 +180,7 @@ def schedule_band(requests: list, num_rbs: int,
     win.  Granted counts are then laid out contiguously from index 0,
     one transport block per grant.
     """
-    if len({(r.node_id, r.direction) for r in requests}) != len(requests):
+    if len(requests) > 1 and len({(r.node_id, r.direction) for r in requests}) != len(requests):
         keys = [(r.node_id, r.direction) for r in requests]
         node_id, direction = next(key for i, key in enumerate(keys) if key in keys[:i])
         raise ValueError(f"duplicate request for node {node_id} {direction.value}")
@@ -195,35 +191,42 @@ def schedule_band(requests: list, num_rbs: int,
             retx.append(r)
         elif r.retx_rbs == 0 and r.backlog_bits > 0 and r.cqi >= 1:
             fresh.append(r)
-    for group in (retx, fresh):
-        if len(group) > 1:
-            group.sort(key=_by_node)
 
     available = num_rbs
     ordered: list[tuple[object, int]] = []  # (request, rb count)
-    for request in retx:
-        if request.retx_rbs <= available:
-            ordered.append((request, request.retx_rbs))
-            available -= request.retx_rbs
+    if retx:  # only after a NACK
+        retx.sort(key=_by_node)
+        for request in retx:
+            if request.retx_rbs <= available:
+                ordered.append((request, request.retx_rbs))
+                available -= request.retx_rbs
 
-    # whole rounds up to the smallest open need, then one block each; a need
-    # past the band reads as num_rbs + 1, which no round reaches either way
     sizes = table.tbs_sizes(rb_capacity_re, num_rbs)
-    need = [bisect_left(sizes[r.cqi], r.backlog_bits) for r in fresh]
-    active = list(range(len(fresh)))  # requesters short of their need
-    level = 0  # blocks each of them holds
-    while active:
-        step = min(need[i] for i in active) - level
-        rounds = min(step, available // len(active))
-        level += rounds
-        available -= rounds * len(active)
-        if rounds < step:
-            break
-        active = [i for i in active if need[i] > level]
-    counts = [min(n, level) for n in need]
-    for i in active[:available]:
-        counts[i] += 1
-    ordered.extend((request, count) for request, count in zip(fresh, counts) if count > 0)
+    if len(fresh) == 1:  # a lone requester takes what it needs, up to what is left
+        request = fresh[0]
+        count = min(bisect_left(sizes[request.cqi], request.backlog_bits), available)
+        if count > 0:
+            ordered.append((request, count))
+    elif fresh:
+        # whole rounds up to each need, smallest first; one past the band is never met
+        fresh.sort(key=_by_node)
+        need = [bisect_left(sizes[r.cqi], r.backlog_bits) for r in fresh]
+        level, left = 0, len(need)  # blocks each open requester holds; how many are open
+        for target in sorted(need):
+            if target > level:
+                rounds = min(target - level, available // left)
+                level += rounds
+                available -= rounds * left
+                if level < target:
+                    break
+            left -= 1
+        for request, n in zip(fresh, need):
+            count = min(n, level)
+            if n > level and available:  # the partial last round: lower node ids first
+                count += 1
+                available -= 1
+            if count > 0:
+                ordered.append((request, count))
 
     blocks: list[TransportBlock] = []
     next_rb = 0  # each grant's run starts where the previous one ended
@@ -295,7 +298,8 @@ class HarqPool:
         process.busy = False
         process.tb = None
         process.tx_count = 0
-        process.awaiting_retx = False
+        if process._awaiting_retx:  # skip the setter unless it was waiting
+            process.awaiting_retx = False
 
     def pending_retx(self) -> HarqProcess | None:
         """Lowest-numbered process waiting for a retransmission grant, if any.

@@ -224,6 +224,40 @@ def test_conservation_audit_reports_what_the_ledger_refuses(binder):
                                             "tti 5: DL rb index out of range"]
 
 
+def _reference_audit(binder, tti):
+    """The audit stated block by block: every block of every entry, counted."""
+    problems = []
+    for band in ("UL", "DL"):
+        blocks = [rb for entry in binder.band_allocations(tti, band) for rb in entry.rbs]
+        if len(set(blocks)) != len(blocks):
+            problems.append(f"tti {tti}: duplicate grant in {band}")
+        if blocks and (min(blocks) < 0 or max(blocks) >= binder.num_rbs):
+            problems.append(f"tti {tti}: {band} rb index out of range")
+    return problems
+
+
+# (start, width) of planted runs; a width of 0 or less makes an empty run
+_planted = st.lists(st.tuples(st.integers(-4, 10), st.integers(-2, 9)), max_size=6)
+
+
+@given(_planted, _planted)
+@example([(0, 4), (3, 3)], [])  # two runs share exactly block 3
+@example([(0, 4), (4, 4)], [(0, 3), (3, 5)])  # adjacent runs are no duplicate
+@example([(2, 0), (2, 3), (5, -2)], [(0, 0)])  # empty runs hold nothing
+@example([(-2, 3), (1, 2)], [(-3, 2), (-2, 1)])  # negative starts, shared below 0
+@example([(6, 4)], [(0, 8), (8, 1)])  # stops past the band
+def test_audit_by_runs_equals_the_per_block_recount(ul_runs, dl_runs):
+    """Whatever runs are planted past record_allocation, the audit by runs
+    reports exactly what a recount of every block reports."""
+    binder = Binder(num_rbs=8)
+    for band, direction, runs in (("UL", Direction.UL, ul_runs), ("DL", Direction.DL, dl_runs)):
+        binder._bands[5, band] = _Band(
+            TransportBlock(None, range(start, start + width), tx_id=tx_id,
+                           direction=direction, tti=5)
+            for tx_id, (start, width) in enumerate(runs))
+    assert binder.check_conservation(5) == _reference_audit(binder, 5)
+
+
 @given(st.lists(st.tuples(st.sampled_from([Direction.DL, Direction.UL,
                                            Direction.D2D]),
                           st.integers(0, 24), st.integers(1, 12)),
