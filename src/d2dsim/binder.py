@@ -15,7 +15,7 @@ and TTI, sidelinks included; booking it twice is a bug and raises
 from __future__ import annotations
 
 from enum import Enum
-from typing import Iterator
+from collections.abc import Iterator
 
 
 class Direction(Enum):

@@ -19,19 +19,16 @@ import operator
 import os
 import random
 from bisect import bisect_right
+from collections import namedtuple
 from functools import reduce
-from typing import NamedTuple
 
 from .binder import Binder, Direction
 
 
-class ChannelParams(NamedTuple):
-    path_loss_exponent: float = 3.5
-    reference_loss_db: float = 40.0
-    shadowing_std_dev_db: float = 0.0
-    noise_figure_db: float = 7.0
-    thermal_noise_dbm_per_rb: float = -121.4
-    min_distance_m: float = 1.0
+ChannelParams = namedtuple(
+    "ChannelParams", "path_loss_exponent reference_loss_db shadowing_std_dev_db "
+                     "noise_figure_db thermal_noise_dbm_per_rb min_distance_m",
+    defaults=(3.5, 40.0, 0.0, 7.0, -121.4, 1.0), module=__name__)
 
 
 def dbm_to_mw(dbm: float) -> float:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from typing import NamedTuple
+from collections import namedtuple
 
 from .channel import ChannelParams, CqiTable, decode, path_loss_db
 from .config import POSITION_LIMIT_M, ScenarioConfig, ScenarioError, load_scenario, validate
@@ -30,10 +30,8 @@ class UsageError(Exception):
     """A command-line option has a value the command cannot use."""
 
 
-class SweepRow(NamedTuple):
-    cqi: int
-    max_distance_m: float
-    rbs_per_packet: int | None
+# rbs_per_packet is None at CQI 0
+SweepRow = namedtuple("SweepRow", "cqi max_distance_m rbs_per_packet", module=__name__)
 
 
 def max_decode_distance(cqi: int, tx_power_dbm: float, params: ChannelParams,

@@ -27,8 +27,9 @@ from __future__ import annotations
 
 import math
 import re
+from collections import namedtuple
+from collections.abc import Callable, Collection
 from enum import Enum
-from typing import Callable, Iterable, NamedTuple
 
 from .channel import ChannelParams
 from .mode_selection import policy_names
@@ -75,13 +76,15 @@ class ConstraintViolationError(ScenarioError):
         super().__init__(f"invalid scenario: {summary}", line)
 
 
-class Diagnostic(NamedTuple):
-    """One validation finding, naming the offending key and node."""
+class Diagnostic(namedtuple("Diagnostic", "kind message node key", defaults=(None, None),
+                            module=__name__)):
+    """One validation finding, naming the offending key and node.
 
-    kind: str  # "ConstraintViolation" or "UnresolvedNodeReference"
-    message: str
-    node: str | None = None
-    key: str | None = None
+    ``kind`` is "ConstraintViolation" or "UnresolvedNodeReference"; ``node``
+    and ``key`` are None where the finding names none.
+    """
+
+    __slots__ = ()
 
     def __str__(self) -> str:
         where = ""
@@ -107,60 +110,39 @@ class AmcMode(Enum):
     D2D = "D2D"  # sidelink-aware AMC, meaningful on the eNB only
 
 
-class SimParams(NamedTuple):
-    tti_count: int = 0
-    seed: int = 1
-    num_rbs: int = 50
-    rb_capacity_re: int = 168
-    cqi_report_period_ttis: int = 10
-    harq_max_retx: int = 3
-    harq_processes: int = 8
+SimParams = namedtuple(
+    "SimParams", "tti_count seed num_rbs rb_capacity_re cqi_report_period_ttis "
+                 "harq_max_retx harq_processes",
+    defaults=(0, 1, 50, 168, 10, 3, 8), module=__name__)
+
+# d2d_peer_addresses is a tuple of node names; d2d_cqi is None unless set
+NodeConfig = namedtuple(
+    "NodeConfig", "name role position_x position_y d2d_capable d2d_peer_addresses "
+                  "ue_tx_power_dbm d2d_tx_power_dbm enable_d2d_cqi_reporting "
+                  "use_preconfigured_tx_params d2d_cqi amc_mode",
+    defaults=(Role.UE, 0.0, 0.0, False, (), 26.0, 20.0, False, False, None, AmcMode.AUTO),
+    module=__name__)
+
+# dest_address is a node name or a multicast literal
+FlowConfig = namedtuple(
+    "FlowConfig", "flow_id source_node dest_address packet_bytes period_ttis "
+                  "start_tti transport start_jitter_ttis",
+    defaults=(0, Transport.ONE_WAY, 0), module=__name__)
+
+MulticastGroup = namedtuple("MulticastGroup", "address member_pattern", module=__name__)
+
+ModeSelectionConfig = namedtuple(
+    "ModeSelectionConfig", "enabled policy_name period_ttis",
+    defaults=(False, "D2DModeSelectionBestCqi", 100), module=__name__)
 
 
-class NodeConfig(NamedTuple):
-    name: str
-    role: Role = Role.UE
-    position_x: float = 0.0
-    position_y: float = 0.0
-    d2d_capable: bool = False
-    d2d_peer_addresses: tuple[str, ...] = ()
-    ue_tx_power_dbm: float = 26.0
-    d2d_tx_power_dbm: float = 20.0
-    enable_d2d_cqi_reporting: bool = False
-    use_preconfigured_tx_params: bool = False
-    d2d_cqi: int | None = None
-    amc_mode: AmcMode = AmcMode.AUTO
+class ScenarioConfig(namedtuple(
+        "ScenarioConfig", "sim nodes flows channel mode_selection multicast_groups",
+        defaults=(SimParams(), (), (), ChannelParams(), ModeSelectionConfig(), ()),
+        module=__name__)):
+    """A parsed scenario: nodes, flows and multicast groups are tuples of records."""
 
-
-class FlowConfig(NamedTuple):
-    flow_id: int
-    source_node: str
-    dest_address: str  # node name or multicast literal
-    packet_bytes: int
-    period_ttis: int
-    start_tti: int = 0
-    transport: Transport = Transport.ONE_WAY
-    start_jitter_ttis: int = 0
-
-
-class MulticastGroup(NamedTuple):
-    address: str
-    member_pattern: str
-
-
-class ModeSelectionConfig(NamedTuple):
-    enabled: bool = False
-    policy_name: str = "D2DModeSelectionBestCqi"
-    period_ttis: int = 100
-
-
-class ScenarioConfig(NamedTuple):
-    sim: SimParams = SimParams()
-    nodes: tuple[NodeConfig, ...] = ()
-    flows: tuple[FlowConfig, ...] = ()
-    channel: ChannelParams = ChannelParams()
-    mode_selection: ModeSelectionConfig = ModeSelectionConfig()
-    multicast_groups: tuple[MulticastGroup, ...] = ()
+    __slots__ = ()
 
     def node_by_name(self, name: str) -> NodeConfig:
         for node in self.nodes:
@@ -178,7 +160,7 @@ def is_multicast_address(value: str) -> bool:
     return 224 <= octets[0] <= 239 and all(o <= 255 for o in octets)
 
 
-def resolve_pattern(pattern: str, names: Iterable[str]) -> set[str]:
+def resolve_pattern(pattern: str, names: Collection[str]) -> set[str]:
     """Expand a node pattern against declared names.
 
     ``*`` matches any run of characters, so ``ueD2D[*]`` matches any
@@ -191,6 +173,8 @@ def resolve_pattern(pattern: str, names: Iterable[str]) -> set[str]:
     if bad:
         raise MalformedPatternError(
             f"pattern {pattern!r} contains forbidden character {sorted(bad)[0]!r}")
+    if "*" not in pattern:  # a literal matches itself alone
+        return {pattern} if pattern in names else set()
     regex = re.compile(".*".join(re.escape(part) for part in pattern.split("*")) + r"\Z")
     return {name for name in names if regex.match(name)}
 
@@ -198,13 +182,10 @@ def resolve_pattern(pattern: str, names: Iterable[str]) -> set[str]:
 # ---------------------------------------------------------------------------
 # key tables, one per scope: file key -> (attribute, converter, range or None)
 
-class _Range(NamedTuple):
-    """Range of a key's value, closed unless ``open_below``; a key with no
-    upper bound leaves ``high`` infinite and reads "must be >= low"."""
-
-    low: float
-    high: float = math.inf
-    open_below: bool = False
+# Range of a key's value, closed unless open_below; a key with no upper
+# bound leaves high infinite and reads "must be >= low".
+_Range = namedtuple("_Range", "low high open_below", defaults=(math.inf, False),
+                    module=__name__)
 
 
 def _to_bool(token: str) -> bool:
@@ -229,15 +210,13 @@ def _to_enum(kind: type[Enum], key: str) -> Callable[[str], Enum]:
     return convert
 
 
-_Table = dict[str, tuple[str, Callable, _Range | None]]
-
 POSITION_LIMIT_M = 1e5  # nodes sit in the square of this half-width
 
 # The float ranges keep every dB <-> mW conversion finite and nonzero;
 # numRbs and harqProcesses size per-block and per-process lists, and
 # rbCapacityRe and packetBytes keep bit counts convertible to float.
 # sim.nodes is read before the tables apply, since it names the nodes.
-_SIM_KEYS: _Table = {
+_SIM_KEYS = {
     "ttiCount": ("tti_count", int, _Range(0)),
     "seed": ("seed", int, None),
     "numRbs": ("num_rbs", int, _Range(1, 110)),
@@ -247,7 +226,7 @@ _SIM_KEYS: _Table = {
     "harqProcesses": ("harq_processes", int, _Range(1, 16)),
 }
 
-_CHANNEL_KEYS: _Table = {
+_CHANNEL_KEYS = {
     "pathLossExponent": ("path_loss_exponent", float, _Range(0, 10, open_below=True)),
     "referenceLossDb": ("reference_loss_db", float, _Range(0, 200)),
     "shadowingStdDevDb": ("shadowing_std_dev_db", float, _Range(0, 30)),
@@ -256,7 +235,7 @@ _CHANNEL_KEYS: _Table = {
     "minDistanceM": ("min_distance_m", float, _Range(0.001, 1e5)),
 }
 
-_NODE_KEYS: _Table = {
+_NODE_KEYS = {
     "role": ("role", _to_enum(Role, "role"), None),
     "positionX": ("position_x", float, _Range(-POSITION_LIMIT_M, POSITION_LIMIT_M)),
     "positionY": ("position_y", float, _Range(-POSITION_LIMIT_M, POSITION_LIMIT_M)),
@@ -273,13 +252,13 @@ _NODE_KEYS: _Table = {
 _NODE_KEY_ALIASES = {"ueTxPower": "ueTxPowerDbm", "d2dTxPower": "d2dTxPowerDbm"}
 
 # mode-selection knobs live on the eNB node, as in the source material
-_MODE_SELECTION_KEYS: _Table = {
+_MODE_SELECTION_KEYS = {
     "d2dModeSelection": ("enabled", _to_bool, None),
     "d2dModeSelectionType": ("policy_name", str, None),
     "d2dModeSelectionPeriod": ("period_ttis", int, _Range(1)),
 }
 
-_FLOW_KEYS: _Table = {
+_FLOW_KEYS = {
     "sourceNode": ("source_node", str, None),
     "destAddress": ("dest_address", str, None),
     "packetBytes": ("packet_bytes", int, _Range(1, 10_000_000)),
@@ -295,11 +274,8 @@ _REQUIRED_FLOW_KEYS = ("sourceNode", "destAddress", "packetBytes", "periodTtis")
 # ---------------------------------------------------------------------------
 # parsing
 
-class _Assignment(NamedTuple):
-    line: int
-    scope: list[str]
-    key: str
-    value: str
+# scope is the list of dotted segments before the key
+_Assignment = namedtuple("_Assignment", "line scope key value", module=__name__)
 
 
 def _split_value(raw: str, line: int) -> str:
@@ -362,7 +338,7 @@ def _node_pattern(scope: list[str]) -> str:
     return scope[1] if scope[0] == "*" and len(scope) > 1 else scope[0]
 
 
-def _convert(registry: _Table, assignment: _Assignment) -> tuple[str, object]:
+def _convert(registry: dict, assignment: _Assignment) -> tuple[str, object]:
     key = _NODE_KEY_ALIASES.get(assignment.key, assignment.key)
     if key not in registry:
         raise UnknownKeyError(f"unknown key {assignment.key!r}", assignment.line)
@@ -485,7 +461,7 @@ def validate(config: ScenarioConfig) -> list[Diagnostic]:
     def unresolved(message: str, node: str | None = None, key: str | None = None):
         out.append(Diagnostic("UnresolvedNodeReference", message, node=node, key=key))
 
-    def bounded(table: _Table, obj, node: str | None = None, where: str | None = None):
+    def bounded(table: dict, obj, node: str | None = None, where: str | None = None):
         for key, (attr, _, bounds) in table.items():
             value = getattr(obj, attr)
             if bounds is None or value is None:
@@ -616,7 +592,7 @@ def serialize_scenario(config: ScenarioConfig) -> str:
     """Render a config in canonical form; re-parsing yields an equal config."""
     lines: list[str] = []
 
-    def assign(scope: str, table: _Table, obj) -> None:
+    def assign(scope: str, table: dict, obj) -> None:
         for key, (attr, _, _) in table.items():
             value = getattr(obj, attr)
             if value is not None:

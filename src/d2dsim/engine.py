@@ -35,8 +35,9 @@ buckets; the run audits the resource ledger every TTI the same way.
 from __future__ import annotations
 
 import random
+from collections import namedtuple
+from collections.abc import Iterable
 from enum import Enum, IntEnum
-from typing import Iterable, NamedTuple
 
 from .binder import Binder
 from .channel import ChannelModel, CqiTable
@@ -68,22 +69,18 @@ class InstanceStatus(Enum):
     LOST_DECODE = "lost_decode_failed"
 
 
-class TraceRow(NamedTuple):
-    tti: int
-    event: str
-    src: str
-    dst: str
-    direction: str
-    rbs: int = 0
-    sinr_db: float | None = None
-    decoded: bool | None = None
+# sinr_db and decoded are None on rows that are not receptions
+TraceRow = namedtuple("TraceRow", "tti event src dst direction rbs sinr_db decoded",
+                      defaults=(0, None, None), module=__name__)
 
 
-class SimulationResult(NamedTuple):
-    run_metrics: dict[str, float]
-    flow_metrics: dict[int, dict[str, float]]
-    trace: list[TraceRow]
-    ledger_rows: list[tuple[int, str, str, str, float]]
+class SimulationResult(namedtuple("SimulationResult",
+                                  "run_metrics flow_metrics trace ledger_rows",
+                                  module=__name__)):
+    """A run's outputs: metrics by name, metrics by flow id and name, its
+    ``TraceRow``s, and its ledger rows (tti, node, direction, blocks, dBm)."""
+
+    __slots__ = ()
 
     def metrics_csv(self) -> str:
         lines = ["scope,flow_id,metric,value"]

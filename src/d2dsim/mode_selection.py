@@ -11,8 +11,9 @@ already committed to the old path is lost.
 
 from __future__ import annotations
 
+from collections import namedtuple
+from collections.abc import Callable
 from enum import Enum
-from typing import Callable, NamedTuple
 
 
 class Mode(Enum):
@@ -24,27 +25,23 @@ class UnknownPolicyError(Exception):
     """Requested mode-selection policy was never registered."""
 
 
-class ModeSwitchCommand(NamedTuple):
-    src_id: int
-    dst_id: int
-    new_mode: Mode
+ModeSwitchCommand = namedtuple("ModeSwitchCommand", "src_id dst_id new_mode",
+                               module=__name__)
 
 
-# A policy maps the sidelink and uplink channel quality of one peering
-# to the mode the peering should use.
-Policy = Callable[[int, int], Mode]
-
-_POLICIES: dict[str, Policy] = {}
+# A policy is a Callable[[int, int], Mode]: it maps the sidelink and uplink
+# channel quality of one peering to the mode the peering should use.
+_POLICIES: dict[str, Callable[[int, int], Mode]] = {}
 
 
-def register_policy(name: str) -> Callable[[Policy], Policy]:
-    def wrap(fn: Policy) -> Policy:
+def register_policy(name: str) -> Callable:
+    def wrap(fn: Callable[[int, int], Mode]) -> Callable[[int, int], Mode]:
         _POLICIES[name] = fn
         return fn
     return wrap
 
 
-def get_policy(name: str) -> Policy:
+def get_policy(name: str) -> Callable[[int, int], Mode]:
     try:
         return _POLICIES[name]
     except KeyError:
@@ -62,7 +59,7 @@ def best_cqi_decide(sl_cqi: int, ul_cqi: int) -> Mode:
     return Mode.DM if sl_cqi >= ul_cqi else Mode.IM
 
 
-def do_mode_selection(modes: dict[tuple[int, int], Mode], policy: Policy,
+def do_mode_selection(modes: dict[tuple[int, int], Mode], policy: Callable[[int, int], Mode],
                       cqi_lookup: Callable[[int, int], tuple[int, int]]
                       ) -> list[ModeSwitchCommand]:
     """Run one selection round over every peering, in ``modes`` order.

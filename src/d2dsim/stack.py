@@ -74,8 +74,6 @@ class RlcTxQueue(deque):
 
     __slots__ = ()
 
-    _pending = property(lambda self: self)  # a read-only view of the entries
-
     def push(self, packet: PacketDescriptor) -> None:
         self.append([packet, packet.size_bits])
 
@@ -146,7 +144,7 @@ def rbs_needed(bits: int, cqi: int, rb_capacity_re: int, table: CqiTable) -> int
         return 0
     # a guess from the rounded ratio, which can be a block off either way
     n = max(1, math.ceil(bits / (rb_capacity_re * table.efficiencies[cqi])))
-    while n > 1 and amc_tbs(cqi, n - 1, rb_capacity_re, table) >= bits:
+    while amc_tbs(cqi, n - 1, rb_capacity_re, table) >= bits:
         n -= 1
     while amc_tbs(cqi, n, rb_capacity_re, table) < bits:
         n += 1
@@ -341,18 +339,16 @@ class TransportBlock:
 
     ``schedule_band`` sets the request, a contiguous run of blocks and
     the bits it carries; the engine adds the payload, the air interface's
-    fields and the HARQ process keeping it; the binder books it as its entry.
+    fields (``tx_id``, ``direction``, ``tx_power_dbm`` and ``tti``, unset
+    until a grant is issued) and the HARQ process keeping it; the binder
+    books it as its entry.
     """
 
     __slots__ = ("request", "rbs", "tbs_bits", "tx_id", "direction",
                  "tx_power_dbm", "tti", "cqi", "chunks", "harq")
 
-    def __init__(self, request: object, rbs: range, tbs_bits: int = 0, tx_id: int = -1,
-                 direction: Direction = Direction.UL, tx_power_dbm: float = 0.0,
-                 tti: int = -1) -> None:
+    def __init__(self, request: object, rbs: range, tbs_bits: int = 0) -> None:
         self.request, self.rbs, self.tbs_bits = request, rbs, tbs_bits
-        self.tx_id, self.direction = tx_id, direction
-        self.tx_power_dbm, self.tti = tx_power_dbm, tti
         self.cqi = 0
         self.chunks: tuple[RlcChunk, ...] = ()
         self.harq: HarqProcess | None = None  # None when the link has no HARQ

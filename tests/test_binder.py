@@ -13,10 +13,16 @@ def binder():
     return Binder(num_rbs=50)
 
 
+def _entry(tti, tx_id, direction, rbs, power_dbm=0.0):
+    """A transport block with the air interface's fields, as a grant sets them."""
+    tb = TransportBlock(None, rbs)
+    tb.tx_id, tb.direction, tb.tx_power_dbm, tb.tti = tx_id, direction, power_dbm, tti
+    return tb
+
+
 def _book(binder, tti, tx_id, direction, rbs, power_dbm):
     """Book one transmission as the PHY does: the transport block is the entry."""
-    return binder.record_allocation(TransportBlock(
-        None, rbs, tx_id=tx_id, direction=direction, tx_power_dbm=power_dbm, tti=tti))
+    return binder.record_allocation(_entry(tti, tx_id, direction, rbs, power_dbm))
 
 
 def _ledger(binder, tti):
@@ -214,12 +220,10 @@ def test_conservation_audit_clean(binder):
 
 def test_conservation_audit_reports_what_the_ledger_refuses(binder):
     # planted past record_allocation, which refuses both
-    def entry(tx_id, direction, rbs):
-        return TransportBlock(None, rbs, tx_id=tx_id, direction=direction, tti=5)
-    binder._bands[5, "UL"] = _Band([entry(1, Direction.UL, range(0, 4)),
-                                    entry(2, Direction.UL, range(3, 6)),
-                                    entry(1, Direction.D2D, range(0, 4))])
-    binder._bands[5, "DL"] = _Band([entry(0, Direction.DL, range(48, 52))])
+    binder._bands[5, "UL"] = _Band([_entry(5, 1, Direction.UL, range(0, 4)),
+                                    _entry(5, 2, Direction.UL, range(3, 6)),
+                                    _entry(5, 1, Direction.D2D, range(0, 4))])
+    binder._bands[5, "DL"] = _Band([_entry(5, 0, Direction.DL, range(48, 52))])
     assert binder.check_conservation(5) == ["tti 5: duplicate grant in UL",
                                             "tti 5: DL rb index out of range"]
 
@@ -252,8 +256,7 @@ def test_audit_by_runs_equals_the_per_block_recount(ul_runs, dl_runs):
     binder = Binder(num_rbs=8)
     for band, direction, runs in (("UL", Direction.UL, ul_runs), ("DL", Direction.DL, dl_runs)):
         binder._bands[5, band] = _Band(
-            TransportBlock(None, range(start, start + width), tx_id=tx_id,
-                           direction=direction, tti=5)
+            _entry(5, tx_id, direction, range(start, start + width))
             for tx_id, (start, width) in enumerate(runs))
     assert binder.check_conservation(5) == _reference_audit(binder, 5)
 

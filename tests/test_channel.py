@@ -19,10 +19,16 @@ ROOT = Path(__file__).resolve().parents[1]
 TABLE = CqiTable.default()
 
 
+def _entry(tti, tx_id, direction, rbs, power_dbm=0.0):
+    """A transport block with the air interface's fields, as a grant sets them."""
+    tb = TransportBlock(None, rbs)
+    tb.tx_id, tb.direction, tb.tx_power_dbm, tb.tti = tx_id, direction, power_dbm, tti
+    return tb
+
+
 def _book(binder, tti, tx_id, direction, rbs, power_dbm):
     """Book one transmission as the PHY does: the transport block is the entry."""
-    return binder.record_allocation(TransportBlock(
-        None, rbs, tx_id=tx_id, direction=direction, tx_power_dbm=power_dbm, tti=tti))
+    return binder.record_allocation(_entry(tti, tx_id, direction, rbs, power_dbm))
 
 # official switching thresholds the packaged table must reproduce
 THRESHOLDS = [-6.7, -4.7, -2.3, 0.2, 2.4, 4.3, 5.9, 8.1,
@@ -53,6 +59,14 @@ def test_table_file_errors(tmp_path):
         CqiTable.from_file(bad)
     bad.write_text("2 -6.7 0.15\n")
     with pytest.raises(ValueError, match="exactly 1..1"):
+        CqiTable.from_file(bad)
+
+
+def test_table_duplicate_row_error_names_its_file_line(tmp_path):
+    # comments and blank lines count: the number is the file's own
+    bad = tmp_path / "t.txt"
+    bad.write_text("1 -6.7 0.15\n# note\n\n1 -4.7 0.23\n")
+    with pytest.raises(ValueError, match=r"t\.txt:4: duplicate cqi 1$"):
         CqiTable.from_file(bad)
 
 

@@ -1,12 +1,14 @@
 """Scenario grammar, validation and canonical serialization."""
 
 import hashlib
+import re
 from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import d2dsim.config
 from d2dsim import (ConstraintViolationError, MalformedPatternError, Role,
                     ScenarioSyntaxError, Transport, UnknownKeyError,
                     UnresolvedNodeReferenceError, is_multicast_address,
@@ -363,6 +365,29 @@ def test_literal_pattern_matches_exactly_itself(names):
     for name in names:
         matched = resolve_pattern(name.replace("[", "[").replace("]", "]"), names)
         assert matched == {name}
+
+
+_names = st.builds(lambda stem, index: stem if index is None else f"{stem}[{index}]",
+                   st.text("uxeB_", min_size=1, max_size=4), st.none() | st.integers(0, 12))
+_wildcards = st.lists(st.text("uxe_[]01", max_size=3), min_size=2, max_size=4).map("*".join)
+
+
+@given(st.lists(_names, min_size=1, max_size=8, unique=True), st.data())
+def test_resolve_pattern_equals_a_regex_reference(names, data):
+    """Literal or wildcard, a pattern matches what its anchored regex matches."""
+    pattern = data.draw(st.sampled_from(names) | _names | _wildcards)
+    regex = re.compile(".*".join(map(re.escape, pattern.split("*"))) + r"\Z")
+    assert resolve_pattern(pattern, names) == {name for name in names if regex.match(name)}
+
+
+def test_literal_node_lines_compile_no_regex(monkeypatch):
+    # a pattern without '*' is looked up, not compiled and matched
+    compiled = []
+    compile_ = re.compile
+    monkeypatch.setattr(d2dsim.config.re, "compile",
+                        lambda *args: compiled.append(args) or compile_(*args))
+    assert parse_scenario(BASE).node_by_name("ueD2DTx[0]").d2d_cqi == 7
+    assert compiled == []
 
 
 def test_is_multicast_address():

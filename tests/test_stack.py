@@ -72,7 +72,7 @@ def test_running_backlog_equals_the_queued_remainder(ops):
             queue.flush()
         else:
             queue.flush_where(lambda packet: packet.packet_id % 3 == arg)
-        assert queue.backlog_bits == sum(remaining for _, remaining in queue._pending)
+        assert queue.backlog_bits == sum(remaining for _, remaining in queue)
 
 
 def test_fill_takes_whole_packets_then_one_fragment():
@@ -314,8 +314,9 @@ def test_scheduler_never_overallocates(mix, num_rbs):
 
 
 def _slots(blocks):
-    """Every slot of each transport block, in order, for comparing lists."""
-    return [tuple(getattr(tb, name) for name in TransportBlock.__slots__) for tb in blocks]
+    """Every slot of each transport block, in order, ``...`` where unset,
+    for comparing lists."""
+    return [tuple(getattr(tb, name, ...) for name in TransportBlock.__slots__) for tb in blocks]
 
 
 def _reference_schedule_band(requests, num_rbs, rb_capacity_re, table):

@@ -1,12 +1,15 @@
 """Importing d2dsim generates no code at import time.
 
 ``dataclasses`` writes each decorated class's methods as source and
-compiles it, and pulls in ``inspect`` with it; the records are
-NamedTuples or slot classes instead.  Nor does it load
-``importlib.resources``, which brings ``pathlib``, ``tempfile`` and
-``zipfile`` with it: the CQI table is opened by its path next to the
-package's modules.  The import runs in a fresh interpreter without
-``site``, so nothing else has loaded any of these modules.
+compiles it, and pulls in ``inspect`` with it; ``typing.NamedTuple``
+compiles each field's annotation into a ``ForwardRef``.  The records are
+``collections.namedtuple``s or slot classes instead, and annotations
+name ``collections.abc`` types, so ``typing`` is not loaded either.  Nor
+does it load ``importlib.resources``, which brings ``pathlib``,
+``tempfile`` and ``zipfile`` with it: the CQI table is opened by its
+path next to the package's modules.  The import runs in a fresh
+interpreter without ``site``, so nothing else has loaded any of these
+modules.
 """
 
 import json
@@ -20,7 +23,7 @@ SCRIPT = """
 import json, sys
 sys.path.insert(0, sys.argv[1])
 import d2dsim
-absent = {"dataclasses", "inspect", "importlib.resources"}
+absent = {"dataclasses", "inspect", "importlib.resources", "typing"}
 print(json.dumps(sorted(absent & set(sys.modules))))
 """
 
