@@ -10,12 +10,64 @@ Spectrum layout is FDD: the downlink band is separate, while sidelink
 grants share the uplink band.  A block is booked at most once per band
 and TTI, sidelinks included; booking it twice is a bug and raises
 :class:`RbConflict`.
+
+It also holds :class:`Record`, the base of the package's immutable
+records, since the package loads this module first.
 """
 
 from __future__ import annotations
 
-from enum import Enum
+from collections import _tuplegetter  # namedtuple's C field getter, or its fallback
 from collections.abc import Iterator
+from enum import Enum
+
+
+class Record(tuple):
+    """A tuple with named fields that behaves as a ``collections.namedtuple``
+    but is written in source, so that defining one compiles nothing.
+
+    A subclass sets ``__slots__ = ()`` and writes a ``__new__`` whose
+    parameters after ``cls`` are its fields, with their defaults, returning
+    ``tuple.__new__(cls, (<fields>))``.  From that signature it gets
+    ``_fields``, ``_field_defaults``, ``__match_args__`` and a C getter per
+    field; the rest of the ``namedtuple`` API comes from here.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        new = cls.__new__
+        fields = new.__code__.co_varnames[1:new.__code__.co_argcount]
+        defaults = new.__defaults__ or ()
+        cls._fields = cls.__match_args__ = fields
+        cls._field_defaults = dict(zip(fields[len(fields) - len(defaults):], defaults))
+        for index, name in enumerate(fields):
+            setattr(cls, name, _tuplegetter(index, f"Alias for field number {index}"))
+
+    @classmethod
+    def _make(cls, iterable):
+        """Make an instance from a sequence or iterable of every field."""
+        result = tuple.__new__(cls, iterable)
+        if len(result) != len(cls._fields):
+            raise TypeError(f"Expected {len(cls._fields)} arguments, got {len(result)}")
+        return result
+
+    def _replace(self, /, **kwds):
+        """A copy with the named fields replaced."""
+        result = self._make(map(kwds.pop, self._fields, self))
+        if kwds:
+            raise ValueError(f"Got unexpected field names: {list(kwds)!r}")
+        return result
+
+    def _asdict(self) -> dict:
+        return dict(zip(self._fields, self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self))
+        return f"{type(self).__name__}({fields})"
+
+    def __getnewargs__(self) -> tuple:
+        return tuple(self)
 
 
 class Direction(Enum):

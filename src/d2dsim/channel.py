@@ -19,16 +19,18 @@ import operator
 import os
 import random
 from bisect import bisect_right
-from collections import namedtuple
 from functools import reduce
 
-from .binder import Binder, Direction
+from .binder import Binder, Direction, Record
 
 
-ChannelParams = namedtuple(
-    "ChannelParams", "path_loss_exponent reference_loss_db shadowing_std_dev_db "
-                     "noise_figure_db thermal_noise_dbm_per_rb min_distance_m",
-    defaults=(3.5, 40.0, 0.0, 7.0, -121.4, 1.0), module=__name__)
+class ChannelParams(Record):
+    __slots__ = ()
+
+    def __new__(cls, path_loss_exponent=3.5, reference_loss_db=40.0, shadowing_std_dev_db=0.0,
+                noise_figure_db=7.0, thermal_noise_dbm_per_rb=-121.4, min_distance_m=1.0):
+        return tuple.__new__(cls, (path_loss_exponent, reference_loss_db, shadowing_std_dev_db,
+                                   noise_figure_db, thermal_noise_dbm_per_rb, min_distance_m))
 
 
 def dbm_to_mw(dbm: float) -> float:

@@ -13,8 +13,8 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from collections import namedtuple
 
+from .binder import Record
 from .channel import ChannelParams, CqiTable, decode, path_loss_db
 from .config import POSITION_LIMIT_M, ScenarioConfig, ScenarioError, load_scenario, validate
 from .engine import run_scenario
@@ -30,8 +30,11 @@ class UsageError(Exception):
     """A command-line option has a value the command cannot use."""
 
 
-# rbs_per_packet is None at CQI 0
-SweepRow = namedtuple("SweepRow", "cqi max_distance_m rbs_per_packet", module=__name__)
+class SweepRow(Record):
+    __slots__ = ()
+
+    def __new__(cls, cqi, max_distance_m, rbs_per_packet):  # rbs_per_packet None at CQI 0
+        return tuple.__new__(cls, (cqi, max_distance_m, rbs_per_packet))
 
 
 def max_decode_distance(cqi: int, tx_power_dbm: float, params: ChannelParams,

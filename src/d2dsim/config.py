@@ -27,18 +27,34 @@ from __future__ import annotations
 
 import math
 import re
-from collections import namedtuple
 from collections.abc import Callable, Collection
 from enum import Enum
 
+from .binder import Record
 from .channel import ChannelParams
 from .mode_selection import policy_names
 
 RESERVED_SCOPES = frozenset({"sim", "channel", "flow", "multicast"})
 
-_NODE_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*(\[\d+\])?\Z")
-_FLOW_SCOPE_RE = re.compile(r"flow\[(\d+)\]\Z")
 _PATTERN_BAD_CHARS = set(' \t."=#')
+
+
+def _is_node_name(name: str) -> bool:
+    """True for an ASCII ``[A-Za-z_][A-Za-z0-9_]*`` word, optionally indexed
+    ``[<n>]`` by decimal digits (``str.isdecimal``, as a regex's ``\\d``)."""
+    word, bracket, index = name.partition("[")
+    if bracket and not (index.endswith("]") and index[:-1].isdecimal()):
+        return False
+    word = word.replace("_", "a")
+    return word.isascii() and word.isalnum() and not word[0].isdigit()
+
+
+def _flow_scope_id(segment: str) -> int | None:
+    """The id of a ``flow[<n>]`` scope segment, else None."""
+    digits = segment[5:-1]
+    if segment.startswith("flow[") and segment.endswith("]") and digits.isdecimal():
+        return int(digits)
+    return None
 
 
 class ScenarioError(Exception):
@@ -76,8 +92,7 @@ class ConstraintViolationError(ScenarioError):
         super().__init__(f"invalid scenario: {summary}", line)
 
 
-class Diagnostic(namedtuple("Diagnostic", "kind message node key", defaults=(None, None),
-                            module=__name__)):
+class Diagnostic(Record):
     """One validation finding, naming the offending key and node.
 
     ``kind`` is "ConstraintViolation" or "UnresolvedNodeReference"; ``node``
@@ -85,6 +100,9 @@ class Diagnostic(namedtuple("Diagnostic", "kind message node key", defaults=(Non
     """
 
     __slots__ = ()
+
+    def __new__(cls, kind, message, node=None, key=None):
+        return tuple.__new__(cls, (kind, message, node, key))
 
     def __str__(self) -> str:
         where = ""
@@ -110,39 +128,62 @@ class AmcMode(Enum):
     D2D = "D2D"  # sidelink-aware AMC, meaningful on the eNB only
 
 
-SimParams = namedtuple(
-    "SimParams", "tti_count seed num_rbs rb_capacity_re cqi_report_period_ttis "
-                 "harq_max_retx harq_processes",
-    defaults=(0, 1, 50, 168, 10, 3, 8), module=__name__)
+class SimParams(Record):
+    __slots__ = ()
 
-# d2d_peer_addresses is a tuple of node names; d2d_cqi is None unless set
-NodeConfig = namedtuple(
-    "NodeConfig", "name role position_x position_y d2d_capable d2d_peer_addresses "
-                  "ue_tx_power_dbm d2d_tx_power_dbm enable_d2d_cqi_reporting "
-                  "use_preconfigured_tx_params d2d_cqi amc_mode",
-    defaults=(Role.UE, 0.0, 0.0, False, (), 26.0, 20.0, False, False, None, AmcMode.AUTO),
-    module=__name__)
-
-# dest_address is a node name or a multicast literal
-FlowConfig = namedtuple(
-    "FlowConfig", "flow_id source_node dest_address packet_bytes period_ttis "
-                  "start_tti transport start_jitter_ttis",
-    defaults=(0, Transport.ONE_WAY, 0), module=__name__)
-
-MulticastGroup = namedtuple("MulticastGroup", "address member_pattern", module=__name__)
-
-ModeSelectionConfig = namedtuple(
-    "ModeSelectionConfig", "enabled policy_name period_ttis",
-    defaults=(False, "D2DModeSelectionBestCqi", 100), module=__name__)
+    def __new__(cls, tti_count=0, seed=1, num_rbs=50, rb_capacity_re=168,
+                cqi_report_period_ttis=10, harq_max_retx=3, harq_processes=8):
+        return tuple.__new__(cls, (tti_count, seed, num_rbs, rb_capacity_re,
+                                   cqi_report_period_ttis, harq_max_retx, harq_processes))
 
 
-class ScenarioConfig(namedtuple(
-        "ScenarioConfig", "sim nodes flows channel mode_selection multicast_groups",
-        defaults=(SimParams(), (), (), ChannelParams(), ModeSelectionConfig(), ()),
-        module=__name__)):
+class NodeConfig(Record):
+    __slots__ = ()
+
+    # d2d_peer_addresses is a tuple of node names; d2d_cqi is None unless set
+    def __new__(cls, name, role=Role.UE, position_x=0.0, position_y=0.0, d2d_capable=False,
+                d2d_peer_addresses=(), ue_tx_power_dbm=26.0, d2d_tx_power_dbm=20.0,
+                enable_d2d_cqi_reporting=False, use_preconfigured_tx_params=False,
+                d2d_cqi=None, amc_mode=AmcMode.AUTO):
+        return tuple.__new__(cls, (name, role, position_x, position_y, d2d_capable,
+                                   d2d_peer_addresses, ue_tx_power_dbm, d2d_tx_power_dbm,
+                                   enable_d2d_cqi_reporting, use_preconfigured_tx_params,
+                                   d2d_cqi, amc_mode))
+
+
+class FlowConfig(Record):
+    __slots__ = ()
+
+    # dest_address is a node name or a multicast literal
+    def __new__(cls, flow_id, source_node, dest_address, packet_bytes, period_ttis,
+                start_tti=0, transport=Transport.ONE_WAY, start_jitter_ttis=0):
+        return tuple.__new__(cls, (flow_id, source_node, dest_address, packet_bytes,
+                                   period_ttis, start_tti, transport, start_jitter_ttis))
+
+
+class MulticastGroup(Record):
+    __slots__ = ()
+
+    def __new__(cls, address, member_pattern):
+        return tuple.__new__(cls, (address, member_pattern))
+
+
+class ModeSelectionConfig(Record):
+    __slots__ = ()
+
+    def __new__(cls, enabled=False, policy_name="D2DModeSelectionBestCqi", period_ttis=100):
+        return tuple.__new__(cls, (enabled, policy_name, period_ttis))
+
+
+class ScenarioConfig(Record):
     """A parsed scenario: nodes, flows and multicast groups are tuples of records."""
 
     __slots__ = ()
+
+    def __new__(cls, sim=SimParams(), nodes=(), flows=(), channel=ChannelParams(),
+                mode_selection=ModeSelectionConfig(), multicast_groups=()):
+        return tuple.__new__(cls, (sim, nodes, flows, channel, mode_selection,
+                                   multicast_groups))
 
     def node_by_name(self, name: str) -> NodeConfig:
         for node in self.nodes:
@@ -154,7 +195,7 @@ class ScenarioConfig(namedtuple(
 def is_multicast_address(value: str) -> bool:
     """True for a dotted-quad literal whose first octet is in 224..239."""
     parts = value.split(".")
-    if len(parts) != 4 or not all(p.isdigit() for p in parts):
+    if len(parts) != 4 or not all(p.isdecimal() for p in parts):
         return False
     octets = [int(p) for p in parts]
     return 224 <= octets[0] <= 239 and all(o <= 255 for o in octets)
@@ -182,10 +223,10 @@ def resolve_pattern(pattern: str, names: Collection[str]) -> set[str]:
 # ---------------------------------------------------------------------------
 # key tables, one per scope: file key -> (attribute, converter, range or None)
 
-# Range of a key's value, closed unless open_below; a key with no upper
-# bound leaves high infinite and reads "must be >= low".
-_Range = namedtuple("_Range", "low high open_below", defaults=(math.inf, False),
-                    module=__name__)
+def _range(low: float, high: float = math.inf, open_below: bool = False) -> tuple:
+    """Range of a key's value, closed unless open_below; a key with no upper
+    bound leaves high infinite and reads "must be >= low"."""
+    return low, high, open_below
 
 
 def _to_bool(token: str) -> bool:
@@ -217,35 +258,35 @@ POSITION_LIMIT_M = 1e5  # nodes sit in the square of this half-width
 # rbCapacityRe and packetBytes keep bit counts convertible to float.
 # sim.nodes is read before the tables apply, since it names the nodes.
 _SIM_KEYS = {
-    "ttiCount": ("tti_count", int, _Range(0)),
+    "ttiCount": ("tti_count", int, _range(0)),
     "seed": ("seed", int, None),
-    "numRbs": ("num_rbs", int, _Range(1, 110)),
-    "rbCapacityRe": ("rb_capacity_re", int, _Range(1, 10_000)),
-    "cqiReportPeriodTtis": ("cqi_report_period_ttis", int, _Range(1)),
-    "harqMaxRetx": ("harq_max_retx", int, _Range(0)),
-    "harqProcesses": ("harq_processes", int, _Range(1, 16)),
+    "numRbs": ("num_rbs", int, _range(1, 110)),
+    "rbCapacityRe": ("rb_capacity_re", int, _range(1, 10_000)),
+    "cqiReportPeriodTtis": ("cqi_report_period_ttis", int, _range(1)),
+    "harqMaxRetx": ("harq_max_retx", int, _range(0)),
+    "harqProcesses": ("harq_processes", int, _range(1, 16)),
 }
 
 _CHANNEL_KEYS = {
-    "pathLossExponent": ("path_loss_exponent", float, _Range(0, 10, open_below=True)),
-    "referenceLossDb": ("reference_loss_db", float, _Range(0, 200)),
-    "shadowingStdDevDb": ("shadowing_std_dev_db", float, _Range(0, 30)),
-    "noiseFigureDb": ("noise_figure_db", float, _Range(0, 30)),
-    "thermalNoiseDbmPerRb": ("thermal_noise_dbm_per_rb", float, _Range(-200, 0)),
-    "minDistanceM": ("min_distance_m", float, _Range(0.001, 1e5)),
+    "pathLossExponent": ("path_loss_exponent", float, _range(0, 10, open_below=True)),
+    "referenceLossDb": ("reference_loss_db", float, _range(0, 200)),
+    "shadowingStdDevDb": ("shadowing_std_dev_db", float, _range(0, 30)),
+    "noiseFigureDb": ("noise_figure_db", float, _range(0, 30)),
+    "thermalNoiseDbmPerRb": ("thermal_noise_dbm_per_rb", float, _range(-200, 0)),
+    "minDistanceM": ("min_distance_m", float, _range(0.001, 1e5)),
 }
 
 _NODE_KEYS = {
     "role": ("role", _to_enum(Role, "role"), None),
-    "positionX": ("position_x", float, _Range(-POSITION_LIMIT_M, POSITION_LIMIT_M)),
-    "positionY": ("position_y", float, _Range(-POSITION_LIMIT_M, POSITION_LIMIT_M)),
+    "positionX": ("position_x", float, _range(-POSITION_LIMIT_M, POSITION_LIMIT_M)),
+    "positionY": ("position_y", float, _range(-POSITION_LIMIT_M, POSITION_LIMIT_M)),
     "d2dCapable": ("d2d_capable", _to_bool, None),
     "d2dPeerAddresses": ("d2d_peer_addresses", _to_name_list, None),
-    "ueTxPowerDbm": ("ue_tx_power_dbm", float, _Range(-50, 50)),
-    "d2dTxPowerDbm": ("d2d_tx_power_dbm", float, _Range(-50, 50)),
+    "ueTxPowerDbm": ("ue_tx_power_dbm", float, _range(-50, 50)),
+    "d2dTxPowerDbm": ("d2d_tx_power_dbm", float, _range(-50, 50)),
     "enableD2DCqiReporting": ("enable_d2d_cqi_reporting", _to_bool, None),
     "usePreconfiguredTxParams": ("use_preconfigured_tx_params", _to_bool, None),
-    "d2dCqi": ("d2d_cqi", int, _Range(1, 15)),
+    "d2dCqi": ("d2d_cqi", int, _range(1, 15)),
     "amcMode": ("amc_mode", _to_enum(AmcMode, "amcMode"), None),
 }
 
@@ -255,17 +296,17 @@ _NODE_KEY_ALIASES = {"ueTxPower": "ueTxPowerDbm", "d2dTxPower": "d2dTxPowerDbm"}
 _MODE_SELECTION_KEYS = {
     "d2dModeSelection": ("enabled", _to_bool, None),
     "d2dModeSelectionType": ("policy_name", str, None),
-    "d2dModeSelectionPeriod": ("period_ttis", int, _Range(1)),
+    "d2dModeSelectionPeriod": ("period_ttis", int, _range(1)),
 }
 
 _FLOW_KEYS = {
     "sourceNode": ("source_node", str, None),
     "destAddress": ("dest_address", str, None),
-    "packetBytes": ("packet_bytes", int, _Range(1, 10_000_000)),
-    "periodTtis": ("period_ttis", int, _Range(1)),
-    "startTti": ("start_tti", int, _Range(0)),
+    "packetBytes": ("packet_bytes", int, _range(1, 10_000_000)),
+    "periodTtis": ("period_ttis", int, _range(1)),
+    "startTti": ("start_tti", int, _range(0)),
     "transport": ("transport", _to_enum(Transport, "transport"), None),
-    "startJitterTtis": ("start_jitter_ttis", int, _Range(0)),
+    "startJitterTtis": ("start_jitter_ttis", int, _range(0)),
 }
 
 _REQUIRED_FLOW_KEYS = ("sourceNode", "destAddress", "packetBytes", "periodTtis")
@@ -274,8 +315,14 @@ _REQUIRED_FLOW_KEYS = ("sourceNode", "destAddress", "packetBytes", "periodTtis")
 # ---------------------------------------------------------------------------
 # parsing
 
-# scope is the list of dotted segments before the key
-_Assignment = namedtuple("_Assignment", "line scope key value", module=__name__)
+class _Assignment:
+    """One ``<scope>.<key> = <value>`` line; ``scope`` is the list of dotted
+    segments before the key."""
+
+    __slots__ = ("line", "scope", "key", "value")
+
+    def __init__(self, line: int, scope: list[str], key: str, value: str) -> None:
+        self.line, self.scope, self.key, self.value = line, scope, key, value
 
 
 def _split_value(raw: str, line: int) -> str:
@@ -385,8 +432,8 @@ def parse_scenario(text: str) -> ScenarioConfig:
             table, targets = _SIM_KEYS, [sim_values]
         elif scope == ["channel"]:
             table, targets = _CHANNEL_KEYS, [channel_values]
-        elif (m := _FLOW_SCOPE_RE.match(scope[0])) and len(scope) == 1:
-            table, targets = _FLOW_KEYS, [flow_values.setdefault(int(m.group(1)), {})]
+        elif len(scope) == 1 and (flow_id := _flow_scope_id(scope[0])) is not None:
+            table, targets = _FLOW_KEYS, [flow_values.setdefault(flow_id, {})]
         else:
             pattern = _node_pattern(scope)
             try:
@@ -479,7 +526,7 @@ def validate(config: ScenarioConfig) -> list[Diagnostic]:
 
     names = {node.name for node in config.nodes}
     for node in config.nodes:
-        if not _NODE_NAME_RE.match(node.name):
+        if not _is_node_name(node.name):
             bad(f"invalid node name {node.name!r}", node=node.name)
         elif node.name.split("[")[0] in RESERVED_SCOPES:
             bad(f"node name {node.name!r} is reserved", node=node.name)

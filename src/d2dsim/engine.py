@@ -35,11 +35,9 @@ buckets; the run audits the resource ledger every TTI the same way.
 from __future__ import annotations
 
 import random
-from collections import namedtuple
 from collections.abc import Iterable
-from enum import Enum, IntEnum
 
-from .binder import Binder
+from .binder import Binder, Record
 from .channel import ChannelModel, CqiTable
 from .config import FlowConfig, Role, ScenarioConfig, Transport, resolve_pattern
 from .mode_selection import (Mode, ModeSwitchCommand, do_mode_selection,
@@ -50,7 +48,7 @@ from .stack import (Direction, HarqOutcome, HarqPool, PacketAssembler,
                     phy_send, schedule_band)
 
 
-class Phase(IntEnum):
+class Phase:
     """The stages fed by events; each indexes a list of ``Engine._next``."""
 
     MODE_SWITCH_APPLY = 0
@@ -59,8 +57,8 @@ class Phase(IntEnum):
     HARQ_FEEDBACK = 3
 
 
-class InstanceStatus(Enum):
-    """Where a packet instance ended; the value names its per-flow count."""
+class InstanceStatus:
+    """Where a packet instance ended, as its per-flow count names it."""
 
     DELIVERED = "delivered_packets"
     LOST_HARQ = "lost_harq_exhausted"
@@ -69,18 +67,22 @@ class InstanceStatus(Enum):
     LOST_DECODE = "lost_decode_failed"
 
 
-# sinr_db and decoded are None on rows that are not receptions
-TraceRow = namedtuple("TraceRow", "tti event src dst direction rbs sinr_db decoded",
-                      defaults=(0, None, None), module=__name__)
+class TraceRow(Record):
+    __slots__ = ()
+
+    # sinr_db and decoded are None on rows that are not receptions
+    def __new__(cls, tti, event, src, dst, direction, rbs=0, sinr_db=None, decoded=None):
+        return tuple.__new__(cls, (tti, event, src, dst, direction, rbs, sinr_db, decoded))
 
 
-class SimulationResult(namedtuple("SimulationResult",
-                                  "run_metrics flow_metrics trace ledger_rows",
-                                  module=__name__)):
+class SimulationResult(Record):
     """A run's outputs: metrics by name, metrics by flow id and name, its
     ``TraceRow``s, and its ledger rows (tti, node, direction, blocks, dBm)."""
 
     __slots__ = ()
+
+    def __new__(cls, run_metrics, flow_metrics, trace, ledger_rows):
+        return tuple.__new__(cls, (run_metrics, flow_metrics, trace, ledger_rows))
 
     def metrics_csv(self) -> str:
         lines = ["scope,flow_id,metric,value"]
@@ -308,7 +310,7 @@ class Engine:
         if packet is None:
             return  # already closed
         totals = self.totals[packet.flow_id]
-        totals[status.value] += 1
+        totals[status] += 1
         if status is InstanceStatus.DELIVERED:
             totals["delivered_bits"] += packet.size_bits
             latency = self.now_tti - packet.created_tti

@@ -11,9 +11,10 @@ already committed to the old path is lost.
 
 from __future__ import annotations
 
-from collections import namedtuple
 from collections.abc import Callable
 from enum import Enum
+
+from .binder import Record
 
 
 class Mode(Enum):
@@ -25,8 +26,11 @@ class UnknownPolicyError(Exception):
     """Requested mode-selection policy was never registered."""
 
 
-ModeSwitchCommand = namedtuple("ModeSwitchCommand", "src_id dst_id new_mode",
-                               module=__name__)
+class ModeSwitchCommand(Record):
+    __slots__ = ()
+
+    def __new__(cls, src_id, dst_id, new_mode):
+        return tuple.__new__(cls, (src_id, dst_id, new_mode))
 
 
 # A policy is a Callable[[int, int], Mode]: it maps the sidelink and uplink

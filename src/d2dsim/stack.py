@@ -15,7 +15,6 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from collections import deque
-from enum import Enum
 
 from .binder import Binder, Direction
 from .channel import ChannelModel, CqiTable, amc_tbs, decode
@@ -238,7 +237,9 @@ def schedule_band(requests: list, num_rbs: int,
 # ---------------------------------------------------------------------------
 # HARQ (stop-and-wait processes, unicast only)
 
-class HarqOutcome(Enum):
+class HarqOutcome:
+    """What :func:`harq_on_feedback` tells the caller to do; compare with ``is``."""
+
     RELEASED = "released"
     RETRANSMIT = "retransmit"
     DROPPED = "dropped"

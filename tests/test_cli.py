@@ -101,6 +101,16 @@ flow[1].periodTtis = 5
     assert "one-to-many flows must originate at a UE" in capsys.readouterr().err
 
 
+def test_validate_reports_a_superscript_digit_in_a_group_address_with_exit_1(
+        tmp_path, capsys):
+    bad = tmp_path / "superscript.ini"
+    one_to_many = Path(__file__).resolve().parents[1] / "scenarios" / "one_to_many.ini"
+    bad.write_text(one_to_many.read_text() + '224.0.0.\u00b2 = "ueD2D[*]"\n', encoding="utf-8")
+    assert main(["validate", str(bad)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "is not a multicast address" in err
+
+
 def test_missing_scenario_file_exits_1(tmp_path, capsys):
     assert main(["validate", str(tmp_path / "nowhere.ini")]) == 1
     assert "nowhere.ini" in capsys.readouterr().err

@@ -2,10 +2,11 @@
 
 import hashlib
 import re
+import string
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import d2dsim.config
@@ -397,6 +398,41 @@ def test_is_multicast_address():
     assert not is_multicast_address("240.0.0.1")
     assert not is_multicast_address("224.0.0")
     assert not is_multicast_address("ueD2DRx[0]")
+
+
+@pytest.mark.parametrize("line, error, message", [
+    ('224.0.0.\u00b2 = "ueD2D[*]"\n', ConstraintViolationError, "not a multicast address"),
+    ('flow[1].sourceNode = "ueD2D[0]"\nflow[1].destAddress = "224.0.0.\u00b2"\n'
+     'flow[1].packetBytes = 10\nflow[1].periodTtis = 5\n',
+     UnresolvedNodeReferenceError, "unknown destination"),
+])
+def test_superscript_digit_in_a_multicast_address_is_a_scenario_error(line, error, message):
+    assert not is_multicast_address("224.0.0.\u00b2")  # a digit int() refuses is no octet
+    text = (SCENARIOS / "one_to_many.ini").read_text()
+    if line.startswith("flow"):  # before the [multicast] section
+        text = text.replace("[multicast]", line + "[multicast]")
+    else:
+        text += line
+    with pytest.raises(error, match=message):
+        parse_scenario(text)
+
+
+# the expressions the string checks replace, anchored as .match(...) was
+_NODE_NAME_REF = re.compile(r"[A-Za-z_][A-Za-z0-9_]*(\[\d+\])?\Z")
+_FLOW_SCOPE_REF = re.compile(r"flow\[(\d+)\]\Z")
+_SCOPE_TEXT = st.text(string.ascii_letters + string.digits + "_[]\n\u0663\uff11\u00b2",
+                      max_size=8)
+_INDEX_TEXT = st.text("09\u0663\uff11\u00b2", max_size=3) | _SCOPE_TEXT
+
+
+@settings(max_examples=500)
+@given(_SCOPE_TEXT | st.builds("flow[{}]".format, _INDEX_TEXT)
+       | st.builds("{}[{}]".format, st.sampled_from(["ue_D2D", "_1", "1a"]) | _SCOPE_TEXT,
+                   _INDEX_TEXT))
+def test_string_checks_accept_what_the_regexes_accepted(text):
+    assert d2dsim.config._is_node_name(text) == bool(_NODE_NAME_REF.match(text))
+    match = _FLOW_SCOPE_REF.match(text)
+    assert d2dsim.config._flow_scope_id(text) == (int(match[1]) if match else None)
 
 
 # -- serialization -------------------------------------------------------------

@@ -6,15 +6,23 @@ validates them): 1-6 UEs, uplink, downlink, UE-to-UE, requestResponse
 and multicast flows, senders in two groups, numRbs 1-6 or 50, 1-3 HARQ
 processes, 0-2 retransmissions, shadowing 0-15 dB, CQI reports every
 1-40 TTIs, sidelink CQI reporting and mode selection every 1-50 TTIs.
+
+A second generator takes every ranged key of ``config.py``'s key tables
+over its whole validated range, bounds included, so that a new key or a
+changed bound is fuzzed without editing this file.
 """
 
+import math
 import sys
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from d2dsim import ChannelModel, Direction, Engine, parse_scenario
+import d2dsim.config
+from d2dsim import (ChannelModel, Direction, Engine, parse_scenario,
+                    serialize_scenario)
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 from workloads import scenario_text  # noqa: E402
@@ -197,3 +205,109 @@ def test_lazy_reports_draw_less_shadowing_on_the_shadowed_cell(monkeypatch):
     lazy_metrics, lazy_draws = _shadowing_draws(monkeypatch, Engine(config))
     assert lazy_metrics == eager_metrics == checked_metrics
     assert lazy_draws < eager_draws
+
+
+# -- every key over its validated range ----------------------------------------
+
+# each ranged key by scope: "sim", "channel", "flow", "node" (every UE) and
+# "eNB" (the mode-selection keys), as (key, converter, (low, high, open below))
+RANGED = [(scope, key, conv, bounds)
+          for scope, table in (("sim", d2dsim.config._SIM_KEYS),
+                               ("channel", d2dsim.config._CHANNEL_KEYS),
+                               ("node", d2dsim.config._NODE_KEYS),
+                               ("eNB", d2dsim.config._MODE_SELECTION_KEYS),
+                               ("flow", d2dsim.config._FLOW_KEYS))
+          for key, (_, conv, bounds) in table.items() if bounds is not None]
+# a key with no upper bound is drawn up to low + 10**6, ttiCount only to 60
+# TTIs, to keep each run short
+_TTI_CAP = 60
+
+
+def _ends(key: str, conv: type, bounds: tuple) -> tuple:
+    """The lowest and highest value of a key's range that a run can take."""
+    low, high, open_below = bounds
+    if open_below:
+        low = low + 1 if conv is int else math.nextafter(low, math.inf)
+    if high == math.inf:
+        high = low + (_TTI_CAP if key == "ttiCount" else 10**6)
+    return conv(low), conv(high)
+
+
+def _in_range(key: str, conv: type, bounds: tuple):
+    low, high = _ends(key, conv, bounds)
+    inside = st.integers(low, high) if conv is int else st.floats(low, high)
+    return st.sampled_from([low, high]) | inside
+
+
+def _ranged_scenario(ues: int, seed: int, values: dict) -> str:
+    """A valid cell of ``ues`` UEs with every traffic kind, then one line per
+    ``values[scope, key, index]``: index is a UE's or a flow's, else 0."""
+    names = [f"ue[{i}]" for i in range(ues)]
+    peer = names[-1]  # ue[0]'s peer, when there are two UEs or more
+    flows = [("ue[0]", "eNodeB", "oneWay"), ("eNodeB", peer, "oneWay"),
+             ("ue[0]", "224.0.0.10", "oneWay"), (peer, "ue[0]", "requestResponse")]
+    flows = flows[:4 if ues > 1 else 3]
+    lines = [f"sim.seed = {seed}",
+             f'sim.nodes = "eNodeB {" ".join(names)}"',
+             'eNodeB.role = "eNB"', "eNodeB.d2dCapable = true", 'eNodeB.amcMode = "D2D"',
+             "eNodeB.d2dModeSelection = true",
+             "ue[*].d2dCapable = true", "ue[*].enableD2DCqiReporting = true",
+             "ue[0].usePreconfiguredTxParams = true", "ue[*].d2dCqi = 7"]
+    if ues > 1:  # one peering each way: ue[0]'s preconfigured, the other's reported
+        lines += [f'ue[0].d2dPeerAddresses = "{peer}"', f'{peer}.d2dPeerAddresses = "ue[0]"']
+    for flow_id, (src, dst, transport) in enumerate(flows):
+        lines += [f'flow[{flow_id}].sourceNode = "{src}"',
+                  f'flow[{flow_id}].destAddress = "{dst}"',
+                  f'flow[{flow_id}].transport = "{transport}"',
+                  f"flow[{flow_id}].packetBytes = 100", f"flow[{flow_id}].periodTtis = 5"]
+    scopes = {"sim": ["sim"], "channel": ["channel"], "eNB": ["eNodeB"], "node": names,
+              "flow": [f"flow[{i}]" for i in range(len(flows))]}
+    for (scope, key, index), value in values.items():
+        if index < len(scopes[scope]):
+            lines.append(f"{scopes[scope][index]}.{key} = {value!r}")
+    lines += ["[multicast]", '224.0.0.10 = "ue*"']
+    return "\n".join(lines) + "\n"
+
+
+def _runs_sound(text: str) -> None:
+    """It parses, replays its canonical text, conserves every packet, keeps
+    the audit at 0 and formats all three CSVs."""
+    config = parse_scenario(text)
+    assert parse_scenario(serialize_scenario(config)) == config
+    result = Engine(config, trace=True, ledger_dump=True).run()
+    for flow_id, metrics in result.flow_metrics.items():
+        ends = metrics["delivered_packets"] + metrics["queued_end"] + sum(
+            value for name, value in metrics.items() if name.startswith("lost_"))
+        assert metrics["offered_packets"] == ends, flow_id
+    assert result.run_metrics["rb_conservation_violations"] == 0
+    for csv in (result.metrics_csv(), result.trace_csv(), result.ledger_csv()):
+        assert csv.endswith("\n")
+
+
+def test_every_ranged_key_is_an_int_or_a_float():
+    assert RANGED and all(conv in (int, float) for _, _, conv, _ in RANGED)
+
+
+@pytest.mark.parametrize("end", [0, 1], ids=["low", "high"])
+@pytest.mark.parametrize("scope, key, conv, bounds", RANGED,
+                         ids=[key for _, key, _, _ in RANGED])
+def test_each_ranged_key_runs_at_each_end_of_its_range(scope, key, conv, bounds, end):
+    value = _ends(key, conv, bounds)[end]
+    values = {("sim", "ttiCount", 0): 40}
+    values.update({(scope, key, index): value for index in range(4)})
+    _runs_sound(_ranged_scenario(3, -7, values))
+
+
+@st.composite
+def ranged_scenarios(draw):
+    ues = draw(st.integers(1, 5))
+    values = {(scope, key, index): draw(_in_range(key, conv, bounds))
+              for scope, key, conv, bounds in RANGED
+              for index in range(ues if scope in ("node", "flow") else 1)}
+    return _ranged_scenario(ues, draw(st.integers(-2**63, 2**63)), values)
+
+
+@settings(max_examples=250, deadline=None)
+@given(ranged_scenarios())
+def test_random_scenarios_over_every_ranged_key_run_sound(text):
+    _runs_sound(text)

@@ -43,6 +43,12 @@ def git(*args: str) -> bytes:
                           timeout=120).stdout
 
 
+def extract(sha: str, dest: Path) -> None:
+    """Write commit ``sha``'s tree into the directory ``dest`` with ``git archive``."""
+    with tarfile.open(fileobj=io.BytesIO(git("archive", "--format=tar", sha))) as tar:
+        tar.extractall(dest, filter="data")
+
+
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     """One benchmark run: its last JSON line, or ``{"correct": False}`` if it
     printed none.  A run that times out or is interrupted is killed with
@@ -120,8 +126,7 @@ def main(argv: list[str] | None = None) -> int:
 
     with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
         parent_dir = Path(tmp)
-        with tarfile.open(fileobj=io.BytesIO(git("archive", "--format=tar", parent_sha))) as tar:
-            tar.extractall(parent_dir, filter="data")
+        extract(parent_sha, parent_dir)
         sides = {"parent": parent_dir, "change": ROOT}
         for pair in range(1, args.pairs + 1):
             order = ("parent", "change") if pair % 2 else ("change", "parent")
