@@ -23,6 +23,8 @@ from functools import reduce
 
 from .binder import Binder, Direction, Record
 
+PROBE_MEMO_SIZE = 64  # interference layouts a fixed channel keeps the CQI of
+
 
 class ChannelParams(Record):
     __slots__ = ()
@@ -168,6 +170,7 @@ class ChannelModel:
         self._path_loss: dict[tuple[int, int], float] = {}
         # (tx, rx, power, blocks) -> noise-limited mean SINR, kept only at sigma = 0
         self._noise_limited: dict[tuple[int, int, float, int], float] = {}
+        self._probes: dict[tuple, int] = {}
         # tti -> (its link losses, the previous TTI's entries per band)
         self._pinned: dict[int, tuple[dict, dict[str, tuple]]] = {}
         self._noise_mw = dbm_to_mw(params.thermal_noise_dbm_per_rb + params.noise_figure_db)
@@ -262,11 +265,23 @@ class ChannelModel:
 
         Interference is taken from the previous TTI's ledger, the most
         recent one a measurement could have observed; if ``tti`` is
-        pinned, from the entries kept when it was pinned.
+        pinned, from the entries kept when it was pinned.  Without shadowing the
+        CQI is memoised by the link, its power and each interfering entry's
+        transmitter, run and power, for the last ``PROBE_MEMO_SIZE`` (64) layouts.
         """
         pinned = self._pinned.get(tti)
         band = direction.band
         entries = pinned[1][band] if pinned else self.binder.band_allocations(tti - 1, band)
+        key = self._fixed_loss and (tx_id, rx_id, tx_power_dbm, *[  # False: not memoised
+            field for e in entries if e.tx_id != tx_id and e.tx_id != rx_id
+            for field in (e.tx_id, e.rbs.start, e.rbs.stop, e.tx_power_dbm)])
+        if key in self._probes:
+            return self._probes[key]
         sinrs = self.sinr_per_rb_db(tx_id, rx_id, tti=tti, rbs=range(self.binder.num_rbs),
                                     tx_power_dbm=tx_power_dbm, entries=entries)
-        return self.table.sinr_to_cqi(mean_sinr_db(sinrs))
+        cqi = self.table.sinr_to_cqi(mean_sinr_db(sinrs))
+        if key:
+            if len(self._probes) >= PROBE_MEMO_SIZE:
+                del self._probes[next(iter(self._probes))]
+            self._probes[key] = cqi
+        return cqi

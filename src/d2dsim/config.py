@@ -193,9 +193,9 @@ class ScenarioConfig(Record):
 
 
 def is_multicast_address(value: str) -> bool:
-    """True for a dotted-quad literal whose first octet is in 224..239."""
+    """True for a dotted-quad literal of ASCII digits whose first octet is in 224..239."""
     parts = value.split(".")
-    if len(parts) != 4 or not all(p.isdecimal() for p in parts):
+    if len(parts) != 4 or not all(p.isascii() and p.isdecimal() for p in parts):
         return False
     octets = [int(p) for p in parts]
     return 224 <= octets[0] <= 239 and all(o <= 255 for o in octets)

@@ -119,9 +119,9 @@ def _fmt(value: float) -> str:
 class _Link:
     """One radio link: its RLC queues, its HARQ pool and how it is served."""
 
-    __slots__ = ("key", "tx_power_dbm", "reported", "fixed_cqi", "pool", "queues",
-                 "backlog_bits", "mode", "cqi_memo", "tx_id", "direction", "rx", "rx_id",
-                 "node_id", "link", "granted_key", "receivers", "cqi", "retx_rbs")
+    __slots__ = ("key", "tx_power_dbm", "reported", "fixed_cqi", "pool", "queues", "backlog_bits",
+                 "mode", "cqi_memo", "tx_id", "direction", "rx", "rx_id", "node_id", "link",
+                 "receivers", "members", "outsiders", "cqi", "retx_rbs", "granted", "grants")
 
     def __init__(self, key: tuple, tx_power_dbm: float, reported: bool,
                  fixed_cqi: int = 0, pool: HarqPool | None = None) -> None:
@@ -138,8 +138,8 @@ class _Link:
         self.rx_id = None if self.direction is Direction.D2D_MULTI else self.rx
         self.node_id = self.rx if self.direction is Direction.DL else self.tx_id
         self.link = self.direction.link.lower()  # as metric names spell it
-        self.granted_key = f"rbs_granted_{self.link}"
         self.receivers: list[tuple[int, bool]] = []  # one-to-many: (UE, is member)
+        self.granted, self.grants = 0, {}  # blocks granted; grants by CQI
         # it is its own schedule request: set each TTI it asks for a grant,
         # ``retx_rbs`` to a pending retransmission's exact size or 0
         self.cqi = self.retx_rbs = 0
@@ -183,9 +183,11 @@ class Engine:
                          for group in config.multicast_groups}
 
         self.flows: list[tuple[FlowConfig, int, int | None, int]] = []
+        self._due: dict[int, list[int]] = {}  # TTI -> flows due then; each refiles as it fires
         for flow in config.flows:
             jitter = (rng_stream(sim.seed, "jitter", flow.flow_id).randint(
                 0, flow.start_jitter_ttis) if flow.start_jitter_ttis > 0 else 0)
+            self._due.setdefault(flow.start_tti + jitter, []).append(len(self.flows))
             self.flows.append((flow, ids[flow.source_node],
                                None if flow.dest_address in self._members
                                else ids[flow.dest_address], flow.start_tti + jitter))
@@ -214,6 +216,7 @@ class Engine:
         self.assemblers: dict[int, PacketAssembler] = {}
         # open packet instances only: each is counted in ``totals`` as it closes
         self.instances: dict[tuple[int, int | None], PacketDescriptor] = {}
+        self._unsent: dict[int, tuple[int, int]] = {}  # multicast id -> (flow id, outsiders)
         self._next: list[list] = [[], [], [], []]  # FIFO per Phase, for the next TTI
 
         self.now_tti = -1
@@ -226,7 +229,6 @@ class Engine:
             "cqi_reports_dl": 0, "cqi_reports_ul": 0, "cqi_reports_sl": 0,
             "mode_switch_count": 0, "rb_conservation_violations": 0,
         }
-        self.cqi_hist: dict[tuple[str, int], int] = {}
         self.totals: dict[int, dict[str, float]] = {
             flow.flow_id: {
                 "offered_packets": 0, "offered_bits": 0,
@@ -259,6 +261,8 @@ class Engine:
             # every other UE, in id order; the eNB hears no sidelink, member or not
             link.receivers = [(ue_id, self.names[ue_id] in self._members[rx])
                               for ue_id in self.ue_ids if ue_id != tx_id]
+            link.members = [ue_id for ue_id, member in link.receivers if member]
+            link.outsiders = len(link.receivers) - len(link.members)  # the other UEs
         else:
             pool = self.pools[key] = HarqPool(self.config.sim.harq_processes)
             if direction is Direction.D2D:  # a preconfigured sender is never sounded
@@ -295,12 +299,16 @@ class Engine:
             packet_id=self._packet_seq, flow_id=flow_id, src_id=src_id,
             dst_id=dst_id, group_address=group, size_bits=size_bits,
             created_tti=self.now_tti, is_request=is_request)
-        rx_ids = [None] if group is None else [r for r in self.ue_ids if r != src_id]
+        rx_ids, outsiders = [None], 0
+        if group is not None:  # its outsiders are open until a block of it is received
+            link = self._links[src_id, Direction.D2D_MULTI, group]
+            rx_ids, outsiders = link.members, link.outsiders
+            self._unsent[packet.packet_id] = (flow_id, outsiders)
         for rx_id in rx_ids:
             self.instances[(packet.packet_id, rx_id)] = packet
         totals = self.totals[flow_id]
-        totals["offered_packets"] += len(rx_ids)
-        totals["offered_bits"] += len(rx_ids) * packet.size_bits
+        totals["offered_packets"] += len(rx_ids) + outsiders
+        totals["offered_bits"] += (len(rx_ids) + outsiders) * packet.size_bits
         return packet
 
     def _close_instance(self, packet_id: int, rx_id: int | None,
@@ -363,13 +371,14 @@ class Engine:
     # -- phases -----------------------------------------------------------
 
     def _phase_packet_arrival(self, tti: int) -> None:
-        for flow, src_id, dst_id, start in self.flows:
-            if tti >= start and (tti - start) % flow.period_ttis == 0:
-                group = flow.dest_address if dst_id is None else None
-                packet = self._new_packet(
-                    flow.flow_id, flow.packet_bytes * 8, src_id, dst_id, group,
-                    is_request=flow.transport is Transport.REQUEST_RESPONSE)
-                self._classify_and_enqueue(packet, src_id)
+        for index in sorted(self._due.pop(tti, ())):  # in flow order
+            flow, src_id, dst_id, _ = self.flows[index]
+            self._due.setdefault(tti + flow.period_ttis, []).append(index)
+            group = flow.dest_address if dst_id is None else None
+            packet = self._new_packet(
+                flow.flow_id, flow.packet_bytes * 8, src_id, dst_id, group,
+                is_request=flow.transport is Transport.REQUEST_RESPONSE)
+            self._classify_and_enqueue(packet, src_id)
 
     def _phase_cqi_report(self, tti: int) -> None:
         if tti % self.config.sim.cqi_report_period_ttis != 0:
@@ -420,9 +429,9 @@ class Engine:
 
     # -- scheduling --------------------------------------------------------
 
-    def _request(self, link: _Link, tti: int, bucket: list[_Link]) -> bool:
-        """Request a pending retransmission, else new data if the link has a
-        usable CQI and an idle HARQ process; True if it holds either."""
+    def _request(self, link: _Link, tti: int, taken: int, bucket: list[_Link]) -> bool:
+        """Request a pending retransmission, else new data if the link has a usable
+        CQI (reported at ``taken``) and an idle HARQ process; True if it holds either."""
         pool = link.pool
         if pool is not None and pool.waiting:
             retx = pool.pending_retx()
@@ -431,7 +440,9 @@ class Engine:
             return True
         if link.backlog_bits <= 0:
             return False
-        cqi = self._link_cqi(link, tti) if link.reported else link.fixed_cqi
+        memo = link.cqi_memo  # read inline while it holds the report usable now
+        cqi = (link.fixed_cqi if not link.reported else memo[1] if memo[0] == taken
+               else self._link_cqi(link, tti))
         if cqi >= 1 and (pool is None or pool.has_idle()):
             link.cqi, link.retx_rbs = cqi, 0
             bucket.append(link)
@@ -441,24 +452,29 @@ class Engine:
         sim = self.config.sim
         dl_requests: list[_Link] = []
         ul_requests: list[_Link] = []
+        taken = (tti - 1) // sim.cqi_report_period_ttis * sim.cqi_report_period_ttis
 
         # a UE with nothing left leaves; an enqueue or a NACK brings it back
         for ue_id in sorted(self._active):
             downlink, uplink, peers, groups = self._ue_links[ue_id]
-            busy = self._request(downlink, tti, dl_requests)
-            busy |= self._request(uplink, tti, ul_requests)
+            busy = self._request(downlink, tti, taken, dl_requests)
+            busy |= self._request(uplink, tti, taken, ul_requests)
             # one sidelink per TTI: a pending retransmission outranks new
             # data, then the first peer with queued data is served
-            if peers:
-                peer = (next((link for link in peers if link.pool.waiting), None)
-                        or next((link for link in peers if link.backlog_bits), None))
-                if peer is not None:
-                    busy |= self._request(peer, tti, ul_requests)
+            peer = None
+            for link in peers:
+                if link.pool.waiting:
+                    peer = link
+                    break
+                if peer is None and link.backlog_bits:
+                    peer = link
+            if peer is not None:
+                busy |= self._request(peer, tti, taken, ul_requests)
             # likewise one group per TTI, the first with queued data
-            if groups:
-                group = next((link for link in groups if link.backlog_bits), None)
-                if group is not None:
-                    busy |= self._request(group, tti, ul_requests)
+            for link in groups:
+                if link.backlog_bits:
+                    busy |= self._request(link, tti, taken, ul_requests)
+                    break
             if not busy:
                 self._active.discard(ue_id)
 
@@ -484,9 +500,8 @@ class Engine:
         if process is not None:
             process.tb, tb.harq = tb, process
             process.tx_count += 1
-        self.counters[link.granted_key] += num_rbs
-        hist_key = (link.link, link.cqi)
-        self.cqi_hist[hist_key] = self.cqi_hist.get(hist_key, 0) + 1
+        link.granted += num_rbs
+        link.grants[link.cqi] = link.grants.get(link.cqi, 0) + 1
         tb.tx_id, tb.direction = link.tx_id, link.direction
         tb.tx_power_dbm, tb.tti = link.tx_power_dbm, self.now_tti + 1
         if self.trace_enabled:
@@ -495,19 +510,19 @@ class Engine:
 
     def _fill_chunks(self, link: _Link, capacity_bits: int) -> list[RlcChunk]:
         """Drain this link's queues, lowest endpoint first, into one payload."""
-        chunks: list[RlcChunk] = []
-        capacity = capacity_bits
-        for queue in link.queues.values():
-            if capacity < 8:
-                break
-            if queue:
-                taken = queue.fill(capacity)
-                for chunk in taken:
-                    capacity -= chunk.bits
-                chunks += taken
-                if chunks and not chunks[-1].last:
-                    break  # the single fragment must end the block
-        link.backlog_bits -= capacity_bits - capacity
+        if len(link.queues) == 1:  # most links have one endpoint: fill straight from it
+            queue, = link.queues.values()
+            chunks = queue.fill(capacity_bits) if queue and capacity_bits >= 8 else []
+        else:
+            chunks = []
+            for queue in link.queues.values():
+                capacity = capacity_bits - sum(chunk.bits for chunk in chunks)
+                if capacity < 8 or chunks and not chunks[-1].last:
+                    break  # full, or its single fragment must end the block
+                if queue:
+                    chunks += queue.fill(capacity)
+        for chunk in chunks:
+            link.backlog_bits -= chunk.bits
         return chunks
 
     # -- air interface ------------------------------------------------------
@@ -540,19 +555,24 @@ class Engine:
 
     def _receive_multicast(self, tb: TransportBlock, link: _Link) -> None:
         packet_ids = sorted({c.packet.packet_id for c in tb.chunks})
-        for rx_id, member in link.receivers:
-            result = phy_receive(self.channel, tb, rx_id) if member else None
-            if self.trace_enabled:
+        for packet_id in packet_ids:  # a packet's first block: every outsider filters it
+            unsent = self._unsent.pop(packet_id, None)
+            if unsent is not None:
+                self.totals[unsent[0]][InstanceStatus.FILTERED] += unsent[1]
+        results = {rx_id: phy_receive(self.channel, tb, rx_id) for rx_id in link.members}
+        if self.trace_enabled:  # a row for every UE that hears it, member or not
+            for rx_id, _ in link.receivers:
+                result = results.get(rx_id)
                 self._trace("receive", tb.tx_id, rx_id, link.direction, len(tb.rbs),
                             result and result.mean_sinr_db, result and result.decoded)
-            if result is not None and result.decoded:
+        for rx_id, result in results.items():
+            if result.decoded:
                 for packet in self._reassemble(rx_id, tb.chunks, multicast=True):
                     self._close_instance(packet.packet_id, rx_id,
                                          InstanceStatus.DELIVERED)
             else:
-                status = InstanceStatus.FILTERED if result is None else InstanceStatus.LOST_DECODE
                 for packet_id in packet_ids:
-                    self._close_instance(packet_id, rx_id, status)
+                    self._close_instance(packet_id, rx_id, InstanceStatus.LOST_DECODE)
 
     def _deliver(self, packet: PacketDescriptor, rx_id: int) -> None:
         if rx_id == self.enb_id and packet.dst_id != self.enb_id:
@@ -608,12 +628,19 @@ class Engine:
         flow_metrics = {flow_id: dict(totals) for flow_id, totals in self.totals.items()}
         for packet in self.instances.values():
             flow_metrics[packet.flow_id]["queued_end"] += 1
+        for flow_id, outsiders in self._unsent.values():  # still queued for every outsider
+            flow_metrics[flow_id]["queued_end"] += outsiders
         for flow_id, metrics in flow_metrics.items():
             if metrics["delivered_packets"]:
                 metrics["mean_latency_ttis"] = (
                     self._latency_sum[flow_id] / metrics["delivered_packets"])
 
         run_metrics = dict(self.counters)
+        for link in self._links.values():
+            run_metrics[f"rbs_granted_{link.link}"] += link.granted
+            for cqi, count in link.grants.items():
+                name = f"cqi_hist_{link.link}_{cqi}"
+                run_metrics[name] = run_metrics.get(name, 0) + count
         ttis = self.config.sim.tti_count
         capacity = self.config.sim.num_rbs * ttis if ttis else 0
         for link in ("dl", "ul", "sl"):
@@ -623,8 +650,6 @@ class Engine:
             run_metrics[f"rbs_granted_{link}"] for link in ("dl", "ul", "sl"))
         run_metrics["mode_switch_losses"] = sum(
             m["lost_mode_switch"] for m in flow_metrics.values())
-        for (link, cqi), count in sorted(self.cqi_hist.items()):
-            run_metrics[f"cqi_hist_{link}_{cqi}"] = count
 
         return SimulationResult(run_metrics, flow_metrics, self.trace,
                                 self.ledger_rows)

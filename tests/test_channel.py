@@ -472,6 +472,31 @@ def test_probe_on_kept_entries_matches_the_ledger_it_was_taken_from():
     assert model.wideband_cqi(1, 0, **kwargs) > then  # without them: noise only
 
 
+def test_a_fixed_channel_tells_probe_layouts_apart_by_every_field():
+    # receiver 0, sender 1, interferers 2 and 3; each probe after the first
+    # changes one field (the link's power, then the interferer's transmitter,
+    # first block, stop block and power) and with it the CQI, so a memo keyed
+    # without that field would answer with the first probe's CQI
+    positions = [(0.0, 0.0), (300.0, 0.0), (150.0, 0.0), (0.0, 100.0)]
+    binder = Binder(num_rbs=10)
+    model = ChannelModel(binder, positions, ChannelParams(), TABLE, 1)
+    layouts = [(26.0, 2, range(0, 6), 10.0), (20.0, 2, range(0, 6), 10.0),
+               (26.0, 3, range(0, 6), 10.0), (26.0, 2, range(2, 6), 10.0),
+               (26.0, 2, range(0, 10), 10.0), (26.0, 2, range(0, 6), 26.0),
+               (26.0, 2, range(0, 6), 10.0)]  # the first layout again
+    answers = []
+    for tti, (power, tx_id, rbs, tx_power) in enumerate(layouts, start=1):
+        _book(binder, tti - 1, tx_id, Direction.UL, rbs, tx_power)
+        fresh = mean_sinr_db(model.sinr_per_rb_db(
+            1, 0, tti=tti, rbs=range(10), tx_power_dbm=power,
+            entries=binder.band_allocations(tti - 1, "UL")))
+        answers.append(model.wideband_cqi(1, 0, tti=tti, tx_power_dbm=power,
+                                          direction=Direction.UL))
+        assert answers[-1] == TABLE.sinr_to_cqi(fresh), tti
+    assert answers == [9, 6, 8, 10, 6, 8, 9]
+    assert len(model._probes) == 6  # the repeated layout was answered from the memo
+
+
 def test_pinned_link_losses_last_until_two_later_pins(monkeypatch):
     draws = _counting_draws(monkeypatch)
     binder, model = _model(shadowing=8.0)

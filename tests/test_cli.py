@@ -111,6 +111,17 @@ def test_validate_reports_a_superscript_digit_in_a_group_address_with_exit_1(
     assert err.count("\n") == 1 and "is not a multicast address" in err
 
 
+def test_validate_reports_a_non_ascii_digit_in_a_group_address_with_exit_1(
+        tmp_path, capsys):
+    bad = tmp_path / "arabic_indic.ini"
+    one_to_many = Path(__file__).resolve().parents[1] / "scenarios" / "one_to_many.ini"
+    bad.write_text(one_to_many.read_text() + '224.0.0.3 = "ueD2D*"\n'
+                   '224.0.0.\u0663 = "ueD2D*"\n', encoding="utf-8")
+    assert main(["validate", str(bad)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "'224.0.0.\u0663' is not a multicast address" in err
+
+
 def test_missing_scenario_file_exits_1(tmp_path, capsys):
     assert main(["validate", str(tmp_path / "nowhere.ini")]) == 1
     assert "nowhere.ini" in capsys.readouterr().err

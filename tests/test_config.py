@@ -417,6 +417,15 @@ def test_superscript_digit_in_a_multicast_address_is_a_scenario_error(line, erro
         parse_scenario(text)
 
 
+def test_a_non_ascii_digit_does_not_spell_a_second_group_of_one_address():
+    # ARABIC-INDIC DIGIT THREE is decimal, and int() reads it as 3
+    assert not is_multicast_address("224.0.0.\u0663")
+    text = ((SCENARIOS / "one_to_many.ini").read_text()
+            + '224.0.0.3 = "ueD2D*"\n224.0.0.\u0663 = "ueD2D*"\n')
+    with pytest.raises(ConstraintViolationError, match="'224.0.0.\u0663' is not a multicast"):
+        parse_scenario(text)
+
+
 # the expressions the string checks replace, anchored as .match(...) was
 _NODE_NAME_REF = re.compile(r"[A-Za-z_][A-Za-z0-9_]*(\[\d+\])?\Z")
 _FLOW_SCOPE_REF = re.compile(r"flow\[(\d+)\]\Z")

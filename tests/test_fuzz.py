@@ -1,5 +1,7 @@
 """Random valid scenarios: runs complete, conserve, replay, and read the
 same CQI whether a report is measured when taken or when first read.
+Flows fire exactly when due, a group's outsiders are counted once per
+packet, traced or not, and every memoised CQI probe equals a fresh one.
 
 The generator builds scenarios that are valid by construction (parsing
 validates them): 1-6 UEs, uplink, downlink, UE-to-UE, requestResponse
@@ -21,8 +23,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import d2dsim.config
-from d2dsim import (ChannelModel, Direction, Engine, parse_scenario,
-                    serialize_scenario)
+from d2dsim import (ChannelModel, Direction, Engine, mean_sinr_db, parse_scenario,
+                    rng_stream, serialize_scenario)
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 from workloads import scenario_text  # noqa: E402
@@ -116,8 +118,11 @@ def test_random_valid_scenarios_conserve_and_replay(text):
             "lost_filtered", "lost_decode_failed", "queued_end"))
         assert metrics["offered_packets"] == ends, flow_id
     assert result.run_metrics["rb_conservation_violations"] == 0
-    # only open instances are kept, and each is queued at the end
-    assert len(engine.instances) == sum(
+    # only open instances are kept: member instances one by one, the UEs
+    # outside a multicast group together while no block of the packet has
+    # been received; each of them is queued at the end
+    assert len(engine.instances) + sum(
+        outsiders for _, outsiders in engine._unsent.values()) == sum(
         metrics["queued_end"] for metrics in result.flow_metrics.values())
     assert _outputs(text)[2] == outputs
 
@@ -205,6 +210,155 @@ def test_lazy_reports_draw_less_shadowing_on_the_shadowed_cell(monkeypatch):
     lazy_metrics, lazy_draws = _shadowing_draws(monkeypatch, Engine(config))
     assert lazy_metrics == eager_metrics == checked_metrics
     assert lazy_draws < eager_draws
+
+
+# -- work that follows the traffic ----------------------------------------------
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 150), st.integers(1, 10_000),
+       st.lists(st.tuples(st.integers(0, 30), st.integers(0, 10), st.integers(1, 40)),
+                min_size=1, max_size=4))
+def test_flows_fire_at_exactly_the_ttis_their_period_names(ttis, seed, flows):
+    # (start, jitter, period) per flow; all share one sender, so a TTI may fire several
+    lines = [f"sim.ttiCount = {ttis}", f"sim.seed = {seed}", 'sim.nodes = "eNodeB ue[0]"',
+             'eNodeB.role = "eNB"']
+    for flow_id, (start, jitter, period) in enumerate(flows):
+        lines += [f'flow[{flow_id}].sourceNode = "ue[0]"',
+                  f'flow[{flow_id}].destAddress = "eNodeB"', f"flow[{flow_id}].packetBytes = 10",
+                  f"flow[{flow_id}].startTti = {start}",
+                  f"flow[{flow_id}].startJitterTtis = {jitter}",
+                  f"flow[{flow_id}].periodTtis = {period}"]
+    engine = Engine(parse_scenario("\n".join(lines) + "\n"))
+    fired = []
+    new_packet = engine._new_packet
+
+    def recorded(flow_id, *args, **kwargs):
+        fired.append((engine.now_tti, flow_id))
+        return new_packet(flow_id, *args, **kwargs)
+
+    engine._new_packet = recorded
+    engine.run()
+    due = []
+    for flow_id, (start, jitter, period) in enumerate(flows):
+        first = start + (rng_stream(seed, "jitter", flow_id).randint(0, jitter) if jitter else 0)
+        due += [(t, flow_id) for t in range(ttis) if t >= first and (t - first) % period == 0]
+    assert fired == sorted(due)  # by TTI, then in flow order
+
+
+@st.composite
+def multicast_scenarios(draw):
+    """``scenarios`` plus ue[0] sending to both groups, every 1-10 TTIs, so
+    that runs often end with multicast packets queued, and each group's
+    members drawn again, so that most groups leave some UEs out."""
+    text = draw(scenarios())
+    lines = ["ue[0].usePreconfiguredTxParams = true", f"ue[0].d2dCqi = {draw(st.integers(1, 15))}"]
+    for flow_id, group in zip((90, 91), GROUPS):
+        lines += [f'flow[{flow_id}].sourceNode = "ue[0]"',
+                  f'flow[{flow_id}].destAddress = "{group}"',
+                  f"flow[{flow_id}].packetBytes = {draw(st.integers(1, 1500))}",
+                  f"flow[{flow_id}].periodTtis = {draw(st.integers(1, 10))}"]
+    members = st.sampled_from(["ue[0]", "ue[1]", "ue[2]", "ue[1*", "ue[*]", "**"])
+    return (text.replace("[multicast]", "\n".join(lines) + "\n[multicast]")
+            + "".join(f'{group} = "{draw(members)}"\n' for group in GROUPS))
+
+
+@settings(max_examples=100, deadline=None)
+@given(multicast_scenarios())
+def test_group_outsiders_are_counted_once_per_packet_traced_or_not(text):
+    config = parse_scenario(text)
+    engine = Engine(config, trace=True)
+    created: dict[int, tuple[int, int]] = {}  # multicast packet id -> (flow id, outsiders)
+    received: set[int] = set()  # multicast packets a block of which was received
+    new_packet, receive = engine._new_packet, engine._receive_multicast
+
+    def recorded(flow_id, size_bits, src_id, dst_id, group, **kwargs):
+        packet = new_packet(flow_id, size_bits, src_id, dst_id, group, **kwargs)
+        if group is not None:
+            outsiders = [member for _, member in
+                         engine._links[src_id, Direction.D2D_MULTI, group].receivers]
+            created[packet.packet_id] = (flow_id, outsiders.count(False))
+        return packet
+
+    def heard(tb, link):
+        received.update(chunk.packet.packet_id for chunk in tb.chunks)
+        receive(tb, link)
+
+    engine._new_packet, engine._receive_multicast = recorded, heard
+    traced = engine.run()
+    assert traced.metrics_csv() == Engine(config).run().metrics_csv()
+    for flow_id, metrics in traced.flow_metrics.items():
+        outsiders = [(packet_id in received, count)
+                     for packet_id, (flow, count) in created.items() if flow == flow_id]
+        open_members = sum(packet.flow_id == flow_id for packet in engine.instances.values())
+        assert metrics["lost_filtered"] == sum(count for heard, count in outsiders if heard)
+        assert metrics["queued_end"] == open_members + sum(
+            count for heard, count in outsiders if not heard)
+
+
+def test_a_group_packet_still_in_flight_is_queued_for_its_outsiders():
+    # ueBystander[0] is the one UE outside the group; the first packet is
+    # granted at TTI 0, sent at TTI 1 and received at TTI 2
+    config = parse_scenario((Path(__file__).resolve().parents[1] / "scenarios"
+                             / "one_to_many.ini").read_text())
+    for ttis, filtered, queued in ((2, 0, 4), (3, 1, 0)):
+        short = config._replace(sim=config.sim._replace(tti_count=ttis))
+        engine = Engine(short)
+        result = engine.run()
+        metrics = result.flow_metrics[0]
+        assert (metrics["offered_packets"], metrics["lost_filtered"],
+                metrics["queued_end"]) == (4, filtered, queued)
+        assert len(engine._unsent) == (ttis == 2)
+        assert Engine(short, trace=True).run().metrics_csv() == result.metrics_csv()
+
+
+def _probes_checked(engine):
+    """Check every CQI probe the channel answers against a fresh measurement.
+
+    Each answer must equal the CQI of the mean of ``sinr_per_rb_db`` over
+    the same ledger entries, measured afresh.  Returns one flag per probe,
+    True where the memo answered it (no SINR was computed for it).
+    """
+    channel, answered = engine.channel, []
+    probe, sinr = channel.wideband_cqi, channel.sinr_per_rb_db
+    computed = []
+
+    def counted(*args, **kwargs):
+        computed.append(1)
+        return sinr(*args, **kwargs)
+
+    def checked(tx_id, rx_id, *, tti, tx_power_dbm, direction):
+        before = len(computed)
+        cqi = probe(tx_id, rx_id, tti=tti, tx_power_dbm=tx_power_dbm, direction=direction)
+        pinned = channel._pinned.get(tti)
+        band = direction.band
+        entries = pinned[1][band] if pinned else channel.binder.band_allocations(tti - 1, band)
+        fresh = ChannelModel.sinr_per_rb_db(channel, tx_id, rx_id, tti=tti,
+                                            rbs=range(channel.binder.num_rbs),
+                                            tx_power_dbm=tx_power_dbm, entries=entries)
+        assert cqi == channel.table.sinr_to_cqi(mean_sinr_db(fresh)), (tx_id, rx_id, tti)
+        answered.append(len(computed) == before)
+        return cqi
+
+    channel.wideband_cqi, channel.sinr_per_rb_db = checked, counted
+    return answered
+
+
+@settings(max_examples=100, deadline=None)
+@given(scenarios())
+def test_memoised_probes_equal_a_fresh_measurement(text):
+    engine = Engine(parse_scenario(text), trace=True)
+    answered = _probes_checked(engine)
+    checked = engine.run()
+    assert checked.trace_csv() == Engine(parse_scenario(text), trace=True).run().trace_csv()
+    if engine.channel.params.shadowing_std_dev_db:
+        assert not any(answered) and engine.channel._probes == {}
+
+
+def test_mixed_7ue_probes_repeat_their_interference_layouts():
+    engine = Engine(parse_scenario(scenario_text("mixed_7ue", 42, 0)))
+    answered = _probes_checked(engine)
+    engine.run()
+    assert (len(answered), sum(answered)) == (900, 876)
 
 
 # -- every key over its validated range ----------------------------------------

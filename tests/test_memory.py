@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from d2dsim import Engine, load_scenario, parse_scenario
+from d2dsim.channel import PROBE_MEMO_SIZE
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
@@ -34,6 +35,20 @@ def _shadowed_cell():
         lines += [f'flow[{i}].sourceNode = "{src}"', f'flow[{i}].destAddress = "{dst}"',
                   f"flow[{i}].packetBytes = {size}", f"flow[{i}].periodTtis = {period}",
                   f"flow[{i}].startJitterTtis = {period - 1}"]
+    return parse_scenario("\n".join(lines) + "\n")
+
+
+def _varied_layout_cell():
+    """Eight UEs with uplink flows of eight periods, no shadowing and a CQI
+    report every TTI: the probes see far more interference layouts than the
+    channel keeps the CQI of."""
+    ues = [f"ue[{i}]" for i in range(8)]
+    lines = ["sim.seed = 5", "sim.numRbs = 12", "sim.cqiReportPeriodTtis = 1",
+             f'sim.nodes = "eNodeB {" ".join(ues)}"', 'eNodeB.role = "eNB"']
+    for i, (ue, period) in enumerate(zip(ues, [3, 4, 5, 7, 9, 11, 13, 16])):
+        lines += [f"{ue}.positionX = {-350 + 100 * i}", f"{ue}.positionY = {(-1) ** i * 40 * i}",
+                  f'flow[{i}].sourceNode = "{ue}"', f'flow[{i}].destAddress = "eNodeB"',
+                  f"flow[{i}].packetBytes = {60 + 25 * i}", f"flow[{i}].periodTtis = {period}"]
     return parse_scenario("\n".join(lines) + "\n")
 
 
@@ -70,7 +85,18 @@ def test_shadowed_run_keeps_no_run_constant_memo():
     assert long - short <= 16 * 1024, (short, long)
     channel = engine.channel
     assert channel._noise_limited == {}
+    assert channel._probes == {}
     assert len(channel._pinned) <= 2
     num_nodes = len(channel.positions)
     assert len(channel._path_loss) <= num_nodes * (num_nodes - 1)  # one per ordered pair
     assert engine.counters["mode_switch_count"] > 0  # mode selection acted
+
+
+def test_probe_memo_is_bounded_without_shadowing():
+    """Without shadowing a probe's CQI is memoised by interference layout;
+    the memo holds the last PROBE_MEMO_SIZE layouts, however many the run sees."""
+    config = _varied_layout_cell()
+    short, _ = _retained_bytes(config, 1000)
+    long, engine = _retained_bytes(config, 4000)
+    assert long - short <= 16 * 1024, (short, long)
+    assert len(engine.channel._probes) == PROBE_MEMO_SIZE  # full: the bound holds it

@@ -65,3 +65,8 @@ def test_traced_run_matches_and_counts_every_layer():
     assert values["channel.wideband_cqi.calls"] == 1097
     assert {name: value for name, value in report["mixed_7ue"]["values"].items()
             if name in MIXED_7UE_COUNTS} == MIXED_7UE_COUNTS
+    # every probe is still made; 876 of the 900 repeat an interference layout
+    # the fixed channel has measured, so only 24 fill a band's SINRs
+    values = report["mixed_7ue"]["values"]
+    assert values["channel.wideband_cqi.calls"] == 900
+    assert values["channel.sinr_per_rb_db.calls"] == 24
