@@ -182,7 +182,7 @@ class Engine:
         self._members = {group.address: resolve_pattern(group.member_pattern, self.names)
                          for group in config.multicast_groups}
 
-        self.flows: list[tuple[FlowConfig, int, int | None, int]] = []
+        self.flows: list[tuple[FlowConfig, int, int | None]] = []
         self._due: dict[int, list[int]] = {}  # TTI -> flows due then; each refiles as it fires
         for flow in config.flows:
             jitter = (rng_stream(sim.seed, "jitter", flow.flow_id).randint(
@@ -190,7 +190,7 @@ class Engine:
             self._due.setdefault(flow.start_tti + jitter, []).append(len(self.flows))
             self.flows.append((flow, ids[flow.source_node],
                                None if flow.dest_address in self._members
-                               else ids[flow.dest_address], flow.start_tti + jitter))
+                               else ids[flow.dest_address]))
 
         # every link the scenario can use, as (downlink, uplink, peers, groups)
         # per UE; a UE serves its peers in id order and its groups by address
@@ -201,7 +201,7 @@ class Engine:
                     self._add_link(ue_id, Direction.UL, self.enb_id), [], [])
             for ue_id in self.ue_ids}
         one_to_many = {(src_id, flow.dest_address)
-                       for flow, src_id, dst_id, _ in self.flows if dst_id is None}
+                       for flow, src_id, dst_id in self.flows if dst_id is None}
         for direction, pairs in ((Direction.D2D, peerings),
                                  (Direction.D2D_MULTI, one_to_many)):
             for tx_id, rx in sorted(pairs):
@@ -236,7 +236,7 @@ class Engine:
                 "lost_harq_exhausted": 0, "lost_mode_switch": 0,
                 "lost_filtered": 0, "lost_decode_failed": 0, "queued_end": 0,
                 "mean_latency_ttis": float("nan"), "max_latency_ttis": 0,
-            } for flow, _, _, _ in self.flows}
+            } for flow, _, _ in self.flows}
         self._latency_sum: dict[int, int] = dict.fromkeys(self.totals, 0)
 
     # -- helpers --------------------------------------------------------
@@ -324,11 +324,10 @@ class Engine:
             latency = self.now_tti - packet.created_tti
             self._latency_sum[packet.flow_id] += latency
             totals["max_latency_ttis"] = max(totals["max_latency_ttis"], latency)
-        elif rx_id is None:  # part of a unicast packet may wait at any hop
-            for assembler in self.assemblers.values():
-                assembler.discard(packet_id)
-        elif rx_id in self.assemblers:
-            self.assemblers[rx_id].discard(packet_id)
+        else:  # chunks wait at the receiver; a unicast packet's at the eNB or its destination
+            for node_id in (self.enb_id, packet.dst_id) if rx_id is None else (rx_id,):
+                if node_id in self.assemblers:
+                    self.assemblers[node_id].discard(packet_id)
 
     def _reassemble(self, rx_id: int, chunks: Iterable[RlcChunk], *,
                     multicast: bool) -> list[PacketDescriptor]:
@@ -352,10 +351,8 @@ class Engine:
     def _classify_and_enqueue(self, packet: PacketDescriptor, at_node: int) -> None:
         """Run one hop's PDCP classification and queue the packet."""
         is_mcast = packet.group_address is not None
-        src_is_enb = at_node == self.enb_id
-        dst_is_enb = packet.dst_id == self.enb_id
         peer = self._peerings.get((at_node, packet.dst_id))  # peerings run UE to UE
-        direction = pdcp_classify(src_is_enb, dst_is_enb, is_mcast,
+        direction = pdcp_classify(at_node == self.enb_id, is_mcast,
                                   peer.mode if peer is not None else None)
         endpoint = packet.group_address if is_mcast else packet.dst_id
         link = self._links[at_node, direction,
@@ -372,7 +369,7 @@ class Engine:
 
     def _phase_packet_arrival(self, tti: int) -> None:
         for index in sorted(self._due.pop(tti, ())):  # in flow order
-            flow, src_id, dst_id, _ = self.flows[index]
+            flow, src_id, dst_id = self.flows[index]
             self._due.setdefault(tti + flow.period_ttis, []).append(index)
             group = flow.dest_address if dst_id is None else None
             packet = self._new_packet(
@@ -550,8 +547,8 @@ class Engine:
         if result.decoded:
             for packet in self._reassemble(link.rx_id, tb.chunks, multicast=False):
                 self._deliver(packet, link.rx_id)
-        if tb.harq is not None:
-            self.schedule_event(Phase.HARQ_FEEDBACK, (tb, result.decoded))
+        # every unicast link has HARQ
+        self.schedule_event(Phase.HARQ_FEEDBACK, (tb, result.decoded))
 
     def _receive_multicast(self, tb: TransportBlock, link: _Link) -> None:
         packet_ids = sorted({c.packet.packet_id for c in tb.chunks})

@@ -35,20 +35,18 @@ class PacketDescriptor:
         self.size_bits, self.created_tti, self.is_request = size_bits, created_tti, is_request
 
 
-def pdcp_classify(src_is_enb: bool, dst_is_enb: bool, is_multicast: bool,
+def pdcp_classify(src_is_enb: bool, is_multicast: bool,
                   peer_mode: Mode | None) -> Direction:
     """Pick the direction of a packet's next hop.
 
     ``peer_mode`` is the sender's peering mode toward the destination,
-    or None when the pair is not peered; unpeered UE-to-UE traffic and
-    peerings in infrastructure mode both go through the eNB.
+    or None when the pair is not peered; every other unicast packet a UE
+    sends, to the eNB (never a peer) or through it, goes up the uplink.
     """
     if is_multicast:
         return Direction.D2D_MULTI
     if src_is_enb:
         return Direction.DL
-    if dst_is_enb:
-        return Direction.UL
     return Direction.D2D if peer_mode is Mode.DM else Direction.UL
 
 
@@ -125,7 +123,6 @@ class PacketAssembler:
             self._received_bits.pop(pid, None)
             return chunk.packet
         self._received_bits[pid] = total
-        return None
 
     def discard(self, packet_id: int) -> None:
         """Forget the bits of a packet that will not complete."""
@@ -141,10 +138,8 @@ def rbs_needed(bits: int, cqi: int, rb_capacity_re: int, table: CqiTable) -> int
         return None
     if bits <= 0:
         return 0
-    # a guess from the rounded ratio, which can be a block off either way
-    n = max(1, math.ceil(bits / (rb_capacity_re * table.efficiencies[cqi])))
-    while amc_tbs(cqi, n - 1, rb_capacity_re, table) >= bits:
-        n -= 1
+    # the rounded ratio is within a block of the need either way: climb from a block below
+    n = math.ceil(bits / (rb_capacity_re * table.efficiencies[cqi])) - 1
     while amc_tbs(cqi, n, rb_capacity_re, table) < bits:
         n += 1
     return n
@@ -182,11 +177,11 @@ def schedule_band(requests: list, num_rbs: int,
         node_id, direction = next(key for i, key in enumerate(keys) if key in keys[:i])
         raise ValueError(f"duplicate request for node {node_id} {direction.value}")
 
-    retx, fresh = [], []  # retransmissions; new data a block could carry
+    retx, fresh = [], []  # retransmissions; new data at a CQI that carries bits
     for r in requests:
         if r.retx_rbs > 0:
             retx.append(r)
-        elif r.retx_rbs == 0 and r.backlog_bits > 0 and r.cqi >= 1:
+        elif r.cqi >= 1:  # a request with no backlog needs, and gets, no block
             fresh.append(r)
 
     available = num_rbs
@@ -209,13 +204,12 @@ def schedule_band(requests: list, num_rbs: int,
         fresh.sort(key=_by_node)
         need = [bisect_left(sizes[r.cqi], r.backlog_bits) for r in fresh]
         level, left = 0, len(need)  # blocks each open requester holds; how many are open
-        for target in sorted(need):
-            if target > level:
-                rounds = min(target - level, available // left)
-                level += rounds
-                available -= rounds * left
-                if level < target:
-                    break
+        for target in sorted(need):  # never below level, and equal to it changes nothing
+            rounds = min(target - level, available // left)
+            level += rounds
+            available -= rounds * left
+            if level < target:
+                break
             left -= 1
         for request, n in zip(fresh, need):
             count = min(n, level)
@@ -287,7 +281,6 @@ class HarqPool:
                 process.busy = True
                 self.busy += 1
                 return process
-        return None
 
     def has_idle(self) -> bool:
         return self.busy < self.num_processes
@@ -311,7 +304,6 @@ class HarqPool:
             for process in self.processes:
                 if process.busy and process.awaiting_retx:
                     return process
-        return None
 
 
 def harq_on_feedback(process: HarqProcess, ack: bool, max_retx: int) -> HarqOutcome:
@@ -339,20 +331,18 @@ class TransportBlock:
     """One grant, from the scheduler to HARQ feedback.
 
     ``schedule_band`` sets the request, a contiguous run of blocks and
-    the bits it carries; the engine adds the payload, the air interface's
-    fields (``tx_id``, ``direction``, ``tx_power_dbm`` and ``tti``, unset
-    until a grant is issued) and the HARQ process keeping it; the binder
-    books it as its entry.
+    the bits it carries.  The rest stays unset until the engine issues the
+    grant: it adds the payload (``chunks``) and its ``cqi``, the air
+    interface's fields (``tx_id``, ``direction``, ``tx_power_dbm`` and
+    ``tti``) and, on a unicast link, the HARQ process keeping it (``harq``);
+    the binder books it as its entry.
     """
 
     __slots__ = ("request", "rbs", "tbs_bits", "tx_id", "direction",
                  "tx_power_dbm", "tti", "cqi", "chunks", "harq")
 
-    def __init__(self, request: object, rbs: range, tbs_bits: int = 0) -> None:
+    def __init__(self, request: object, rbs: range, tbs_bits: int) -> None:
         self.request, self.rbs, self.tbs_bits = request, rbs, tbs_bits
-        self.cqi = 0
-        self.chunks: tuple[RlcChunk, ...] = ()
-        self.harq: HarqProcess | None = None  # None when the link has no HARQ
 
 
 class ReceptionResult:

@@ -21,7 +21,7 @@ TABLE = CqiTable.default()
 
 def _entry(tti, tx_id, direction, rbs, power_dbm=0.0):
     """A transport block with the air interface's fields, as a grant sets them."""
-    tb = TransportBlock(None, rbs)
+    tb = TransportBlock(None, rbs, 0)
     tb.tx_id, tb.direction, tb.tx_power_dbm, tb.tti = tx_id, direction, power_dbm, tti
     return tb
 

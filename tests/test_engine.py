@@ -5,8 +5,9 @@ from pathlib import Path
 
 import pytest
 
-from d2dsim import (Direction, Engine, Mode, ModeSwitchCommand, Phase, parse_scenario,
-                    run_scenario)
+from d2dsim import (Direction, Engine, Mode, ModeSwitchCommand, PacketAssembler, Phase,
+                    parse_scenario, run_scenario)
+from d2dsim.engine import InstanceStatus
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -215,7 +216,7 @@ flow[0].transport = "requestResponse"
     assert engine.names == ["ueB[0]", "eNodeB", "ueA[0]"]
     assert (engine.enb_id, engine.ue_ids) == (1, [0, 2])
     assert engine.channel.positions == [(30.0, 0.0), (0.0, 0.0), (0.0, -40.0)]
-    assert [(src_id, dst_id) for _, src_id, dst_id, _ in engine.flows] == [(2, 0)]
+    assert [(src_id, dst_id) for _, src_id, dst_id in engine.flows] == [(2, 0)]
     assert (2, Direction.UL, 1) in engine._links and (1, Direction.DL, 0) in engine._links
     result = engine.run()
     assert {(row.src, row.dst) for row in result.trace if row.event == "transmit"} == {
@@ -450,6 +451,30 @@ def test_assemblers_drop_packets_whose_instance_closed():
     for rx_id, packet_id in held:  # only open instances are kept
         assert ((packet_id, None) in engine.instances
                 or (packet_id, rx_id) in engine.instances), (rx_id, packet_id)
+
+
+def test_a_lost_unicast_instance_is_discarded_at_the_enb_and_its_destination(monkeypatch):
+    # a unicast packet's chunks wait only at the eNB or at its destination,
+    # so closing a lost one touches at most those two assemblers
+    discards = []
+    monkeypatch.setattr(PacketAssembler, "discard",
+                        lambda self, packet_id: discards.append(packet_id))
+    close = Engine._close_instance
+    per_loss = []
+
+    def counting_close(self, packet_id, rx_id, status):
+        lost = (rx_id is None and status is not InstanceStatus.DELIVERED
+                and (packet_id, None) in self.instances)
+        before = len(discards)
+        close(self, packet_id, rx_id, status)
+        if lost:
+            per_loss.append(len(discards) - before)
+
+    monkeypatch.setattr(Engine, "_close_instance", counting_close)
+    engine = Engine(_lossy_cell())
+    engine.run()
+    assert len(engine.assemblers) > 2
+    assert per_loss and max(per_loss) <= 2, per_loss
 
 
 def test_grants_that_carry_nothing_are_not_counted():

@@ -4,13 +4,14 @@ from bisect import bisect_left
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from d2dsim import (CqiTable, Direction, HarqOutcome, HarqPool, Mode,
                     PacketAssembler, PacketDescriptor, RlcTxQueue, TransportBlock,
                     amc_tbs, harq_on_feedback, pdcp_classify, rbs_needed,
                     schedule_band)
+from d2dsim.stack import ReceptionResult, RlcChunk
 
 TABLE = CqiTable.default()
 
@@ -22,22 +23,32 @@ def _packet(pid=1, size_bits=4000, **kw):
     return PacketDescriptor(**defaults)
 
 
+def test_stack_objects_keep_their_fields_in_slots():
+    # the TTI loop builds and reads these per packet, chunk or grant: no __dict__
+    pool = HarqPool(1)
+    objects = [_packet(), RlcChunk(_packet(), 8, True), RlcTxQueue(), PacketAssembler(),
+               pool, pool.processes[0], TransportBlock(None, range(1), 0),
+               ReceptionResult(True, 0.0)]
+    for obj in objects:
+        assert not hasattr(obj, "__dict__"), type(obj).__name__
+
+
 # -- PDCP ---------------------------------------------------------------------
 
 def test_classify_multicast_wins():
-    assert pdcp_classify(False, False, True, None) is Direction.D2D_MULTI
-    assert pdcp_classify(False, False, True, Mode.DM) is Direction.D2D_MULTI
+    assert pdcp_classify(False, True, None) is Direction.D2D_MULTI
+    assert pdcp_classify(False, True, Mode.DM) is Direction.D2D_MULTI
 
 
 def test_classify_infrastructure_endpoints():
-    assert pdcp_classify(True, False, False, None) is Direction.DL
-    assert pdcp_classify(False, True, False, None) is Direction.UL
+    assert pdcp_classify(True, False, None) is Direction.DL
+    assert pdcp_classify(False, False, None) is Direction.UL  # to the eNB: never peered
 
 
 def test_classify_ue_pair_follows_peering_mode():
-    assert pdcp_classify(False, False, False, Mode.DM) is Direction.D2D
-    assert pdcp_classify(False, False, False, Mode.IM) is Direction.UL
-    assert pdcp_classify(False, False, False, None) is Direction.UL
+    assert pdcp_classify(False, False, Mode.DM) is Direction.D2D
+    assert pdcp_classify(False, False, Mode.IM) is Direction.UL
+    assert pdcp_classify(False, False, None) is Direction.UL
 
 
 def test_direction_band_mapping():
@@ -135,6 +146,7 @@ def test_flush_where_is_selective():
 
 @given(st.lists(st.integers(min_value=1, max_value=200), min_size=1, max_size=20),
        st.integers(min_value=8, max_value=4000))
+@example([1], 8)  # a byte of capacity carries a byte
 def test_fill_conserves_bits_and_fragments_at_most_once(sizes_bytes, capacity):
     queue = RlcTxQueue()
     for i, size in enumerate(sizes_bytes):
@@ -142,7 +154,7 @@ def test_fill_conserves_bits_and_fragments_at_most_once(sizes_bytes, capacity):
     total = queue.backlog_bits
     chunks = queue.fill(capacity)
     taken = sum(c.bits for c in chunks)
-    assert taken <= capacity
+    assert taken == min(total, capacity // 8 * 8)  # every whole byte that data can use
     assert taken + queue.backlog_bits == total
     assert sum(1 for c in chunks if not c.last) <= 1
     if chunks:
@@ -158,6 +170,9 @@ def test_assembler_completes_on_full_size():
     done = assembler.add(type("C", (), {"packet": packet, "bits": 400,
                                         "last": True})())
     assert done is packet
+    # complete means every bit, not all but one
+    assert assembler.add(type("C", (), {"packet": packet, "bits": 799,
+                                        "last": True})()) is None
 
 
 # -- AMC ---------------------------------------------------------------------------
@@ -179,6 +194,13 @@ def test_rbs_needed_oracle_values():
     assert rbs_needed(1, 7, 168, TABLE) == 1
     assert rbs_needed(0, 7, 168, TABLE) == 0
     assert rbs_needed(4000, 0, 168, TABLE) is None
+
+
+@pytest.mark.parametrize("bits", [-1, -1000, -10**6])
+def test_a_negative_bit_count_needs_no_blocks(bits):
+    # 0 blocks, not a negative count: without the guard, -1000 bits at CQI 5 read -6
+    assert rbs_needed(bits, 5, 168, TABLE) == 0
+    assert rbs_needed(bits, 0, 168, TABLE) is None
 
 
 @given(st.integers(min_value=1, max_value=200_000),
@@ -280,6 +302,9 @@ def test_cqi_zero_is_unschedulable():
 def test_duplicate_node_direction_rejected():
     with pytest.raises(ValueError, match="duplicate"):
         schedule_band([_req(1, backlog=10), _req(1, backlog=20)], 50, 168, TABLE)
+    with pytest.raises(ValueError, match="^duplicate request for node 2 UL$"):  # the repeated one
+        schedule_band([_req(1, backlog=10), _req(2, backlog=10), _req(2, backlog=20)],
+                      50, 168, TABLE)
 
 
 def test_same_node_may_request_two_directions():
@@ -382,6 +407,7 @@ def _requests_of(requesters):
 
 
 @given(_requesters, st.integers(min_value=1, max_value=100))
+@example([(0, Direction.UL, 7, 0, 10), (1, Direction.UL, 7, 4000, 0)], 10)  # no block left
 def test_scheduler_matches_the_per_block_round_robin(requesters, num_rbs):
     requests = _requests_of(requesters)
     expected = _reference_schedule_band(requests, num_rbs, 168, TABLE)
@@ -393,16 +419,18 @@ def test_scheduler_and_reference_reject_the_same_duplicates(requesters, num_rbs,
     requests = _requests_of(requesters)
     twin = data.draw(st.sampled_from(requests))
     requests.append(_req(twin.node_id, twin.direction, backlog=100))
-    with pytest.raises(ValueError, match="duplicate"):
+    with pytest.raises(ValueError, match="duplicate") as expected:
         _reference_schedule_band(requests, num_rbs, 168, TABLE)
-    with pytest.raises(ValueError, match="duplicate"):
+    with pytest.raises(ValueError) as raised:
         schedule_band(requests, num_rbs, 168, TABLE)
+    assert str(raised.value) == str(expected.value)
 
 
 # -- HARQ ----------------------------------------------------------------------------
 
 def test_pool_allocates_lowest_idle():
     pool = HarqPool(4)
+    assert [p.tb for p in pool.processes] == [None] * 4  # an idle process holds no block
     first = pool.allocate()
     second = pool.allocate()
     assert (first.process_id, second.process_id) == (0, 1)
