@@ -94,7 +94,7 @@ class CqiTable:
         rows: dict[int, tuple[float, float]] = {}
         with open(path, encoding="utf-8") as fh:
             for lineno, raw in enumerate(fh, start=1):
-                line = raw.split("#", 1)[0].strip()
+                line = raw.partition("#")[0].strip()
                 if not line:
                     continue
                 parts = line.split()
@@ -171,8 +171,8 @@ class ChannelModel:
         # (tx, rx, power, blocks) -> noise-limited mean SINR, kept only at sigma = 0
         self._noise_limited: dict[tuple[int, int, float, int], float] = {}
         self._probes: dict[tuple, int] = {}
-        # tti -> (its link losses, the previous TTI's entries per band)
-        self._pinned: dict[int, tuple[dict, dict[str, tuple]]] = {}
+        # tti -> its link losses by (tx, rx) and the previous TTI's entries by band
+        self._pinned: dict[int, dict] = {}
         self._noise_mw = dbm_to_mw(params.thermal_noise_dbm_per_rb + params.noise_figure_db)
         self._rng = random.Random()
 
@@ -185,8 +185,6 @@ class ChannelModel:
         across versions, and not on ``gauss``, which it does not.
         """
         sigma = self.params.shadowing_std_dev_db
-        if sigma == 0.0:
-            return 0.0
         rng = self._rng
         rng.seed(f"{self.seed}:shadowing:{tx_id}:{rx_id}:{tti}")
         angle = rng.random() * math.tau
@@ -195,8 +193,8 @@ class ChannelModel:
     def pin(self, tti: int) -> None:
         """Keep ``tti``'s link losses and the previous TTI's ledger entries,
         which a CQI measurement at ``tti`` reads, until two later pins."""
-        self._pinned[tti] = ({}, {
-            band: self.binder.band_allocations(tti - 1, band) for band in ("UL", "DL")})
+        self._pinned[tti] = {
+            band: self.binder.band_allocations(tti - 1, band) for band in ("UL", "DL")}
         if len(self._pinned) > 2:
             del self._pinned[min(self._pinned)]
 
@@ -208,16 +206,11 @@ class ChannelModel:
             base = self._path_loss[key] = path_loss_db(distance, self.params)
         if self._fixed_loss:
             return base
-        pinned = self._pinned.get(tti)  # a report round's losses; others are not read again
-        losses = pinned[0] if pinned else {}
+        losses = self._pinned.get(tti, {})  # only a pinned TTI's are read again
         loss = losses.get(key)
         if loss is None:
             loss = losses[key] = base + self.shadowing_db(tx_id, rx_id, tti)
         return loss
-
-    def received_power_dbm(self, tx_id: int, rx_id: int, tti: int,
-                           tx_power_dbm: float) -> float:
-        return tx_power_dbm - self.link_loss_db(tx_id, rx_id, tti)
 
     def noise_limited_mean_db(self, tx_id: int, rx_id: int, tti: int,
                               tx_power_dbm: float, num_rbs: int) -> float:
@@ -225,8 +218,8 @@ class ChannelModel:
         key = (tx_id, rx_id, tx_power_dbm, num_rbs)
         mean = self._noise_limited.get(key)
         if mean is None:
-            sinr = mw_to_dbm(dbm_to_mw(self.received_power_dbm(
-                tx_id, rx_id, tti, tx_power_dbm)) / self._noise_mw)
+            sinr = mw_to_dbm(dbm_to_mw(
+                tx_power_dbm - self.link_loss_db(tx_id, rx_id, tti)) / self._noise_mw)
             mean = mean_sinr_db([sinr] * num_rbs)
             if self._fixed_loss:
                 self._noise_limited[key] = mean
@@ -244,7 +237,7 @@ class ChannelModel:
         node cannot receive while it transmits on the block); every other
         block is noise-limited.
         """
-        signal_mw = dbm_to_mw(self.received_power_dbm(tx_id, rx_id, tti, tx_power_dbm))
+        signal_mw = dbm_to_mw(tx_power_dbm - self.link_loss_db(tx_id, rx_id, tti))
         noise_mw = self._noise_mw
         low, high = rbs.start, max(rbs.start, rbs.stop)  # range(3, 1) holds no block
         out = [mw_to_dbm(signal_mw / noise_mw)] * (high - low)
@@ -253,8 +246,8 @@ class ChannelModel:
                 continue
             start, stop = max(entry.rbs.start, low), min(entry.rbs.stop, high)
             if start < stop:
-                power_mw = dbm_to_mw(self.received_power_dbm(
-                    entry.tx_id, rx_id, tti, entry.tx_power_dbm))
+                power_mw = dbm_to_mw(
+                    entry.tx_power_dbm - self.link_loss_db(entry.tx_id, rx_id, tti))
                 out[start - low:stop - low] = (
                     [mw_to_dbm(signal_mw / (noise_mw + power_mw))] * (stop - start))
         return out
@@ -271,7 +264,7 @@ class ChannelModel:
         """
         pinned = self._pinned.get(tti)
         band = direction.band
-        entries = pinned[1][band] if pinned else self.binder.band_allocations(tti - 1, band)
+        entries = pinned[band] if pinned else self.binder.band_allocations(tti - 1, band)
         key = self._fixed_loss and (tx_id, rx_id, tx_power_dbm, *[  # False: not memoised
             field for e in entries if e.tx_id != tx_id and e.tx_id != rx_id
             for field in (e.tx_id, e.rbs.start, e.rbs.stop, e.tx_power_dbm)])

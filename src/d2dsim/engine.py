@@ -638,8 +638,7 @@ class Engine:
             for cqi, count in link.grants.items():
                 name = f"cqi_hist_{link.link}_{cqi}"
                 run_metrics[name] = run_metrics.get(name, 0) + count
-        ttis = self.config.sim.tti_count
-        capacity = self.config.sim.num_rbs * ttis if ttis else 0
+        capacity = self.config.sim.num_rbs * self.config.sim.tti_count
         for link in ("dl", "ul", "sl"):
             run_metrics[f"rb_utilization_{link}"] = (
                 run_metrics[f"rbs_granted_{link}"] / capacity if capacity else 0.0)

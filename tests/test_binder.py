@@ -36,6 +36,11 @@ def _allocated_rbs(binder, tti, direction):
             if entry.direction is direction for rb in entry.rbs}
 
 
+def test_binder_keeps_its_fields_in_slots(binder):
+    # every grant, probe and audit reads the ledger's fields: no __dict__
+    assert not hasattr(binder, "__dict__")
+
+
 def test_allocation_recorded_and_queryable(binder):
     entry = _book(binder, 5, 1, Direction.UL, range(0, 3), 26.0)
     assert entry.rbs == range(0, 3)

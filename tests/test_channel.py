@@ -62,6 +62,32 @@ def test_table_file_errors(tmp_path):
         CqiTable.from_file(bad)
 
 
+def test_table_needs_a_row_and_an_efficiency_per_threshold(tmp_path):
+    empty = tmp_path / "t.txt"
+    empty.write_text("# no rows\n\n")
+    with pytest.raises(ValueError, match="^empty table$"):
+        CqiTable.from_file(empty)
+    with pytest.raises(ValueError, match="^empty table$"):
+        CqiTable([], [])
+    # a library caller's lists must pair up: zip would drop the extra threshold
+    with pytest.raises(ValueError, match="length mismatch"):
+        CqiTable([-6.7, -4.7], [0.15])
+    with pytest.raises(ValueError, match="length mismatch"):
+        CqiTable([-6.7], [0.15, 0.23])
+
+
+def test_table_efficiency_bounds_are_inclusive():
+    table = CqiTable([-6.7, -4.7], [0.001, 64.0])
+    assert table.efficiencies == (0.0, 0.001, 64.0)
+
+
+@pytest.mark.parametrize("thresholds", [[-6.7, -6.7], [-6.7, -4.7, -4.7],
+                                        [-4.7, -6.7, -2.3], [-6.7, -2.3, -4.7]])
+def test_table_thresholds_must_strictly_increase(thresholds):
+    with pytest.raises(ValueError, match="^thresholds must be strictly increasing$"):
+        CqiTable(thresholds, [0.15] * len(thresholds))
+
+
 def test_table_duplicate_row_error_names_its_file_line(tmp_path):
     # comments and blank lines count: the number is the file's own
     bad = tmp_path / "t.txt"
@@ -230,9 +256,18 @@ def test_shadowing_deterministic_per_link_and_tti():
     assert other.shadowing_db(1, 2, 10) != a
 
 
-def test_zero_shadowing_draws_nothing():
-    _, model = _model(shadowing=0.0)
-    assert model.shadowing_db(1, 2, 10) == 0.0
+def test_zero_shadowing_draws_nothing(monkeypatch):
+    draws = _counting_draws(monkeypatch)
+    binder, model = _model(shadowing=0.0)
+    _book(binder, 9, 3, Direction.UL, range(0, 10), 23.0)
+    model.pin(10)
+    for tti in (9, 10, 11):
+        assert model.link_loss_db(1, 0, tti) == model.link_loss_db(1, 0, 0)
+        model.sinr_per_rb_db(1, 0, tti=tti, rbs=range(0, 20), tx_power_dbm=23.0,
+                             entries=binder.band_allocations(tti - 1, "UL"))
+        model.wideband_cqi(1, 0, tti=tti, tx_power_dbm=23.0, direction=Direction.UL)
+    assert draws == []
+    assert model.shadowing_db(1, 2, 10) == 0.0  # a draw at sigma 0 is 0 all the same
 
 
 def test_wideband_cqi_oracle():
@@ -389,6 +424,17 @@ def test_only_a_pinned_tti_keeps_its_link_losses(monkeypatch):
     pinned = model.link_loss_db(1, 0, 4)
     assert model.link_loss_db(1, 0, 4) == pinned
     assert draws.count((1, 0, 4)) == 1
+
+
+def test_an_entry_beside_the_run_costs_no_draw(monkeypatch):
+    # an entry that shares no block with the run is skipped before its loss is read
+    draws = _counting_draws(monkeypatch)
+    binder, model = _model(shadowing=8.0)
+    _book(binder, 5, 3, Direction.UL, range(0, 10), 23.0)
+    _book(binder, 5, 2, Direction.UL, range(20, 30), 23.0)
+    model.sinr_per_rb_db(1, 0, tti=5, rbs=range(10, 20), tx_power_dbm=23.0,
+                         entries=binder.band_allocations(5, "UL"))
+    assert draws == [(1, 0, 5)]  # the signal's own loss only
 
 
 _coordinate = st.floats(-1000.0, 1000.0)

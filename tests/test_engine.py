@@ -1,6 +1,8 @@
 """End-to-end engine behavior on small scenarios."""
 
 import random
+import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -10,6 +12,9 @@ from d2dsim import (Direction, Engine, Mode, ModeSwitchCommand, PacketAssembler,
 from d2dsim.engine import InstanceStatus
 
 ROOT = Path(__file__).resolve().parents[1]
+
+sys.path.insert(0, str(ROOT / "perfbench"))
+from workloads import scenario_text  # noqa: E402
 
 
 def scenario(extra="", tti_count=60, flows=True, d2d_distance=4.0):
@@ -488,6 +493,28 @@ def test_grants_that_carry_nothing_are_not_counted():
                if name.startswith("cqi_hist_"))
     assert result.run_metrics["rbs_granted_total"] == sum(row.rbs for row in grants)
     assert hist == len(grants)
+
+
+# the shipped scenarios make no grant in their last TTI; instance 0 of each workload does
+@pytest.mark.parametrize("case, unsent", [("one_to_one", 0), ("one_to_many", 0),
+                                          ("mixed_7ue", 3), ("cell_40ue_shadowed", 12)])
+def test_every_grant_is_sent_the_next_tti_except_the_last_ttis(case, unsent):
+    path = ROOT / "scenarios" / f"{case}.ini"
+    text = path.read_text() if path.exists() else scenario_text(case, 42, 0)
+    config = parse_scenario(text)
+    result = run_scenario(config, trace=True, ledger_dump=True)
+    last = config.sim.tti_count - 1
+
+    def rows(event, shift=0):
+        return Counter((row.tti + shift, row.src, row.dst, row.direction, row.rbs)
+                       for row in result.trace if row.event == event)
+    grants = rows("grant", 1)
+    late = Counter({row: n for row, n in grants.items() if row[0] > last})
+    assert sum(late.values()) == unsent
+    assert rows("transmit") == grants - late
+    assert Counter((tti, node, len(rb_list.split()))
+                   for tti, node, _, rb_list, _ in result.ledger_rows) == Counter(
+        (tti, src, rbs) for tti, src, _, _, rbs in rows("transmit").elements())
 
 
 @pytest.mark.parametrize("ack", [True, False])

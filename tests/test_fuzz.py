@@ -331,7 +331,7 @@ def _probes_checked(engine):
         cqi = probe(tx_id, rx_id, tti=tti, tx_power_dbm=tx_power_dbm, direction=direction)
         pinned = channel._pinned.get(tti)
         band = direction.band
-        entries = pinned[1][band] if pinned else channel.binder.band_allocations(tti - 1, band)
+        entries = pinned[band] if pinned else channel.binder.band_allocations(tti - 1, band)
         fresh = ChannelModel.sinr_per_rb_db(channel, tx_id, rx_id, tti=tti,
                                             rbs=range(channel.binder.num_rbs),
                                             tx_power_dbm=tx_power_dbm, entries=entries)
