@@ -21,6 +21,16 @@ import random
 from bisect import bisect_right
 from functools import reduce
 
+from _random import Random as _MersenneTwister  # random.Random's C base
+
+try:  # where random.py takes SHA-512 from: hashlib would load OpenSSL
+    from _sha2 import sha512  # CPython 3.12 on
+except ImportError:
+    try:
+        from _sha512 import sha512
+    except ImportError:  # a build without the built-in module, as random.py allows
+        from hashlib import sha512
+
 from .binder import Binder, Direction, Record
 
 PROBE_MEMO_SIZE = 64  # interference layouts a fixed channel keeps the CQI of
@@ -165,7 +175,6 @@ class ChannelModel:
         self.positions = positions
         self.params = params
         self.table = table
-        self.seed = seed
         self._fixed_loss = params.shadowing_std_dev_db == 0.0
         self._path_loss: dict[tuple[int, int], float] = {}
         # (tx, rx, power, blocks) -> noise-limited mean SINR, kept only at sigma = 0
@@ -175,6 +184,7 @@ class ChannelModel:
         self._pinned: dict[int, dict] = {}
         self._noise_mw = dbm_to_mw(params.thermal_noise_dbm_per_rb + params.noise_figure_db)
         self._rng = random.Random()
+        self._key_prefix = f"{seed}:shadowing:".encode()  # every draw's key starts so
 
     def shadowing_db(self, tx_id: int, rx_id: int, tti: int) -> float:
         """One draw of N(0, sigma) from a generator seeded by the draw's key.
@@ -182,11 +192,15 @@ class ChannelModel:
         The draw is the first value ``random.Random(key).gauss(0.0, sigma)``
         returns, spelled out so that it rests only on ``seed`` with a string
         and ``random()``, which the standard library keeps reproducible
-        across versions, and not on ``gauss``, which it does not.
+        across versions, and not on ``gauss``, which it does not.  The
+        generator is seeded directly with the int ``Random.seed`` derives from
+        the string key (random.py's version 2: the key's UTF-8 bytes followed
+        by their SHA-512, read big-endian), as on CPython 3.10 to 3.13.
         """
         sigma = self.params.shadowing_std_dev_db
+        key = self._key_prefix + b"%d:%d:%d" % (tx_id, rx_id, tti)
         rng = self._rng
-        rng.seed(f"{self.seed}:shadowing:{tx_id}:{rx_id}:{tti}")
+        _MersenneTwister.seed(rng, int.from_bytes(key + sha512(key).digest(), "big"))
         angle = rng.random() * math.tau
         return 0.0 + math.cos(angle) * math.sqrt(-2.0 * math.log(1.0 - rng.random())) * sigma
 
@@ -206,7 +220,9 @@ class ChannelModel:
             base = self._path_loss[key] = path_loss_db(distance, self.params)
         if self._fixed_loss:
             return base
-        losses = self._pinned.get(tti, {})  # only a pinned TTI's are read again
+        losses = self._pinned.get(tti)  # only a pinned TTI's are read again
+        if losses is None:
+            return base + self.shadowing_db(tx_id, rx_id, tti)
         loss = losses.get(key)
         if loss is None:
             loss = losses[key] = base + self.shadowing_db(tx_id, rx_id, tti)

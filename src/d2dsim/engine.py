@@ -119,30 +119,27 @@ def _fmt(value: float) -> str:
 class _Link:
     """One radio link: its RLC queues, its HARQ pool and how it is served."""
 
-    __slots__ = ("key", "tx_power_dbm", "reported", "fixed_cqi", "pool", "queues", "backlog_bits",
+    __slots__ = ("key", "tx_power_dbm", "fixed_cqi", "pool", "queues", "backlog_bits",
                  "mode", "cqi_memo", "tx_id", "direction", "rx", "rx_id", "node_id", "link",
                  "receivers", "members", "outsiders", "cqi", "retx_rbs", "granted", "grants")
 
-    def __init__(self, key: tuple, tx_power_dbm: float, reported: bool,
-                 fixed_cqi: int = 0, pool: HarqPool | None = None) -> None:
+    def __init__(self, key: tuple, tx_power_dbm: float, fixed_cqi: int | None,
+                 pool: HarqPool | None) -> None:
         self.key = key  # (tx_id, direction, rx_id or group address)
         self.tx_id, self.direction, self.rx = key
-        self.tx_power_dbm, self.fixed_cqi = tx_power_dbm, fixed_cqi
-        self.reported = reported  # its CQI comes from reports, else it is ``fixed_cqi``
+        self.tx_power_dbm = tx_power_dbm
+        self.fixed_cqi = fixed_cqi  # None when its CQI comes from reports
         self.pool = pool  # None on one-to-many links: no feedback
         # by final endpoint, in endpoint order; only a UE's uplink has several
         self.queues: dict[int | str, RlcTxQueue] = {}
         self.backlog_bits = 0  # bits left in the queues, kept as a running total
-        self.mode: Mode | None = None  # a peering's current path, None on other links
-        self.cqi_memo = (-1, 0)  # (report TTI, CQI) last measured
+        self.cqi_memo = (None, None)  # (report TTI, CQI) last measured
         self.rx_id = None if self.direction is Direction.D2D_MULTI else self.rx
         self.node_id = self.rx if self.direction is Direction.DL else self.tx_id
         self.link = self.direction.link.lower()  # as metric names spell it
-        self.receivers: list[tuple[int, bool]] = []  # one-to-many: (UE, is member)
         self.granted, self.grants = 0, {}  # blocks granted; grants by CQI
-        # it is its own schedule request: set each TTI it asks for a grant,
-        # ``retx_rbs`` to a pending retransmission's exact size or 0
-        self.cqi = self.retx_rbs = 0
+        # it is its own schedule request: ``cqi`` and ``retx_rbs`` are set each TTI it
+        # asks for a grant, ``retx_rbs`` to a pending retransmission's exact size or 0
 
 
 def rng_stream(seed: int, purpose: str, *extra) -> random.Random:
@@ -218,9 +215,7 @@ class Engine:
         self.instances: dict[tuple[int, int | None], PacketDescriptor] = {}
         self._unsent: dict[int, tuple[int, int]] = {}  # multicast id -> (flow id, outsiders)
         self._next: list[list] = [[], [], [], []]  # FIFO per Phase, for the next TTI
-
-        self.now_tti = -1
-        self._packet_seq = 0
+        self._packet_seq = 0  # ``run`` sets ``now_tti`` at the top of each TTI
 
         self.trace: list[TraceRow] = []
         self.ledger_rows: list[tuple[int, str, str, str, float]] = []
@@ -257,7 +252,7 @@ class Engine:
         key = (tx_id, direction, rx)
         cfg = self.config.nodes[tx_id]
         if direction is Direction.D2D_MULTI:  # fixed format, no feedback, no HARQ
-            link = _Link(key, cfg.d2d_tx_power_dbm, False, cfg.d2d_cqi or 0)
+            link = _Link(key, cfg.d2d_tx_power_dbm, cfg.d2d_cqi, None)
             # every other UE, in id order; the eNB hears no sidelink, member or not
             link.receivers = [(ue_id, self.names[ue_id] in self._members[rx])
                               for ue_id in self.ue_ids if ue_id != tx_id]
@@ -265,20 +260,20 @@ class Engine:
             link.outsiders = len(link.receivers) - len(link.members)  # the other UEs
         else:
             pool = self.pools[key] = HarqPool(self.config.sim.harq_processes)
-            if direction is Direction.D2D:  # a preconfigured sender is never sounded
-                fixed = cfg.use_preconfigured_tx_params
+            # validate: a preconfigured sender has a CQI and is never sounded; any
+            # other sidelink sender reports
+            if direction is Direction.D2D:
                 link = _Link(key, cfg.d2d_tx_power_dbm,
-                             cfg.enable_d2d_cqi_reporting and not fixed,
-                             (cfg.d2d_cqi or 0) if fixed else 0, pool)
+                             cfg.d2d_cqi if cfg.use_preconfigured_tx_params else None, pool)
             else:
-                link = _Link(key, cfg.ue_tx_power_dbm, True, pool=pool)
+                link = _Link(key, cfg.ue_tx_power_dbm, None, pool)
         self._links[key] = link
         return link
 
     def _link_cqi(self, link: _Link, tti: int) -> int:
         """The link's CQI at ``tti``: its fixed CQI, or the last report
         usable by then, 0 before the first, measured on first read."""
-        if not link.reported:
+        if link.fixed_cqi is not None:
             return link.fixed_cqi
         period = self.config.sim.cqi_report_period_ttis
         taken = (tti - 1) // period * period  # usable one TTI after it is taken
@@ -384,7 +379,7 @@ class Engine:
         self.counters["cqi_reports_ul"] += len(self.ue_ids)
         self.counters["cqi_reports_dl"] += len(self.ue_ids)
         self.counters["cqi_reports_sl"] += sum(
-            link.reported for link in self._peerings.values())
+            link.fixed_cqi is None for link in self._peerings.values())
 
     def _phase_mode_selection(self, tti: int) -> None:
         ms = self.config.mode_selection
@@ -435,11 +430,12 @@ class Engine:
             link.cqi, link.retx_rbs = retx.tb.cqi, len(retx.tb.rbs)
             bucket.append(link)
             return True
-        if link.backlog_bits <= 0:
+        if not link.backlog_bits:
             return False
-        memo = link.cqi_memo  # read inline while it holds the report usable now
-        cqi = (link.fixed_cqi if not link.reported else memo[1] if memo[0] == taken
-               else self._link_cqi(link, tti))
+        cqi = link.fixed_cqi
+        if cqi is None:  # reported: read the memo inline while it holds the report usable now
+            memo = link.cqi_memo
+            cqi = memo[1] if memo[0] == taken else self._link_cqi(link, tti)
         if cqi >= 1 and (pool is None or pool.has_idle()):
             link.cqi, link.retx_rbs = cqi, 0
             bucket.append(link)
@@ -509,15 +505,12 @@ class Engine:
         """Drain this link's queues, lowest endpoint first, into one payload."""
         if len(link.queues) == 1:  # most links have one endpoint: fill straight from it
             queue, = link.queues.values()
-            chunks = queue.fill(capacity_bits) if queue and capacity_bits >= 8 else []
+            chunks = queue.fill(capacity_bits)
         else:
-            chunks = []
+            chunks = []  # a fragment ends the block: it leaves fewer than 8 bits
             for queue in link.queues.values():
-                capacity = capacity_bits - sum(chunk.bits for chunk in chunks)
-                if capacity < 8 or chunks and not chunks[-1].last:
-                    break  # full, or its single fragment must end the block
                 if queue:
-                    chunks += queue.fill(capacity)
+                    chunks += queue.fill(capacity_bits - sum(chunk.bits for chunk in chunks))
         for chunk in chunks:
             link.backlog_bits -= chunk.bits
         return chunks

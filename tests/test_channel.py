@@ -567,3 +567,17 @@ def test_shadowing_draw_is_the_first_value_of_gauss(sigma):
     keys = [(tx, rx, tti) for tx in range(10) for rx in range(10) for tti in range(100)]
     assert [channel.shadowing_db(*key) for key in keys] == [
         random.Random(f"7:shadowing:{tx}:{rx}:{tti}").gauss(0.0, sigma) for tx, rx, tti in keys]
+
+
+@pytest.mark.parametrize("seed", [0, -1, 2**63 - 1, -2**63])
+def test_shadowing_draw_is_keyed_by_the_string_of_seed_and_link(seed):
+    # the generator is seeded from the key's bytes: a key that dropped the
+    # sign or wrote a number any other way would draw another value
+    sigma = 8.0
+    channel = ChannelModel(Binder(num_rbs=1), [], ChannelParams(shadowing_std_dev_db=sigma),
+                           TABLE, seed=seed)
+    for tx, rx, tti in [(0, 1, 0), (1, 0, 9), (12, 3, 4567), (39, 40, 2**40)]:
+        rng = random.Random(f"{seed}:shadowing:{tx}:{rx}:{tti}")
+        angle = rng.random() * math.tau
+        radius = math.sqrt(-2.0 * math.log(1.0 - rng.random()))
+        assert channel.shadowing_db(tx, rx, tti) == math.cos(angle) * radius * sigma

@@ -1,5 +1,6 @@
 """End-to-end engine behavior on small scenarios."""
 
+import math
 import random
 import sys
 from collections import Counter
@@ -7,8 +8,9 @@ from pathlib import Path
 
 import pytest
 
-from d2dsim import (Direction, Engine, Mode, ModeSwitchCommand, PacketAssembler, Phase,
+from d2dsim import (Binder, Direction, Engine, Mode, ModeSwitchCommand, PacketAssembler, Phase,
                     parse_scenario, run_scenario)
+from d2dsim import engine as engine_module
 from d2dsim.engine import InstanceStatus
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -665,3 +667,67 @@ ueA.enableD2DCqiReporting = true
     switches = [(row.tti, row.src, row.dst, row.direction)
                 for row in result.trace if row.event == "modeSwitch"]
     assert switches == [(21, "ueA", "ueC", "IM"), (21, "ueA", "ueB", "IM")]
+
+
+def test_a_flow_that_delivers_nothing_reports_zero_latencies():
+    # 400 m is beyond what CQI 7 decodes: the flow's latency metrics keep
+    # their starting values, 0 for the maximum and nan for the mean
+    metrics = run_scenario(scenario(tti_count=40, d2d_distance=400.0)).flow_metrics[0]
+    assert metrics["offered_packets"] > 0 and metrics["delivered_packets"] == 0
+    assert metrics["max_latency_ttis"] == 0
+    assert math.isnan(metrics["mean_latency_ttis"])
+
+
+def test_mode_selection_runs_every_period_from_the_first_period_on(monkeypatch):
+    # no CQI report is usable at TTI 0, so the first round is at one period
+    rounds = []
+    do_mode_selection = engine_module.do_mode_selection
+    engine = Engine(scenario("eNodeB.d2dModeSelection = true\n"
+                             "eNodeB.d2dModeSelectionPeriod = 10\n", tti_count=35))
+    monkeypatch.setattr(engine_module, "do_mode_selection", lambda *args: (
+        rounds.append(engine.now_tti), do_mode_selection(*args))[1])
+    engine.run()
+    assert rounds == [10, 20, 30]
+
+
+def test_the_first_peer_awaiting_a_retransmission_is_served(monkeypatch):
+    # both peerings wait for a retransmission: the first in serving order,
+    # the lower id, is the one the pass asks a grant for
+    engine = Engine(parse_scenario(SERVING_CELL + 'ueS.d2dPeerAddresses = "ueB ueA"\n'))
+    ue = engine.names.index("ueS")
+    downlink, uplink, peers, _ = engine._ue_links[ue]
+    assert [link.rx for link in peers] == [engine.names.index("ueA"), engine.names.index("ueB")]
+    for link in peers:
+        link.pool.waiting = 1
+    asked = []
+    monkeypatch.setattr(Engine, "_request",
+                        lambda self, link, tti, taken, bucket: asked.append(link) or False)
+    engine._active.add(ue)
+    engine._phase_schedule(5)
+    assert asked == [downlink, uplink, peers[0]]
+
+
+def test_a_grant_too_small_for_a_byte_is_not_sent(monkeypatch):
+    # at one resource element per block some grants hold fewer than 8 bits:
+    # they take no HARQ process and no block of theirs reaches the air
+    sent, refused = [], []
+    phy_send = engine_module.phy_send
+    monkeypatch.setattr(engine_module, "phy_send",
+                        lambda binder, tb: (sent.append(tb), phy_send(binder, tb))[1])
+    fill_chunks = Engine._fill_chunks
+    monkeypatch.setattr(Engine, "_fill_chunks", lambda self, link, bits: (
+        refused.append(bits) if bits < 8 else None, fill_chunks(self, link, bits))[1])
+    config = _lossy_cell()
+    Engine(config._replace(sim=config.sim._replace(rb_capacity_re=1))).run()
+    assert refused and sent
+    assert all(tb.chunks for tb in sent)
+
+
+def test_every_tti_is_audited_and_its_violations_counted(monkeypatch):
+    # the ledger audit runs at the end of every TTI; the run counts what it reports
+    audited = []
+    monkeypatch.setattr(Binder, "check_conservation",
+                        lambda self, tti: audited.append(tti) or ["violation"] * (tti % 3))
+    result = run_scenario(scenario(tti_count=20))
+    assert audited == list(range(20))
+    assert result.run_metrics["rb_conservation_violations"] == sum(t % 3 for t in range(20))

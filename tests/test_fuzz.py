@@ -152,12 +152,12 @@ def _eager_reads_checked(engine):
         report(tti)
         if tti % engine.config.sim.cqi_report_period_ttis == 0:  # taken this round
             for link in engine._links.values():
-                if link.reported:
+                if link.fixed_cqi is None:
                     eager.setdefault(link.key, {})[tti] = measured(link, tti)
 
     def checked(link, tti):
         value = link_cqi(link, tti)
-        if link.reported:
+        if link.fixed_cqi is None:
             taken = [when for when in eager.get(link.key, ()) if when < tti]
             assert value == (eager[link.key][max(taken)] if taken else 0), (link.key, tti)
             reads.append(link.key)

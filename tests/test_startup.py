@@ -9,7 +9,9 @@ in source, or slot classes instead, and annotations name
 ``collections.abc`` types, so ``typing`` is not loaded either.  Nor
 does it load ``importlib.resources``, which brings ``pathlib``,
 ``tempfile`` and ``zipfile`` with it: the CQI table is opened by its
-path next to the package's modules.  The import runs in a fresh
+path next to the package's modules.  Nor does it load ``hashlib``, whose
+``_hashlib`` loads OpenSSL: a shadowing draw takes SHA-512 from the module
+random.py uses.  The import runs in a fresh
 interpreter without ``site``, so nothing else has loaded any of these
 modules.  With a warm bytecode cache the import compiles no source and
 builds no regex: the standard modules d2dsim uses are loaded first, so
@@ -28,7 +30,7 @@ SCRIPT = """
 import json, sys
 sys.path.insert(0, sys.argv[1])
 import d2dsim
-absent = {"dataclasses", "inspect", "importlib.resources", "typing"}
+absent = {"dataclasses", "inspect", "importlib.resources", "typing", "hashlib"}
 print(json.dumps(sorted(absent & set(sys.modules))))
 """
 

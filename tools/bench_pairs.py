@@ -15,7 +15,10 @@ pair.  Odd-numbered pairs run the parent first, even-numbered pairs the
 change first.  Each value kept is the one a run printed on its last line;
 median and quartiles are over runs (``statistics.quantiles``, n=4), and
 ``change_better_pairs`` counts the pairs in which the change reads better.
-Bounds and directions come from BENCHMARK.json.  The temporary directory is
+Bounds and directions come from BENCHMARK.json.  Each workload's entry
+also gets ``work``: the instructions and calls of instances 0-3 on each
+side, counted once each by ``tools/count_work.py`` after the pairs, and
+the Python version that counted them.  The temporary directory is
 removed, and any process a run left behind is killed, even on error.
 Standard library only.
 """
@@ -36,6 +39,7 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+WORK_INSTANCES = (0, 1, 2, 3)
 
 
 def git(*args: str) -> bytes:
@@ -107,6 +111,23 @@ def summarise(reports: dict[str, list[dict]], metrics: list[dict]) -> dict:
     return entry
 
 
+def work_counts(sides: dict[str, Path], texts: list[str]) -> dict:
+    """``count_work.count`` of each scenario text with the ``src`` of each of
+    the sides ``parent`` and ``change``: per side, the instructions and the
+    calls of each text, in order, and the change's share of the parent's
+    instructions per text."""
+    from count_work import count  # a sibling in tools/
+
+    counted = {side: [count(text, checkout / "src") for text in texts]
+               for side, checkout in sides.items()}
+    entry: dict = {"python": platform.python_version()}  # every count runs this interpreter
+    for side, runs in counted.items():
+        entry[side] = {name: [c[name] for c in runs] for name in ("instructions", "calls")}
+    entry["change_to_parent_instructions"] = [
+        c / p for p, c in zip(entry["parent"]["instructions"], entry["change"]["instructions"])]
+    return entry
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", required=True, help="commit to compare against")
@@ -136,6 +157,12 @@ def main(argv: list[str] | None = None) -> int:
                     reports[workload][side].append(report)
                     value = report.get("metrics", {}).get("ttis_per_s", {}).get("value")
                     print(f"pair {pair} {workload} {side}: ttis_per_s {value}", flush=True)
+        sys.path.insert(0, str(ROOT / "perfbench"))
+        from workloads import scenario_text
+
+        work = {w: work_counts(sides, [scenario_text(w, args.seed, index)
+                                       for index in WORK_INSTANCES])
+                for w in workloads}
 
     record = {
         "description": (
@@ -146,14 +173,18 @@ def main(argv: list[str] | None = None) -> int:
             "change first), one run at a time, every workload in turn within each pair, "
             "by tools/bench_pairs.py. Each value is the metric one run printed; median and "
             "quartiles are over runs (statistics.quantiles, n=4). change_better_pairs "
-            "counts the pairs in which the change reads better."),
+            "counts the pairs in which the change reads better. work: instructions and "
+            "calls of Engine.run() on instances "
+            f"{', '.join(map(str, WORK_INSTANCES))} of each workload, counted once per side "
+            "by tools/count_work.py under this interpreter."),
         "python": platform.python_version(),
         "nproc": os.cpu_count(),
         "host": platform.platform(),
         "parent_git_sha": parent_sha,
         "change_git_sha": f"working tree on {head_sha}",
-        "workloads": {f"{w} seed {args.seed}": summarise(reports[w], benchmark["end_to_end"])
-                      for w in workloads},
+        "workloads": {f"{w} seed {args.seed}": {
+            **summarise(reports[w], benchmark["end_to_end"]), "work": work[w]}
+            for w in workloads},
     }
     args.out.write_text(json.dumps(record, indent=1) + "\n")
     print(f"wrote {args.out}")
