@@ -290,7 +290,9 @@ _NODE_KEYS = {
     "amcMode": ("amc_mode", _to_enum(AmcMode, "amcMode"), None),
 }
 
-_NODE_KEY_ALIASES = {"ueTxPower": "ueTxPowerDbm", "d2dTxPower": "d2dTxPowerDbm"}
+# a node line may also spell the two powers without their unit
+_NODE_LOOKUP = {**_NODE_KEYS, "ueTxPower": _NODE_KEYS["ueTxPowerDbm"],
+                "d2dTxPower": _NODE_KEYS["d2dTxPowerDbm"]}
 
 # mode-selection knobs live on the eNB node, as in the source material
 _MODE_SELECTION_KEYS = {
@@ -311,50 +313,28 @@ _FLOW_KEYS = {
 
 _REQUIRED_FLOW_KEYS = ("sourceNode", "destAddress", "packetBytes", "periodTtis")
 
+# per table, (key, attr, low, high, open_below) of each key with a range
+_SIM_RANGES, _CHANNEL_RANGES, _NODE_RANGES, _MODE_SELECTION_RANGES, _FLOW_RANGES = (
+    tuple((key, attr, *bounds) for key, (attr, _, bounds) in table.items() if bounds)
+    for table in (_SIM_KEYS, _CHANNEL_KEYS, _NODE_KEYS, _MODE_SELECTION_KEYS, _FLOW_KEYS))
+
 
 # ---------------------------------------------------------------------------
 # parsing
 
-class _Assignment:
-    """One ``<scope>.<key> = <value>`` line; ``scope`` is the list of dotted
-    segments before the key."""
-
-    __slots__ = ("line", "scope", "key", "value")
-
-    def __init__(self, line: int, scope: list[str], key: str, value: str) -> None:
-        self.line, self.scope, self.key, self.value = line, scope, key, value
-
-
-def _split_value(raw: str, line: int) -> str:
-    """Strip quotes and inline comments from the right-hand side."""
-    raw = raw.strip()
-    if raw.startswith('"'):
-        end = raw.find('"', 1)
-        if end < 0:
-            raise ScenarioSyntaxError("unterminated string", line)
-        rest = raw[end + 1:].strip()
-        if rest and not rest.startswith("#"):
-            raise ScenarioSyntaxError(f"trailing characters after string: {rest!r}", line)
-        return raw[1:end]
-    hash_pos = raw.find("#")
-    if hash_pos >= 0:
-        raw = raw[:hash_pos].strip()
-    if not raw:
-        raise ScenarioSyntaxError("missing value", line)
-    return raw
-
-
-def _scan(text: str) -> tuple[list[_Assignment], list[_Assignment]]:
-    """Split the file into main-section and [multicast]-section assignments."""
-    main: list[_Assignment] = []
-    multicast: list[_Assignment] = []
-    in_multicast = False
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        if stripped.startswith("["):
-            header = stripped.split("#", 1)[0].rstrip()
+def _scan(text: str) -> tuple[list[tuple], list[tuple[str, str]], str]:
+    """Split the file into ``(line, scope, key, value)`` assignments, ``scope``
+    being the tuple of dotted segments before the key, [multicast]-section
+    ``(address, member pattern)`` pairs and the last ``sim.nodes`` value."""
+    main: list[tuple] = []
+    multicast: list[tuple[str, str]] = []
+    scopes: dict[str, tuple[str, ...]] = {}  # scope text -> its segments, split once
+    in_multicast, nodes = False, ""
+    for lineno, stripped in enumerate(map(str.strip, text.splitlines()), start=1):
+        if stripped[:1] in "#[":  # a blank line, a comment or a section header
+            if stripped[:1] != "[":
+                continue
+            header = stripped.partition("#")[0].rstrip()
             if header != "[multicast]":
                 raise ScenarioSyntaxError(
                     f"unknown section {header!r} (only [multicast] is supported)", lineno)
@@ -362,41 +342,36 @@ def _scan(text: str) -> tuple[list[_Assignment], list[_Assignment]]:
                 raise ScenarioSyntaxError("duplicate [multicast] section", lineno)
             in_multicast = True
             continue
-        if "=" not in stripped:
+        lhs, equals, value = stripped.partition("=")
+        if not equals:
             raise ScenarioSyntaxError(f"expected <scope>.<key> = <value>: {stripped!r}", lineno)
-        lhs, rhs = stripped.split("=", 1)
-        value = _split_value(rhs, lineno)
+        value = value.strip()
+        if value[:1] == '"':
+            end = value.find('"', 1)
+            if end < 0:
+                raise ScenarioSyntaxError("unterminated string", lineno)
+            rest = value[end + 1:].strip()
+            if rest[:1] not in "#":
+                raise ScenarioSyntaxError(f"trailing characters after string: {rest!r}", lineno)
+            value = value[1:end]
+        elif not (value := value.partition("#")[0].rstrip()):
+            raise ScenarioSyntaxError("missing value", lineno)
         if in_multicast:
-            multicast.append(_Assignment(lineno, [], lhs.strip(), value))
+            multicast.append((lhs.strip(), value))
             continue
-        segments = [seg.strip() for seg in lhs.strip().split(".")]
-        if len(segments) < 2 or any(not seg for seg in segments):
-            raise ScenarioSyntaxError(
-                f"expected <scope>.<key> = <value>: {stripped!r}", lineno)
-        main.append(_Assignment(lineno, segments[:-1], segments[-1], value))
-    return main, multicast
-
-
-def _node_pattern(scope: list[str]) -> str:
-    """Reduce a scope chain to its node pattern segment."""
-    if "**" in scope:
-        return "**"
-    # a leading '*' is the network wildcard
-    return scope[1] if scope[0] == "*" and len(scope) > 1 else scope[0]
-
-
-def _convert(registry: dict, assignment: _Assignment) -> tuple[str, object]:
-    key = _NODE_KEY_ALIASES.get(assignment.key, assignment.key)
-    if key not in registry:
-        raise UnknownKeyError(f"unknown key {assignment.key!r}", assignment.line)
-    attr, conv, _ = registry[key]
-    try:
-        return attr, conv(assignment.value)
-    except ValueError as exc:
-        raise ConstraintViolationError(
-            [Diagnostic("ConstraintViolation", f"bad value for {assignment.key}: {exc}",
-                        key=assignment.key)],
-            assignment.line) from None
+        scope_text, dot, key = lhs.rpartition(".")
+        key = key.strip()
+        scope = scopes.get(scope_text)
+        if scope is None or not key:  # a new scope is split and checked once
+            scope = scopes[scope_text] = tuple(part.strip() for part in scope_text.split("."))
+            if not (dot and key and all(scope)):
+                raise ScenarioSyntaxError(
+                    f"expected <scope>.<key> = <value>: {stripped!r}", lineno)
+        if key == "nodes" and scope == ("sim",):
+            nodes = value  # read before any node line is resolved
+        else:
+            main.append((lineno, scope, key, value))
+    return main, multicast, nodes
 
 
 def parse_scenario(text: str) -> ScenarioConfig:
@@ -408,62 +383,68 @@ def parse_scenario(text: str) -> ScenarioConfig:
     problem; the error message carries the offending line number where
     one exists.
     """
-    main, multicast = _scan(text)
+    main, multicast, nodes = _scan(text)
+    declared = _to_name_list(nodes)
 
     sim_values: dict[str, object] = {}
     channel_values: dict[str, object] = {}
     flow_values: dict[int, dict[str, object]] = {}
-    declared: tuple[str, ...] = ()
-
-    # sim.nodes must be known before node-scoped lines can be expanded
-    for assignment in main:
-        if assignment.scope == ["sim"] and assignment.key == "nodes":
-            declared = _to_name_list(assignment.value)
     # validate checks the names; a repeated one shares its values here
     node_values: dict[str, dict[str, object]] = {name: {} for name in declared}
-    ms_values: dict[str, dict[str, object]] = {name: {} for name in declared}
+    ms_values: dict[str, dict[str, object]] = {}  # by node, once it sets one
     ms_lines: dict[tuple[str, str], int] = {}  # (node, key) -> line of its last assignment
+    # scope -> (key table, value dicts it writes, node names), resolved at its first line
+    resolved: dict[tuple[str, ...], tuple] = {}
 
-    for assignment in main:
-        scope = assignment.scope
-        if scope == ["sim"] and assignment.key == "nodes":
-            continue  # read above
-        if scope == ["sim"]:
-            table, targets = _SIM_KEYS, [sim_values]
-        elif scope == ["channel"]:
-            table, targets = _CHANNEL_KEYS, [channel_values]
-        elif len(scope) == 1 and (flow_id := _flow_scope_id(scope[0])) is not None:
-            table, targets = _FLOW_KEYS, [flow_values.setdefault(flow_id, {})]
-        else:
-            pattern = _node_pattern(scope)
-            try:
-                matched = resolve_pattern(pattern, declared)
-            except MalformedPatternError as exc:
-                raise MalformedPatternError(str(exc), assignment.line) from None
-            if not matched and "*" not in pattern:
-                raise UnresolvedNodeReferenceError(
-                    f"{pattern!r} does not name a declared node", assignment.line)
-            if assignment.key in _MODE_SELECTION_KEYS:
-                table, per_node = _MODE_SELECTION_KEYS, ms_values
-                ms_lines.update(((name, assignment.key), assignment.line) for name in matched)
+    for line, scope, key, value in main:
+        entry = resolved.get(scope)
+        if entry is None:
+            if scope == ("sim",):
+                entry = _SIM_KEYS, [sim_values], ()
+            elif scope == ("channel",):
+                entry = _CHANNEL_KEYS, [channel_values], ()
+            elif len(scope) == 1 and (flow_id := _flow_scope_id(scope[0])) is not None:
+                entry = _FLOW_KEYS, [flow_values.setdefault(flow_id, {})], ()
             else:
-                table, per_node = _NODE_KEYS, node_values
-            targets = [per_node[name] for name in matched]
-        attr, value = _convert(table, assignment)
+                # '**' anywhere matches every node; a leading '*' is the network wildcard
+                pattern = ("**" if "**" in scope else
+                           scope[1] if scope[0] == "*" and len(scope) > 1 else scope[0])
+                try:
+                    matched = resolve_pattern(pattern, node_values)
+                except MalformedPatternError as exc:
+                    raise MalformedPatternError(str(exc), line) from None
+                if not matched and "*" not in pattern:
+                    raise UnresolvedNodeReferenceError(
+                        f"{pattern!r} does not name a declared node", line)
+                entry = _NODE_LOOKUP, [node_values[name] for name in matched], matched
+            resolved[scope] = entry
+        table, targets, matched = entry
+        spec = table.get(key)
+        if spec is None:
+            if table is not _NODE_LOOKUP or key not in _MODE_SELECTION_KEYS:
+                raise UnknownKeyError(f"unknown key {key!r}", line)
+            spec = _MODE_SELECTION_KEYS[key]
+            targets = [ms_values.setdefault(name, {}) for name in matched]
+            ms_lines.update(((name, key), line) for name in matched)
+        try:
+            value = spec[1](value)
+        except ValueError as exc:
+            raise ConstraintViolationError(
+                [Diagnostic("ConstraintViolation", f"bad value for {key}: {exc}", key=key)],
+                line) from None
+        attr = spec[0]
         for values in targets:
             values[attr] = value
 
-    sim = SimParams(**sim_values)
-    channel = ChannelParams(**channel_values)
     nodes = tuple(NodeConfig(name=name, **node_values[name]) for name in declared)
     for node in nodes:  # mode selection is read from the eNB alone
-        for key in _MODE_SELECTION_KEYS:
-            if (node.name, key) in ms_lines and node.role is not Role.ENB:
-                raise ConstraintViolationError([Diagnostic(
-                    "ConstraintViolation", f"{key} applies only to the eNB", node.name, key)],
-                    ms_lines[node.name, key])
+        if node.name in ms_values and node.role is not Role.ENB:
+            key = next(key for key in _MODE_SELECTION_KEYS if (node.name, key) in ms_lines)
+            raise ConstraintViolationError([Diagnostic(
+                "ConstraintViolation", f"{key} applies only to the eNB", node.name, key)],
+                ms_lines[node.name, key])
     mode_selection = ModeSelectionConfig(
-        **next((ms_values[node.name] for node in nodes if node.role is Role.ENB), {}))
+        **next((ms_values.get(node.name, {}) for node in nodes if node.role is Role.ENB), {}))
 
     missing = [Diagnostic("ConstraintViolation", f"flow[{flow_id}] is missing {key}", key=key)
                for flow_id, values in sorted(flow_values.items())
@@ -473,12 +454,13 @@ def parse_scenario(text: str) -> ScenarioConfig:
     flows = tuple(FlowConfig(flow_id=flow_id, **values)
                   for flow_id, values in sorted(flow_values.items()))
 
-    groups = {assignment.key: MulticastGroup(assignment.key, assignment.value)
-              for assignment in multicast}  # a repeated address keeps its place
+    groups = {address: MulticastGroup(address, pattern)
+              for address, pattern in multicast}  # a repeated address keeps its place
 
     config = ScenarioConfig(
-        sim=sim, nodes=nodes, flows=flows, channel=channel,
-        mode_selection=mode_selection, multicast_groups=tuple(groups.values()))
+        sim=SimParams(**sim_values), nodes=nodes, flows=flows,
+        channel=ChannelParams(**channel_values), mode_selection=mode_selection,
+        multicast_groups=tuple(groups.values()))
 
     diagnostics = validate(config)
     if diagnostics:
@@ -508,12 +490,11 @@ def validate(config: ScenarioConfig) -> list[Diagnostic]:
     def unresolved(message: str, node: str | None = None, key: str | None = None):
         out.append(Diagnostic("UnresolvedNodeReference", message, node=node, key=key))
 
-    def bounded(table: dict, obj, node: str | None = None, where: str | None = None):
-        for key, (attr, _, bounds) in table.items():
+    def bounded(keys: tuple, obj, node: str | None = None, where: str | None = None):
+        for key, attr, low, high, open_below in keys:
             value = getattr(obj, attr)
-            if bounds is None or value is None:
+            if value is None or low < value < high:  # strictly inside: finite and in range
                 continue
-            low, high, open_below = bounds
             if isinstance(value, float) and not math.isfinite(value):
                 bad(f"{key} must be finite", node=node, key=where or key)
             elif not low <= value <= high or (open_below and value == low):
@@ -521,8 +502,8 @@ def validate(config: ScenarioConfig) -> list[Diagnostic]:
                         f"in {'(' if open_below else '['}{low:g}, {high:g}]")
                 bad(f"{key} must be {span}", node=node, key=where or key)
 
-    bounded(_SIM_KEYS, config.sim)
-    bounded(_CHANNEL_KEYS, config.channel)
+    bounded(_SIM_RANGES, config.sim)
+    bounded(_CHANNEL_RANGES, config.channel)
 
     names = {node.name for node in config.nodes}
     for node in config.nodes:
@@ -538,7 +519,7 @@ def validate(config: ScenarioConfig) -> list[Diagnostic]:
     enb = enbs[0] if enbs else None
 
     for node in config.nodes:
-        bounded(_NODE_KEYS, node, node=node.name)
+        bounded(_NODE_RANGES, node, node=node.name)
         if node.d2d_peer_addresses and not node.d2d_capable:
             bad("d2dPeerAddresses set on a node that is not d2dCapable",
                 node=node.name, key="d2dPeerAddresses")
@@ -588,7 +569,7 @@ def validate(config: ScenarioConfig) -> list[Diagnostic]:
         if flow.flow_id in seen_flow_ids:
             bad("duplicate flow id", key=fid)
         seen_flow_ids.add(flow.flow_id)
-        bounded(_FLOW_KEYS, flow, where=fid)
+        bounded(_FLOW_RANGES, flow, where=fid)
         if flow.source_node not in names:
             unresolved(f"unknown source node {flow.source_node!r}", key=fid)
         dest_is_group = flow.dest_address in group_addresses
@@ -612,7 +593,7 @@ def validate(config: ScenarioConfig) -> list[Diagnostic]:
 
     ms = config.mode_selection
     if ms.enabled:
-        bounded(_MODE_SELECTION_KEYS, ms)
+        bounded(_MODE_SELECTION_RANGES, ms)
     if ms.enabled and ms.policy_name not in policy_names():
         bad(f"unknown d2dModeSelectionType {ms.policy_name!r} "
             f"(known: {', '.join(policy_names())})", key="d2dModeSelectionType")

@@ -485,10 +485,8 @@ class Engine:
             process.awaiting_retx = False
             tb.chunks, tb.cqi = process.tb.chunks, process.tb.cqi
         else:
-            chunks = self._fill_chunks(link, tb.tbs_bits)
-            if not chunks:
-                return  # fewer than 8 bits: nothing is sent or counted
-            tb.chunks, tb.cqi = tuple(chunks), link.cqi
+            # the link has data and a fresh grant carries a byte: never empty
+            tb.chunks, tb.cqi = tuple(self._fill_chunks(link, tb.tbs_bits)), link.cqi
             process = pool.allocate() if pool is not None else None
         if process is not None:
             process.tb, tb.harq = tb, process

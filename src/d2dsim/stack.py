@@ -169,8 +169,10 @@ def schedule_band(requests: list, num_rbs: int,
     round-robin, one block per requester per round, so a node that
     needs few blocks finishes early and the rest keep absorbing the
     residue; when the last round cannot serve everyone, lower node ids
-    win.  Granted counts are then laid out contiguously from index 0,
-    one transport block per grant.
+    win.  New data is never granted a run too small for a byte (8 bits):
+    the last requester left with one drops out, and the rest are dealt the
+    blocks again.  Granted counts are then laid out contiguously from
+    index 0, one transport block per grant.
     """
     if len(requests) > 1 and len({(r.node_id, r.direction) for r in requests}) != len(requests):
         keys = [(r.node_id, r.direction) for r in requests]
@@ -184,46 +186,56 @@ def schedule_band(requests: list, num_rbs: int,
         elif r.cqi >= 1:  # a request with no backlog needs, and gets, no block
             fresh.append(r)
 
+    sizes = table.tbs_sizes(rb_capacity_re, num_rbs)
     available = num_rbs
-    ordered: list[tuple[object, int]] = []  # (request, rb count)
+    ordered: list[tuple[object, int, int]] = []  # (request, rb count, bits)
     if retx:  # only after a NACK
         retx.sort(key=_by_node)
         for request in retx:
             if request.retx_rbs <= available:
-                ordered.append((request, request.retx_rbs))
+                ordered.append((request, request.retx_rbs, sizes[request.cqi][request.retx_rbs]))
                 available -= request.retx_rbs
 
-    sizes = table.tbs_sizes(rb_capacity_re, num_rbs)
     if len(fresh) == 1:  # a lone requester takes what it needs, up to what is left
         request = fresh[0]
         count = min(bisect_left(sizes[request.cqi], request.backlog_bits), available)
-        if count > 0:
-            ordered.append((request, count))
+        if sizes[request.cqi][count] >= 8:
+            ordered.append((request, count, sizes[request.cqi][count]))
     elif fresh:
-        # whole rounds up to each need, smallest first; one past the band is never met
         fresh.sort(key=_by_node)
         need = [bisect_left(sizes[r.cqi], r.backlog_bits) for r in fresh]
-        level, left = 0, len(need)  # blocks each open requester holds; how many are open
-        for target in sorted(need):  # never below level, and equal to it changes nothing
-            rounds = min(target - level, available // left)
-            level += rounds
-            available -= rounds * left
-            if level < target:
+        while True:
+            # whole rounds up to each need, smallest first; one past the band is never met
+            level, left = 0, len(need)  # blocks each open requester holds; how many are open
+            for target in sorted(need):  # never below level, and equal to it changes nothing
+                rounds = min(target - level, available // left)
+                level += rounds
+                available -= rounds * left
+                if level < target:
+                    break
+                left -= 1
+            dropped = None
+            for request, n in zip(fresh, need):
+                count = min(n, level)
+                if n > level and available:  # the partial last round: lower node ids first
+                    count += 1
+                    available -= 1
+                bits = sizes[request.cqi][count]
+                if bits >= 8:
+                    ordered.append((request, count, bits))
+                elif count:
+                    dropped = request
+            if dropped is None:
                 break
-            left -= 1
-        for request, n in zip(fresh, need):
-            count = min(n, level)
-            if n > level and available:  # the partial last round: lower node ids first
-                count += 1
-                available -= 1
-            if count > 0:
-                ordered.append((request, count))
+            i = fresh.index(dropped)  # it drops out, and the rest are dealt the blocks again
+            del fresh[i], need[i]
+            ordered = [grant for grant in ordered if grant[0].retx_rbs]
+            available = num_rbs - sum(count for _, count, _ in ordered)
 
     blocks: list[TransportBlock] = []
     next_rb = 0  # each grant's run starts where the previous one ended
-    for request, count in ordered:
-        blocks.append(TransportBlock(request, range(next_rb, next_rb + count),
-                                     sizes[request.cqi][count]))
+    for request, count, bits in ordered:
+        blocks.append(TransportBlock(request, range(next_rb, next_rb + count), bits))
         next_rb += count
     return blocks
 
@@ -261,6 +273,8 @@ class HarqProcess:
 class HarqPool:
     """Per-link set of stop-and-wait processes.
 
+    Process k is made only when processes 0..k-1 are all busy, so
+    ``processes`` holds the ones made so far; one not yet made is idle.
     Multicast transmissions never allocate a process: with no single
     feedback source, each transport block is sent exactly once.
     """
@@ -269,7 +283,7 @@ class HarqPool:
 
     def __init__(self, num_processes: int) -> None:
         self.num_processes = num_processes
-        self.processes = [HarqProcess(i, self) for i in range(num_processes)]
+        self.processes: list[HarqProcess] = []
         # ``busy`` and ``waiting`` (for a retransmission) count processes,
         # so that no question scans them
         self.busy = self.waiting = 0
@@ -278,9 +292,15 @@ class HarqPool:
         """Claim the lowest-numbered idle process, or None if all busy."""
         for process in self.processes:
             if not process.busy:
-                process.busy = True
-                self.busy += 1
-                return process
+                break
+        else:  # every process made so far is busy: make the next, if there is one
+            if len(self.processes) == self.num_processes:
+                return None
+            process = HarqProcess(len(self.processes), self)
+            self.processes.append(process)
+        process.busy = True
+        self.busy += 1
+        return process
 
     def has_idle(self) -> bool:
         return self.busy < self.num_processes

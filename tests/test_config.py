@@ -1,5 +1,6 @@
 """Scenario grammar, validation and canonical serialization."""
 
+import fnmatch
 import hashlib
 import re
 import string
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import d2dsim.config
-from d2dsim import (ConstraintViolationError, MalformedPatternError, Role,
+from d2dsim import (ConstraintViolationError, MalformedPatternError, NodeConfig, Role,
                     ScenarioSyntaxError, Transport, UnknownKeyError,
                     UnresolvedNodeReferenceError, is_multicast_address,
                     load_scenario, parse_scenario, resolve_pattern,
@@ -391,6 +392,99 @@ def test_literal_node_lines_compile_no_regex(monkeypatch):
     assert compiled == []
 
 
+# -- each scope is resolved once, each line still applied in order ---------------
+
+_MEMO_NODES = ["eNodeB", "ueA[0]", "ueA[1]", "ueB[0]", "ueC"]
+# literal, wildcard, network-'*' and '**' scopes, some with trailing segments;
+# flow[0] and flow[00] are two scopes of one flow
+_MEMO_SCOPES = _MEMO_NODES + ["ue*", "ueA[*]", "*[0]", "*", "**", "*.ueA[*]", "*.ueC",
+                              "ueA[1].nic.phy", "**.nic", "sim", "channel", "flow[0]",
+                              "flow[00]"]
+# key -> (attribute, values it may take) per kind of scope; ueTxPower is an alias
+_MEMO_KEYS = {
+    "node": {"positionX": ("position_x", range(-900, 900)),
+             "positionY": ("position_y", range(-900, 900)),
+             "ueTxPower": ("ue_tx_power_dbm", range(-50, 51)),
+             "ueTxPowerDbm": ("ue_tx_power_dbm", range(-50, 51)),
+             "d2dTxPowerDbm": ("d2d_tx_power_dbm", range(-50, 51))},
+    "sim": {"numRbs": ("num_rbs", range(1, 111)), "seed": ("seed", range(100))},
+    "channel": {"noiseFigureDb": ("noise_figure_db", range(31))},
+    "flow": {"packetBytes": ("packet_bytes", range(1, 5000)),
+             "periodTtis": ("period_ttis", range(1, 50))},
+}
+_MEMO_HEAD = f"""sim.nodes = "{' '.join(_MEMO_NODES)}"
+eNodeB.role = "eNB"
+flow[0].sourceNode = "ueA[0]"
+flow[0].destAddress = "eNodeB"
+flow[0].packetBytes = 100
+flow[0].periodTtis = 10
+"""
+
+
+def _memo_kind(scope: str) -> str:
+    return {"sim": "sim", "channel": "channel"}.get(scope, "flow" if "flow" in scope else "node")
+
+
+def _memo_reference_nodes(scope: str) -> list[str]:
+    """The nodes a scope names, matched with fnmatch as the README reads it."""
+    segments = scope.split(".")
+    if "**" in segments:
+        return _MEMO_NODES
+    pattern = segments[1] if segments[0] == "*" and len(segments) > 1 else segments[0]
+    pattern = pattern.replace("[", "[[]")  # a bracket is literal, not a set
+    return [name for name in _MEMO_NODES if fnmatch.fnmatchcase(name, pattern)]
+
+
+@st.composite
+def _memo_lines(draw):
+    lines = []
+    for scope in draw(st.lists(st.sampled_from(_MEMO_SCOPES), max_size=30)):
+        key = draw(st.sampled_from(sorted(_MEMO_KEYS[_memo_kind(scope)])))
+        value = draw(st.sampled_from(_MEMO_KEYS[_memo_kind(scope)][key][1]))
+        lines.append((scope, key, value))
+    return lines
+
+
+@given(_memo_lines(), st.data())
+def test_interleaved_scopes_apply_every_line_in_order(lines, data):
+    # each scope is resolved at its first line and reused; every line still
+    # writes, in order, to each node, flow or table its scope names
+    text = _MEMO_HEAD + "".join(f"{scope}.{key} = {value}\n" for scope, key, value in lines)
+    expected = {"sim": {}, "channel": {}, "flow": {"source_node": "ueA[0]",
+                                                   "dest_address": "eNodeB",
+                                                   "packet_bytes": 100, "period_ttis": 10}}
+    expected.update({name: {} for name in _MEMO_NODES})
+    for scope, key, value in lines:  # the naive way: resolve every line afresh
+        kind = _memo_kind(scope)
+        attr = _MEMO_KEYS[kind][key][0]
+        for target in (_memo_reference_nodes(scope) if kind == "node" else [kind]):
+            expected[target][attr] = value
+    config = parse_scenario(text)
+    assert config.sim == config.sim._replace(**expected["sim"])
+    assert config.channel == config.channel._replace(**expected["channel"])
+    assert [flow._asdict() for flow in config.flows] == [
+        {**config.flows[0]._asdict(), "flow_id": 0, **expected["flow"]}]
+    assert config.nodes == tuple(
+        NodeConfig(name, **expected[name], **({"role": Role.ENB} if name == "eNodeB" else {}))
+        for name in _MEMO_NODES)
+    # a bad value on a scope seen before is reported at its own line
+    if lines:
+        scope, key, _ = data.draw(st.sampled_from(lines))
+        with pytest.raises(ConstraintViolationError) as raised:
+            parse_scenario(text + f"{scope}.{key} = oops\n")
+        assert raised.value.line == _MEMO_HEAD.count("\n") + len(lines) + 1
+
+
+def test_an_unresolved_scope_fails_at_its_first_line():
+    text = BASE + "ueX[0].positionX = 1\nueX[0].positionX = 2\n"
+    with pytest.raises(UnresolvedNodeReferenceError) as raised:
+        parse_scenario(text)
+    assert raised.value.line == BASE.count("\n") + 1
+    with pytest.raises(MalformedPatternError) as raised:  # likewise a malformed one
+        parse_scenario(BASE + "ue\tx.positionX = 1\nue\tx.positionX = 2\n")
+    assert raised.value.line == BASE.count("\n") + 1
+
+
 def test_is_multicast_address():
     assert is_multicast_address("224.0.0.1")
     assert is_multicast_address("239.255.255.255")
@@ -495,6 +589,38 @@ def test_every_canonical_key_is_documented():
     keys = {line.split(" = ")[0].split(".")[-1]
             for line in serialize_scenario(parse_scenario(BASE)).splitlines()}
     assert sorted(key for key in keys if f"`{key}`" not in readme) == []
+
+
+def _documented(key: str, readme: str) -> str:
+    """The README's words on ``key``: its table row, else its sentence."""
+    rows = [line for line in readme.splitlines() if line.startswith(f"| `{key}`")
+            or line.startswith("| `") and f", `{key}`" in line.split("|")[1]]
+    if rows:
+        return rows[0]
+    return readme[readme.index(f"`{key}`"):].split(")")[0]
+
+
+def test_every_range_is_the_documented_one():
+    # the ranges are part of the interface: each one the README states is
+    # the one validate checks, bounds included
+    readme = (SCENARIOS.parent / "README.md").read_text()
+    tables = (d2dsim.config._SIM_RANGES, d2dsim.config._CHANNEL_RANGES,
+              d2dsim.config._NODE_RANGES, d2dsim.config._MODE_SELECTION_RANGES,
+              d2dsim.config._FLOW_RANGES)
+    ranged = [row for table in tables for row in table]
+    assert len(ranged) == 22
+
+    def number(value: float) -> str:
+        return str(int(value)) if float(value).is_integer() else str(value)
+
+    for key, _, low, high, open_below in ranged:
+        if high == float("inf"):
+            words = f"at least {number(low)}"
+        elif open_below:
+            words = f"above {number(low)} and at most {number(high)}"
+        else:
+            words = f"{number(low)} to {number(high)}"
+        assert words in _documented(key, readme), key
 
 
 def test_validate_returns_empty_for_sound_config():

@@ -15,5 +15,6 @@ def test_counts_are_equal_under_different_hash_seeds():
     text = text.replace("sim.ttiCount = 2000", "sim.ttiCount = 200")
     counts = [count_work.count(text, env={**os.environ, "PYTHONHASHSEED": seed})
               for seed in ("1", "2")]
-    assert counts[0] == counts[1]
+    assert counts[0] == counts[1]  # the set-up counts as well as the run's
     assert counts[0]["instructions"] > counts[0]["calls"] > 0
+    assert counts[0]["setup_instructions"] > counts[0]["setup_calls"] > 0

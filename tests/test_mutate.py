@@ -1,5 +1,6 @@
 """tools/mutate.py: mutant generation and clean-up, without a sweep."""
 
+import argparse
 import ast
 import importlib.util
 import sys
@@ -34,6 +35,18 @@ def test_generation_is_repeatable_and_seeded():
     assert mutate.select(first, 3, seed=7) == mutate.select(first, 3, seed=7)
     assert len(mutate.select(first, 3, seed=7)) == 3
     assert mutate.select(first, None, seed=7) == first
+
+
+def test_shards_split_a_selection_by_index():
+    every = mutate.mutants(SMALL)
+    shards = [mutate.shard(every, k, 3) for k in range(3)]
+    assert shards[1] == [every[i] for i in range(1, len(every), 3)]
+    assert sorted(sum(shards, []), key=every.index) == every  # each mutant once
+    assert mutate.shard(every, 0, 1) == every
+    assert mutate.shard_arg("1/2") == (1, 2)
+    for bad in ("2/2", "0/0", "-1/2", "1", "1/", "a/b", "1/2/3"):
+        with pytest.raises(argparse.ArgumentTypeError):
+            mutate.shard_arg(bad)
 
 
 def test_every_mutant_compiles_and_changes_one_thing():

@@ -27,7 +27,7 @@ def test_stack_objects_keep_their_fields_in_slots():
     # the TTI loop builds and reads these per packet, chunk or grant: no __dict__
     pool = HarqPool(1)
     objects = [_packet(), RlcChunk(_packet(), 8, True), RlcTxQueue(), PacketAssembler(),
-               pool, pool.processes[0], TransportBlock(None, range(1), 0),
+               pool, pool.allocate(), TransportBlock(None, range(1), 0),
                ReceptionResult(True, 0.0)]
     for obj in objects:
         assert not hasattr(obj, "__dict__"), type(obj).__name__
@@ -367,16 +367,23 @@ def _reference_schedule_band(requests, num_rbs, rb_capacity_re, table):
                    key=lambda r: (r.node_id, r.direction.value))
     need = {id(r): rbs_needed(r.backlog_bits, r.cqi, rb_capacity_re, table)
             for r in fresh}
-    counts = {id(r): 0 for r in fresh}
-    active = list(fresh)
-    while available > 0 and active:
-        for request in list(active):
-            if available == 0:
-                break
-            counts[id(request)] += 1
-            available -= 1
-            if counts[id(request)] >= need[id(request)]:
-                active.remove(request)
+    while True:  # until no one is dealt a run under a byte
+        left = available
+        counts = {id(r): 0 for r in fresh}
+        active = list(fresh)
+        while left > 0 and active:
+            for request in list(active):
+                if left == 0:
+                    break
+                counts[id(request)] += 1
+                left -= 1
+                if counts[id(request)] >= need[id(request)]:
+                    active.remove(request)
+        short = [r for r in fresh if counts[id(r)]
+                 and amc_tbs(r.cqi, counts[id(r)], rb_capacity_re, table) < 8]
+        if not short:
+            break
+        fresh.remove(short[-1])  # the last such requester in node order
     for request in fresh:
         if counts[id(request)] > 0:
             ordered.append((request, counts[id(request)], False))
@@ -414,6 +421,30 @@ def test_scheduler_matches_the_per_block_round_robin(requesters, num_rbs):
     assert _slots(schedule_band(requests, num_rbs, 168, TABLE)) == _slots(expected)
 
 
+@given(_requesters, st.integers(min_value=1, max_value=100), st.integers(1, 60))
+@example([(0, Direction.UL, 15, 800, 0), (1, Direction.UL, 15, 800, 0)], 3, 1)
+@example([(0, Direction.UL, 1, 800, 0), (1, Direction.UL, 15, 800, 0),
+          (2, Direction.D2D, 7, 800, 0)], 50, 1)
+def test_no_new_transmission_is_laid_out_a_run_under_a_byte(requesters, num_rbs, capacity):
+    # below 53 resource elements a block can carry under 8 bits at CQI 1: such a
+    # run goes to no one, and the blocks are dealt again among the other requesters
+    requests = _requests_of(requesters)
+    grants = schedule_band(requests, num_rbs, capacity, TABLE)
+    assert _slots(grants) == _slots(_reference_schedule_band(requests, num_rbs, capacity, TABLE))
+    assert all(g.tbs_bits >= 8 for g in grants if not g.request.retx_rbs)
+
+
+def test_a_run_under_a_byte_is_dealt_to_the_next_requester():
+    # one element per block: a CQI 15 block carries 5 bits, so two blocks are needed.
+    # Three blocks dealt round-robin would leave node 1 with one; it gets none, and
+    # node 0 takes all three
+    grants = schedule_band([_req(0, cqi=15, backlog=800), _req(1, cqi=15, backlog=800)],
+                           3, 1, TABLE)
+    assert [(g.request.node_id, g.rbs, g.tbs_bits) for g in grants] == [(0, range(3), 16)]
+    # a lone requester whose every block together carries under a byte gets nothing
+    assert schedule_band([_req(0, cqi=1, backlog=800)], 50, 1, TABLE) == []
+
+
 @given(_requesters, st.integers(min_value=1, max_value=100), st.data())
 def test_scheduler_and_reference_reject_the_same_duplicates(requesters, num_rbs, data):
     requests = _requests_of(requesters)
@@ -430,12 +461,16 @@ def test_scheduler_and_reference_reject_the_same_duplicates(requesters, num_rbs,
 
 def test_pool_allocates_lowest_idle():
     pool = HarqPool(4)
-    assert [p.tb for p in pool.processes] == [None] * 4  # an idle process holds no block
+    assert pool.processes == []  # none is made before it is first needed
     first = pool.allocate()
     second = pool.allocate()
     assert (first.process_id, second.process_id) == (0, 1)
+    assert (first.tb, second.tb) == (None, None)  # a fresh process holds no block
     pool.release(first)
-    assert pool.allocate().process_id == 0
+    assert first.tb is None  # nor does a released one
+    assert pool.allocate() is first
+    assert pool.allocate().process_id == 2
+    assert [p.process_id for p in pool.processes] == [0, 1, 2]
 
 
 def test_pool_exhaustion_returns_none():
@@ -468,8 +503,10 @@ def test_feedback_nack_retransmits_until_limit():
 
 def test_feedback_for_idle_process_is_an_error():
     pool = HarqPool(1)
+    process = pool.allocate()
+    pool.release(process)
     with pytest.raises(ValueError, match="idle"):
-        harq_on_feedback(pool.processes[0], True, 3)
+        harq_on_feedback(process, True, 3)
 
 
 def test_pending_retx_reports_waiting_process():
@@ -511,8 +548,10 @@ def test_pool_counts_answer_as_a_scan_of_its_processes(size, ops):
     for op, pick in ops:
         busy = [p for p in pool.processes if p.busy]
         process = busy[pick % len(busy)] if busy else None
-        if op == "allocate":
+        if op == "allocate":  # makes a process only when every one made is busy
+            made = len(pool.processes)
             pool.allocate()
+            assert len(pool.processes) == made + (len(busy) == made < size)
         elif op == "ack" and process is not None:
             pool.release(process)
         elif op == "nack" and process is not None:
@@ -528,6 +567,9 @@ def test_pool_counts_answer_as_a_scan_of_its_processes(size, ops):
                 pool.release(process)
         assert pool.pending_retx() is next(
             (p for p in pool.processes if p.busy and p.awaiting_retx), None)
-        assert pool.has_idle() == any(not p.busy for p in pool.processes)
+        # a process not yet made counts as idle
+        assert pool.has_idle() == (len(pool.processes) < size
+                                   or any(not p.busy for p in pool.processes))
+        assert [p.process_id for p in pool.processes] == list(range(len(pool.processes)))
         assert pool.waiting == sum(p.awaiting_retx for p in pool.processes)
         assert pool.busy == sum(p.busy for p in pool.processes)

@@ -17,10 +17,10 @@ median and quartiles are over runs (``statistics.quantiles``, n=4), and
 ``change_better_pairs`` counts the pairs in which the change reads better.
 Bounds and directions come from BENCHMARK.json.  Each workload's entry
 also gets ``work``: the instructions and calls of instances 0-3 on each
-side, counted once each by ``tools/count_work.py`` after the pairs, and
-the Python version that counted them.  The temporary directory is
-removed, and any process a run left behind is killed, even on error.
-Standard library only.
+side, of the run and of the set-up, counted once each by
+``tools/count_work.py`` after the pairs, and the Python version that
+counted them.  The temporary directory is removed, and any process a
+run left behind is killed, even on error.  Standard library only.
 """
 
 from __future__ import annotations
@@ -114,17 +114,19 @@ def summarise(reports: dict[str, list[dict]], metrics: list[dict]) -> dict:
 def work_counts(sides: dict[str, Path], texts: list[str]) -> dict:
     """``count_work.count`` of each scenario text with the ``src`` of each of
     the sides ``parent`` and ``change``: per side, the instructions and the
-    calls of each text, in order, and the change's share of the parent's
-    instructions per text."""
+    calls of the run and of the set-up of each text, in order, and the
+    change's share of the parent's instructions, of each, per text."""
     from count_work import count  # a sibling in tools/
 
     counted = {side: [count(text, checkout / "src") for text in texts]
                for side, checkout in sides.items()}
     entry: dict = {"python": platform.python_version()}  # every count runs this interpreter
     for side, runs in counted.items():
-        entry[side] = {name: [c[name] for c in runs] for name in ("instructions", "calls")}
-    entry["change_to_parent_instructions"] = [
-        c / p for p, c in zip(entry["parent"]["instructions"], entry["change"]["instructions"])]
+        entry[side] = {name: [c[name] for c in runs] for name in (
+            "instructions", "calls", "setup_instructions", "setup_calls")}
+    for name in ("instructions", "setup_instructions"):
+        entry[f"change_to_parent_{name}"] = [
+            c / p for p, c in zip(entry["parent"][name], entry["change"][name])]
     return entry
 
 
@@ -174,7 +176,8 @@ def main(argv: list[str] | None = None) -> int:
             "by tools/bench_pairs.py. Each value is the metric one run printed; median and "
             "quartiles are over runs (statistics.quantiles, n=4). change_better_pairs "
             "counts the pairs in which the change reads better. work: instructions and "
-            "calls of Engine.run() on instances "
+            "calls of Engine.run(), and apart of parse_scenario and Engine(config), on "
+            "instances "
             f"{', '.join(map(str, WORK_INSTANCES))} of each workload, counted once per side "
             "by tools/count_work.py under this interpreter."),
         "python": platform.python_version(),

@@ -7,12 +7,14 @@ Usage, from the root of a checkout:
 
 For each instance of each benchmark workload (``perfbench/workloads.py``)
 a child interpreter imports d2dsim from ``--src`` (this checkout's
-``src`` by default; give another checkout's to compare), parses the
-scenario and builds the ``Engine`` untraced, then runs ``Engine.run()``
+``src`` by default; give another checkout's to compare), then runs
+``parse_scenario`` and ``Engine(config)``, and after them ``Engine.run()``,
 under ``sys.settrace`` with ``f_trace_opcodes`` set on every frame.  It
 counts the opcode events (``instructions``) and the call events, one per
-Python frame entered or generator resumed (``calls``).  Each instance is
-printed as one JSON line with the Python version that counted it.
+Python frame entered or generator resumed (``calls``), of the run, and
+apart those of the set-up (``setup_instructions``, ``setup_calls``); the
+import is not counted.  Each instance is printed as one JSON line with the
+Python version that counted it.
 
 The counts repeat exactly from run to run and whatever the hash seed,
 but they are not time:
@@ -36,13 +38,13 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 
-# the child: counts the events of Engine.run() on the scenario text on stdin
+# the child: counts the events of the set-up and of Engine.run() on the
+# scenario text on stdin
 CHILD = """
 import json, sys
 sys.path.insert(0, sys.argv[1])
 text = sys.stdin.read()
 import d2dsim
-engine = d2dsim.Engine(d2dsim.parse_scenario(text))
 counts = [0, 0]
 
 def opcode(frame, event, arg):
@@ -56,16 +58,22 @@ def call(frame, event, arg):
     return opcode
 
 sys.settrace(call)
+engine = d2dsim.Engine(d2dsim.parse_scenario(text))
+sys.settrace(None)
+setup, counts[:] = counts[:], [0, 0]
+sys.settrace(call)
 engine.run()
 sys.settrace(None)
 print(json.dumps({"instructions": counts[0], "calls": counts[1],
+                  "setup_instructions": setup[0], "setup_calls": setup[1],
                   "python": sys.version.split()[0]}))
 """
 
 
 def count(text: str, src: Path | str = ROOT / "src", env: dict | None = None) -> dict:
-    """Instruction and call counts of ``Engine.run()`` on scenario ``text``,
-    in a fresh interpreter that imports d2dsim from ``src``."""
+    """Instruction and call counts of ``Engine.run()``, and of the set-up
+    before it, on scenario ``text``, in a fresh interpreter that imports
+    d2dsim from ``src``."""
     done = subprocess.run([sys.executable, "-c", CHILD, str(src)], input=text,
                           capture_output=True, text=True, env=env, check=True)
     return json.loads(done.stdout)

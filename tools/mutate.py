@@ -2,7 +2,8 @@
 
 Usage, from the root of a checkout:
 
-    python3 tools/mutate.py --module src/d2dsim/stack.py [--sample N] [--seed S]
+    python3 tools/mutate.py --module src/d2dsim/stack.py [--sample N] [--seed S] \\
+        [--shard K/N]
 
 Each mutant is the module with one change, made with ``ast``:
 
@@ -17,7 +18,10 @@ Docstrings are never mutated, nor are ``def``, ``class`` and ``import``
 statements, whose removal only leaves a name undefined.  Mutants are listed
 in source order; ``--sample N`` runs N of them drawn with
 ``random.Random(seed)``, and the seed also fixes Hypothesis's draws, so a
-sweep repeats.
+sweep repeats.  ``--shard K/N`` runs only the mutants whose index in that
+source-ordered list (after sampling) is K modulo N, so N sweeps started
+at once with K = 0 .. N-1, each in its own temporary copy, share the work
+of one between N cores.
 
 The checkout, without ``.git``, ``perfbench/out`` and caches, is copied to a
 temporary directory, which is removed at the end, on error, on Ctrl-C and
@@ -146,6 +150,19 @@ def select(every: list[Mutant], sample: int | None, seed: int) -> list[Mutant]:
     return [every[i] for i in sorted(random.Random(seed).sample(range(len(every)), sample))]
 
 
+def shard(selected: list[Mutant], k: int, n: int) -> list[Mutant]:
+    """The mutants of ``selected`` whose index is ``k`` modulo ``n``, in order."""
+    return selected[k::n]
+
+
+def shard_arg(text: str) -> tuple[int, int]:
+    """``K/N`` with 0 <= K < N, as ``--shard`` takes it."""
+    k, slash, n = text.partition("/")
+    if not (slash and k.isdecimal() and n.isdecimal() and int(k) < int(n)):
+        raise argparse.ArgumentTypeError(f"expected K/N with 0 <= K < N, got {text!r}")
+    return int(k), int(n)
+
+
 class BaselineFailed(Exception):
     """Tier-1 fails on the unparsed module, so no mutant can be judged."""
 
@@ -224,14 +241,16 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--module", required=True, help="e.g. src/d2dsim/stack.py")
     parser.add_argument("--sample", type=int, help="run N mutants drawn with the seed")
     parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--shard", type=shard_arg, default=(0, 1), metavar="K/N",
+                        help="run the mutants whose index is K modulo N")
     args = parser.parse_args(argv)
 
     module = Path(args.module).resolve().relative_to(ROOT).as_posix()
     source = (ROOT / module).read_text()
     every = mutants(source)
-    selected = select(every, args.sample, args.seed)
+    selected = shard(select(every, args.sample, args.seed), *args.shard)
     print(f"{module}: {len(every)} mutation sites, running {len(selected)}, "
-          f"seed {args.seed}", flush=True)
+          f"seed {args.seed}, shard {args.shard[0]}/{args.shard[1]}", flush=True)
     command = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
                "--continue-on-collection-errors", f"--hypothesis-seed={args.seed}"]
     signal.signal(signal.SIGTERM, _terminate)
