@@ -19,7 +19,7 @@ import operator
 import os
 import random
 from bisect import bisect_right
-from functools import reduce
+from functools import cache, reduce
 
 from _random import Random as _MersenneTwister  # random.Random's C base
 
@@ -121,6 +121,7 @@ class CqiTable:
         return cls([t for t, _ in ordered], [e for _, e in ordered])
 
     @classmethod
+    @cache  # one table, and so one size memo, per process
     def default(cls) -> "CqiTable":
         return cls.from_file(os.path.join(os.path.dirname(__file__), "data", "cqi_table.txt"))
 

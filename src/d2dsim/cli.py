@@ -107,17 +107,12 @@ def _read_scenario(path: str) -> ScenarioConfig:
 def _load(args: argparse.Namespace) -> ScenarioConfig:
     """Read the scenario and apply any command-line overrides."""
     config = _read_scenario(args.scenario)
-    overrides = {}
-    if getattr(args, "seed", None) is not None:
-        overrides["seed"] = args.seed
-    if getattr(args, "ttis", None) is not None:
-        overrides["tti_count"] = args.ttis
+    overrides = {name: value for name, value in (("seed", args.seed), ("tti_count", args.ttis))
+                 if value is not None}
     if overrides:
         config = config._replace(sim=config.sim._replace(**overrides))
-        problems = validate(config)
-        if problems:
-            raise UsageError("invalid override: "
-                             + "; ".join(str(problem) for problem in problems))
+        if problems := validate(config):
+            raise UsageError("invalid override: " + "; ".join(map(str, problems)))
     return config
 
 
@@ -132,7 +127,7 @@ def _parse_cqis(text: str, table: CqiTable) -> list[int]:
     return cqis
 
 
-def _cmd_run(args: argparse.Namespace) -> int:
+def _cmd_run(args: argparse.Namespace) -> None:
     config = _load(args)
     initial = Mode(args.initial_mode) if args.initial_mode else None
     result = run_scenario(config, trace=args.trace is not None,
@@ -143,15 +138,13 @@ def _cmd_run(args: argparse.Namespace) -> int:
         _write(args.trace, result.trace_csv())
     if args.ledger is not None:
         _write(args.ledger, result.ledger_csv())
-    return 0
 
 
-def _cmd_sweep(args: argparse.Namespace) -> int:
+def _cmd_sweep(args: argparse.Namespace) -> None:
     config = _read_scenario(args.scenario)
     flow = next((f for f in config.flows if f.flow_id == args.flow), None)
     if flow is None:
-        print(f"error: no flow[{args.flow}] in scenario", file=sys.stderr)
-        return 2
+        raise UsageError(f"no flow[{args.flow}] in scenario")
     sender = config.node_by_name(flow.source_node)
     table = CqiTable.default()
     rows = sweep_cqi_range(_parse_cqis(args.cqis, table), sender.d2d_tx_power_dbm,
@@ -161,24 +154,21 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     for row in rows:
         lines.append(f"{row.cqi},{row.max_distance_m:.3f},{row.rbs_per_packet}")
     _write(args.out, "\n".join(lines) + "\n")
-    return 0
 
 
-def _cmd_compare(args: argparse.Namespace) -> int:
+def _cmd_compare(args: argparse.Namespace) -> None:
     results = compare_modes(_load(args))
     lines = ["mode,scope,flow_id,metric,value"]
     for mode, result in results.items():
         for line in result.metrics_csv().splitlines()[1:]:
             lines.append(f"{mode},{line}")
     _write(args.out, "\n".join(lines) + "\n")
-    return 0
 
 
-def _cmd_validate(args: argparse.Namespace) -> int:
+def _cmd_validate(args: argparse.Namespace) -> None:
     config = _read_scenario(args.scenario)
     print(f"ok: {len(config.nodes)} nodes, {len(config.flows)} flows, "
           f"{config.sim.tti_count} TTIs")
-    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -190,13 +180,12 @@ def build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="simulate a scenario file")
     run.add_argument("scenario")
     run.add_argument("--metrics", default="-", help="metrics CSV path (default stdout)")
-    run.add_argument("--trace", default=None, help="also write an event trace CSV")
-    run.add_argument("--ledger", default=None,
-                     help="also write a per-TTI resource allocation CSV")
-    run.add_argument("--initial-mode", choices=["DM", "IM"], default=None,
+    run.add_argument("--trace", help="also write an event trace CSV")
+    run.add_argument("--ledger", help="also write a per-TTI resource allocation CSV")
+    run.add_argument("--initial-mode", choices=["DM", "IM"],
                      help="starting mode for every D2D peering")
-    run.add_argument("--seed", type=int, default=None, help="override sim.seed")
-    run.add_argument("--ttis", type=int, default=None, help="override sim.ttiCount")
+    run.add_argument("--seed", type=int, help="override sim.seed")
+    run.add_argument("--ttis", type=int, help="override sim.ttiCount")
     run.set_defaults(func=_cmd_run)
 
     sweep = sub.add_parser(
@@ -213,9 +202,8 @@ def build_parser() -> argparse.ArgumentParser:
         "compare-modes", help="same scenario under DM and IM peering")
     compare.add_argument("scenario")
     compare.add_argument("--out", default="-")
-    compare.add_argument("--seed", type=int, default=None, help="override sim.seed")
-    compare.add_argument("--ttis", type=int, default=None,
-                         help="override sim.ttiCount")
+    compare.add_argument("--seed", type=int, help="override sim.seed")
+    compare.add_argument("--ttis", type=int, help="override sim.ttiCount")
     compare.set_defaults(func=_cmd_compare)
 
     validate = sub.add_parser("validate", help="parse and check a scenario")
@@ -228,13 +216,14 @@ def main(argv: list[str] | None = None) -> int:
     """Exit 0 on success, 1 on a scenario problem, 2 on a runtime or output error."""
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        args.func(args)
     except ScenarioError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (SweepRequiresDeterministicChannel, UsageError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    return 0
 
 
 if __name__ == "__main__":

@@ -54,7 +54,6 @@ def _flow_scope_id(segment: str) -> int | None:
     digits = segment[5:-1]
     if segment.startswith("flow[") and segment.endswith("]") and digits.isdecimal():
         return int(digits)
-    return None
 
 
 class ScenarioError(Exception):
@@ -87,9 +86,8 @@ class ConstraintViolationError(ScenarioError):
     """One or more config invariants are broken."""
 
     def __init__(self, diagnostics: list["Diagnostic"], line: int | None = None):
-        self.diagnostics = list(diagnostics)
-        summary = "; ".join(str(d) for d in self.diagnostics)
-        super().__init__(f"invalid scenario: {summary}", line)
+        self.diagnostics = diagnostics
+        super().__init__(f"invalid scenario: {'; '.join(map(str, diagnostics))}", line)
 
 
 class Diagnostic(Record):
@@ -110,7 +108,7 @@ class Diagnostic(Record):
             where += f" node={self.node}"
         if self.key is not None:
             where += f" key={self.key}"
-        return f"{self.kind}:{where} {self.message}".replace(":  ", ": ")
+        return f"{self.kind}:{where} {self.message}"
 
 
 class Role(Enum):
@@ -347,13 +345,11 @@ def _scan(text: str) -> tuple[list[tuple], list[tuple[str, str]], str]:
             raise ScenarioSyntaxError(f"expected <scope>.<key> = <value>: {stripped!r}", lineno)
         value = value.strip()
         if value[:1] == '"':
-            end = value.find('"', 1)
-            if end < 0:
+            value, quote, rest = value[1:].partition('"')
+            if not quote:
                 raise ScenarioSyntaxError("unterminated string", lineno)
-            rest = value[end + 1:].strip()
-            if rest[:1] not in "#":
+            if (rest := rest.strip())[:1] not in "#":
                 raise ScenarioSyntaxError(f"trailing characters after string: {rest!r}", lineno)
-            value = value[1:end]
         elif not (value := value.partition("#")[0].rstrip()):
             raise ScenarioSyntaxError("missing value", lineno)
         if in_multicast:
@@ -462,11 +458,9 @@ def parse_scenario(text: str) -> ScenarioConfig:
         channel=ChannelParams(**channel_values), mode_selection=mode_selection,
         multicast_groups=tuple(groups.values()))
 
-    diagnostics = validate(config)
-    if diagnostics:
+    if diagnostics := validate(config):
         if any(d.kind == "UnresolvedNodeReference" for d in diagnostics):
-            raise UnresolvedNodeReferenceError(
-                "; ".join(str(d) for d in diagnostics))
+            raise UnresolvedNodeReferenceError("; ".join(map(str, diagnostics)))
         raise ConstraintViolationError(diagnostics)
     return config
 

@@ -30,3 +30,14 @@ def test_work_counts_have_one_count_per_side_and_scenario(monkeypatch):
     assert work["parent"] == work["change"]  # the same source counts the same
     assert work["change_to_parent_instructions"] == [1.0]
     assert work["change_to_parent_setup_instructions"] == [1.0]
+
+
+def test_src_lines_count_each_sides_modules(tmp_path):
+    for side, files in (("parent", {"a.py": "x\ny\n", "b.py": "z"}), ("change", {"a.py": ""})):
+        package = tmp_path / side / "src" / "d2dsim"
+        package.mkdir(parents=True)
+        for name, text in {**files, "table.txt": "not\ncounted\n"}.items():
+            (package / name).write_text(text)
+    lines = bench_pairs.src_lines({side: tmp_path / side for side in ("parent", "change")})
+    assert lines == {"parent": 3, "change": 0}
+    assert json.loads(json.dumps(lines)) == lines

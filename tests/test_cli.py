@@ -1,13 +1,17 @@
 """Command-line interface and sweep/compare helpers."""
 
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from d2dsim import ChannelParams, CqiTable, load_scenario
+from d2dsim import ChannelParams, CqiTable, load_scenario, path_loss_db, run_scenario
 from d2dsim.cli import (SweepRequiresDeterministicChannel, compare_modes,
                         main, max_decode_distance, sweep_cqi_range)
+from d2dsim.config import POSITION_LIMIT_M
 
 TABLE = CqiTable.default()
 
@@ -177,6 +181,17 @@ def test_sweep_reports_an_unbounded_range_as_inf(tmp_path, capsys):
     assert max_decode_distance(15, -50.0, params, TABLE) == math.inf
 
 
+@pytest.mark.parametrize("margin_db, unbounded", [(0.01, True), (-0.01, False)])
+def test_range_is_unbounded_iff_it_reaches_the_farthest_placement(margin_db, unbounded):
+    # two nodes sit at most 2 * sqrt(2) * POSITION_LIMIT_M apart
+    params = ChannelParams()
+    farthest = 2 * math.sqrt(2) * POSITION_LIMIT_M
+    noise = params.thermal_noise_dbm_per_rb + params.noise_figure_db
+    tx_power = TABLE.thresholds_db[0] + path_loss_db(farthest, params) + noise + margin_db
+    found = max_decode_distance(1, tx_power, params, TABLE)
+    assert found == math.inf if unbounded else farthest * 0.999 < found < farthest
+
+
 def test_sweep_rows_cover_requested_cqis():
     rows = sweep_cqi_range([3, 7, 11, 15], 20.0, 1000, 168,
                            ChannelParams(), TABLE)
@@ -204,6 +219,16 @@ def test_compare_modes_command_output(good_ini, capsys):
     assert any(line.startswith("IM,") for line in lines)
 
 
+def test_compare_modes_prefixes_every_metric_row_with_its_mode(good_ini, capsys):
+    expected = ["mode,scope,flow_id,metric,value"]
+    for mode, result in compare_modes(load_scenario(good_ini)).items():
+        rows = result.metrics_csv().splitlines()
+        assert rows[0] == "scope,flow_id,metric,value"
+        expected += [f"{mode},{row}" for row in rows[1:]]
+    assert main(["compare-modes", good_ini]) == 0
+    assert capsys.readouterr().out == "\n".join(expected) + "\n"
+
+
 def test_missing_flow_for_sweep(good_ini, capsys):
     assert main(["sweep-cqi", good_ini, "--flow", "7"]) == 2
     assert "no flow[7]" in capsys.readouterr().err
@@ -224,6 +249,39 @@ def test_negative_tti_override_exits_2(good_ini, capsys, command):
     assert captured.out == ""
     assert "ttiCount must be >= 0" in captured.err
     assert len(captured.err.splitlines()) == 1
+
+
+def test_run_writes_what_the_library_computes(good_ini, tmp_path, capsys):
+    # each output reflects its own option, and a trace is made only when asked for
+    result = run_scenario(load_scenario(good_ini), trace=True, ledger_dump=True)
+    trace, ledger = tmp_path / "trace.csv", tmp_path / "ledger.csv"
+    assert main(["run", good_ini, "--trace", str(trace), "--ledger", str(ledger)]) == 0
+    assert capsys.readouterr().out == result.metrics_csv()
+    assert trace.read_text() == result.trace_csv()
+    assert ledger.read_text() == result.ledger_csv()
+    assert result.trace_csv().count("\n") == 26
+
+
+@pytest.mark.parametrize("command", ["run", "compare-modes"])
+def test_seed_override_equals_the_file_value(tmp_path, capsys, command):
+    shipped = Path(__file__).resolve().parents[1] / "scenarios" / "one_to_one.ini"
+    shadowed = shipped.read_text() + "channel.shadowingStdDevDb = 8\nsim.ttiCount = 200\n"
+    default, seeded = tmp_path / "default.ini", tmp_path / "seeded.ini"
+    default.write_text(shadowed)
+    seeded.write_text(shadowed + "sim.seed = 9\n")
+    outputs = []
+    for argv in ([str(default), "--seed", "9"], [str(seeded)], [str(default)]):
+        assert main([command, *argv]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1] != outputs[2]
+
+
+def test_sweep_cqi_output_of_a_shipped_scenario_is_pinned(capsys):
+    # the bisection's path, not only its tolerance, fixes the printed digits
+    shipped = Path(__file__).resolve().parents[1] / "scenarios" / "one_to_one.ini"
+    assert main(["sweep-cqi", str(shipped)]) == 0
+    assert capsys.readouterr().out == ("cqi,max_distance_m,rbs_per_packet\n3,579.237,127\n"
+                                       "7,337.730,33\n11,196.918,15\n15,111.833,9\n")
 
 
 def test_valid_overrides_still_run(good_ini, capsys):
@@ -411,3 +469,20 @@ def test_unknown_mode_selection_policy_exits_1_with_one_line(tmp_path, capsys, c
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1
     assert "unknown d2dModeSelectionType 'NoSuchPolicy'" in captured.err
+
+
+def test_module_runs_as_a_script(tmp_path):
+    # python -m d2dsim.cli is the console script without an install
+    root = Path(__file__).resolve().parents[1]
+    bad = tmp_path / "bad.ini"
+    bad.write_text("sim.ttiCount = x\n")
+    for argv, status, out, err in (
+            ([str(root / "scenarios" / "one_to_one.ini")], 0,
+             "ok: 4 nodes, 3 flows, 2000 TTIs\n", ""),
+            ([str(bad)], 1, "", "error: line 1: invalid scenario: ConstraintViolation: "
+             "key=ttiCount bad value for ttiCount: invalid literal for int() with base 10: "
+             "'x'\n")):
+        done = subprocess.run([sys.executable, "-m", "d2dsim.cli", "validate", *argv],
+                              env={**os.environ, "PYTHONPATH": str(root / "src")},
+                              capture_output=True, text=True, timeout=60)
+        assert (done.returncode, done.stdout, done.stderr) == (status, out, err)

@@ -215,6 +215,13 @@ def test_validate_rejects_a_repeated_node_name():
                                     '"eNodeB ueD2DTx[0] ueD2DRx[0] ueD2DRx[0]"'))
 
 
+def test_validate_rejects_a_repeated_flow_id():
+    # the parser merges flow[0] and flow[00]; a hand-built config can repeat one
+    config = parse_scenario(BASE)
+    assert validate(config._replace(flows=config.flows * 2)) == [
+        ("ConstraintViolation", "duplicate flow id", None, "flow[0]")]
+
+
 @pytest.mark.parametrize("name, message", [("ue.x", "invalid node name"),
                                            ("ue x", "invalid node name"),
                                            ("sim", "is reserved"),
@@ -336,6 +343,15 @@ def test_diagnostics_name_node_and_key():
     assert diag.key == "d2dCqi"
 
 
+@pytest.mark.parametrize("value", ["a:  b", "a:   b", ":  b", "x  :  y"])
+def test_a_bad_value_is_quoted_verbatim(value):
+    with pytest.raises(ConstraintViolationError) as err:
+        parse_scenario(BASE + f"sim.seed = {value}\n")
+    assert str(err.value) == (f"line 16: invalid scenario: ConstraintViolation: key=seed "
+                              f"bad value for seed: invalid literal for int() with base 10: "
+                              f"{value!r}")
+
+
 # -- patterns ----------------------------------------------------------------
 
 NAMES = ["eNodeB", "ueD2DTx[0]", "ueD2DRx[0]", "ueD2DRx[1]", "ueCell[12]"]
@@ -393,6 +409,15 @@ def test_literal_node_lines_compile_no_regex(monkeypatch):
 
 
 # -- each scope is resolved once, each line still applied in order ---------------
+
+def test_each_distinct_scope_is_resolved_once(monkeypatch):
+    patterns = []
+    resolve = d2dsim.config.resolve_pattern
+    monkeypatch.setattr(d2dsim.config, "resolve_pattern",
+                        lambda pattern, names: patterns.append(pattern) or resolve(pattern, names))
+    parse_scenario(BASE + "*.ueD2D*.positionX = 1\n*.ueD2D*.positionY = 2\n**.ueTxPower = 3\n")
+    assert patterns == ["eNodeB", "ueD2DTx[0]", "ueD2DRx[0]", "ueD2D*", "**"]
+
 
 _MEMO_NODES = ["eNodeB", "ueA[0]", "ueA[1]", "ueB[0]", "ueC"]
 # literal, wildcard, network-'*' and '**' scopes, some with trailing segments;
@@ -485,9 +510,50 @@ def test_an_unresolved_scope_fails_at_its_first_line():
     assert raised.value.line == BASE.count("\n") + 1
 
 
+_LINE = BASE.count("\n") + 1  # the line a suffix to BASE starts on
+
+
+# every error message is part of the interface, so each is pinned in full
+@pytest.mark.parametrize("suffix, error, message", [
+    ("not an assignment\n", ScenarioSyntaxError,
+     f"line {_LINE}: expected <scope>.<key> = <value>: 'not an assignment'"),
+    ("sim. = 1\n", ScenarioSyntaxError,
+     f"line {_LINE}: expected <scope>.<key> = <value>: 'sim. = 1'"),
+    ("sim.seed = # none\n", ScenarioSyntaxError, f"line {_LINE}: missing value"),
+    ('ueD2DTx[0].role = "UE"x\n', ScenarioSyntaxError,
+     f"line {_LINE}: trailing characters after string: 'x'"),
+    ('[multicast]\n224.0.0.1 = "ue D2D*"\n', ConstraintViolationError,
+     "invalid scenario: ConstraintViolation: key=224.0.0.1 pattern 'ue D2D*' contains "
+     "forbidden character ' '"),
+    ('flow[0].sourceNode = "ueGhost"\n', UnresolvedNodeReferenceError,
+     "UnresolvedNodeReference: key=flow[0] unknown source node 'ueGhost'"),
+    ('flow[0].destAddress = "ueD2DTx[0]"\n', ConstraintViolationError,
+     "invalid scenario: ConstraintViolation: key=flow[0] flow source and destination are "
+     "the same node"),
+    ("eNodeB.d2dCapable = false\n", ConstraintViolationError,
+     "invalid scenario: ConstraintViolation: node=eNodeB key=d2dCapable D2D-capable UEs "
+     "require a d2dCapable eNB"),
+    ("[multicast]\n[multicast]\n", ScenarioSyntaxError,
+     f"line {_LINE + 1}: duplicate [multicast] section"),
+    ("ueD2DTx[0].d2dCapable = yes\n", ConstraintViolationError,
+     f"line {_LINE}: invalid scenario: ConstraintViolation: key=d2dCapable bad value for "
+     "d2dCapable: expected true/false, got 'yes'"),
+])
+def test_scenario_errors_read_in_full(suffix, error, message):
+    with pytest.raises(error) as raised:
+        parse_scenario(BASE + suffix)
+    assert str(raised.value) == message
+
+
+def test_node_by_name_raises_key_error_for_an_unknown_name():
+    with pytest.raises(KeyError, match="ueGhost"):
+        parse_scenario(BASE).node_by_name("ueGhost")
+
+
 def test_is_multicast_address():
     assert is_multicast_address("224.0.0.1")
     assert is_multicast_address("239.255.255.255")
+    assert not is_multicast_address("224.0.0.256")
     assert not is_multicast_address("223.0.0.1")
     assert not is_multicast_address("240.0.0.1")
     assert not is_multicast_address("224.0.0")

@@ -1,5 +1,6 @@
 """End-to-end engine behavior on small scenarios."""
 
+import functools
 import math
 import random
 import sys
@@ -8,8 +9,8 @@ from pathlib import Path
 
 import pytest
 
-from d2dsim import (Binder, Direction, Engine, Mode, ModeSwitchCommand, PacketAssembler, Phase,
-                    parse_scenario, run_scenario)
+from d2dsim import (Binder, CqiTable, Direction, Engine, Mode, ModeSwitchCommand,
+                    PacketAssembler, Phase, Role, parse_scenario, run_scenario)
 from d2dsim import engine as engine_module
 from d2dsim.engine import InstanceStatus
 
@@ -52,6 +53,13 @@ def conservation_ok(result):
         if metrics["offered_packets"] != parts:
             return False
     return True
+
+
+def test_engines_share_the_default_cqi_table_and_its_size_memo():
+    # the file is read, and each (rbCapacityRe, numRbs) size table built, once
+    # per process, however many runs it makes
+    first, second = Engine(scenario()), Engine(scenario(tti_count=5))
+    assert first.table is second.table is CqiTable.default()
 
 
 def test_direct_hop_takes_two_ttis():
@@ -497,14 +505,20 @@ def test_grants_that_carry_nothing_are_not_counted():
     assert hist == len(grants)
 
 
+@functools.cache
+def _traced(case):
+    """A shipped scenario, or instance 0 of a workload at seed 42, run with
+    its trace and ledger."""
+    path = ROOT / "scenarios" / f"{case}.ini"
+    config = parse_scenario(path.read_text() if path.exists() else scenario_text(case, 42, 0))
+    return config, run_scenario(config, trace=True, ledger_dump=True)
+
+
 # the shipped scenarios make no grant in their last TTI; instance 0 of each workload does
 @pytest.mark.parametrize("case, unsent", [("one_to_one", 0), ("one_to_many", 0),
                                           ("mixed_7ue", 3), ("cell_40ue_shadowed", 12)])
 def test_every_grant_is_sent_the_next_tti_except_the_last_ttis(case, unsent):
-    path = ROOT / "scenarios" / f"{case}.ini"
-    text = path.read_text() if path.exists() else scenario_text(case, 42, 0)
-    config = parse_scenario(text)
-    result = run_scenario(config, trace=True, ledger_dump=True)
+    config, result = _traced(case)
     last = config.sim.tti_count - 1
 
     def rows(event, shift=0):
@@ -517,6 +531,38 @@ def test_every_grant_is_sent_the_next_tti_except_the_last_ttis(case, unsent):
     assert Counter((tti, node, len(rb_list.split()))
                    for tti, node, _, rb_list, _ in result.ledger_rows) == Counter(
         (tti, src, rbs) for tti, src, _, _, rbs in rows("transmit").elements())
+
+
+# a receive follows every transmit but the last TTI's; feedback follows every
+# unicast receive but the last TTI's, and those a mode switch made stale
+@pytest.mark.parametrize("case, unsent, unreceived, stale", [
+    ("one_to_one", 0, 0, 0), ("one_to_many", 0, 0, 0),
+    ("mixed_7ue", 5, 4, 0), ("cell_40ue_shadowed", 15, 14, 14)])
+def test_every_transmit_is_received_and_every_unicast_receive_fed_back(
+        case, unsent, unreceived, stale):
+    config, result = _traced(case)
+    last = config.sim.tti_count - 1
+    ues = [node.name for node in config.nodes if node.role is Role.UE]
+    transmits = [row for row in result.trace if row.event == "transmit"]
+    receives = [row for row in result.trace if row.event == "receive"]
+    expected = Counter()
+    for row in transmits:
+        if row.tti < last:  # a one-to-many block reaches every other UE
+            for dst in ([ue for ue in ues if ue != row.src]
+                        if row.direction == "D2D_MULTI" else [row.dst]):
+                expected[row.tti + 1, row.src, dst, row.direction, row.rbs] += 1
+    assert sum(row.tti == last for row in transmits) == unsent
+    assert Counter((row.tti, row.src, row.dst, row.direction, row.rbs)
+                   for row in receives) == expected
+
+    unicast = [row for row in receives if row.direction != "D2D_MULTI"]
+    assert sum(row.tti == last for row in unicast) == unreceived
+    answered = Counter((row.tti + 1, row.dst, row.src, row.direction, row.decoded)
+                       for row in unicast if row.tti < last)
+    feedback = Counter((row.tti, row.src, row.dst, row.direction, row.decoded)
+                       for row in result.trace if row.event == "feedback")
+    assert not feedback - answered
+    assert answered.total() - feedback.total() == stale
 
 
 @pytest.mark.parametrize("ack", [True, False])

@@ -19,7 +19,8 @@ Bounds and directions come from BENCHMARK.json.  Each workload's entry
 also gets ``work``: the instructions and calls of instances 0-3 on each
 side, of the run and of the set-up, counted once each by
 ``tools/count_work.py`` after the pairs, and the Python version that
-counted them.  The temporary directory is removed, and any process a
+counted them.  ``src_lines`` gives each side's line count of
+``src/d2dsim/*.py``.  The temporary directory is removed, and any process a
 run left behind is killed, even on error.  Standard library only.
 """
 
@@ -130,6 +131,13 @@ def work_counts(sides: dict[str, Path], texts: list[str]) -> dict:
     return entry
 
 
+def src_lines(sides: dict[str, Path]) -> dict:
+    """Lines of ``src/d2dsim/*.py`` on each side."""
+    return {side: sum(len(path.read_text().splitlines())
+                      for path in (checkout / "src" / "d2dsim").glob("*.py"))
+            for side, checkout in sides.items()}
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", required=True, help="commit to compare against")
@@ -165,6 +173,7 @@ def main(argv: list[str] | None = None) -> int:
         work = {w: work_counts(sides, [scenario_text(w, args.seed, index)
                                        for index in WORK_INSTANCES])
                 for w in workloads}
+        lines = src_lines(sides)
 
     record = {
         "description": (
@@ -179,12 +188,14 @@ def main(argv: list[str] | None = None) -> int:
             "calls of Engine.run(), and apart of parse_scenario and Engine(config), on "
             "instances "
             f"{', '.join(map(str, WORK_INSTANCES))} of each workload, counted once per side "
-            "by tools/count_work.py under this interpreter."),
+            "by tools/count_work.py under this interpreter. src_lines: lines of "
+            "src/d2dsim/*.py on each side."),
         "python": platform.python_version(),
         "nproc": os.cpu_count(),
         "host": platform.platform(),
         "parent_git_sha": parent_sha,
         "change_git_sha": f"working tree on {head_sha}",
+        "src_lines": lines,
         "workloads": {f"{w} seed {args.seed}": {
             **summarise(reports[w], benchmark["end_to_end"]), "work": work[w]}
             for w in workloads},
